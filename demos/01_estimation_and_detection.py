@@ -16,12 +16,13 @@ from fdilab import (
     residual_covariance,
     wls_estimate,
 )
-from fdilab.caseio import parse_case_files, parse_measurements
+from fdilab.caseio import parse_measurements, parse_meters, parse_network
 from fdilab.network import build_h_matrix
 
 CASE = Path(__file__).resolve().parents[1] / "cases" / "5bus"
 
-net, meters, _ = parse_case_files(CASE / "network.json", CASE / "meters.json")
+net = parse_network(CASE / "network.json")
+meters = parse_meters(CASE / "meters.json", net)
 H = build_h_matrix(net, meters)
 z = parse_measurements(CASE / "measurements.json")
 weights = WeightModel(meters.sigmas)

@@ -17,14 +17,14 @@ from fdilab import (
     verify_stealth,
     wls_estimate,
 )
-from fdilab.caseio import parse_case_files, parse_measurements
+from fdilab.caseio import parse_market, parse_measurements, parse_meters, parse_network
 from fdilab.network import build_h_matrix
 
 CASE = Path(__file__).resolve().parents[1] / "cases" / "5bus"
 
-net, meters, market = parse_case_files(
-    CASE / "network_limit34.json", CASE / "meters.json", CASE / "market.json"
-)
+net = parse_network(CASE / "network_limit34.json")
+meters = parse_meters(CASE / "meters.json", net)
+market = parse_market(CASE / "market.json", net)
 H = build_h_matrix(net, meters)
 z = parse_measurements(CASE / "measurements.json")
 weights = WeightModel(meters.sigmas)

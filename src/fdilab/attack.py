@@ -30,9 +30,15 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.linalg
 
-from .detection import chi_square_test, lnr_test, residual_covariance
-from .errors import DimensionMismatch, InfeasibleSupport, SingularGram, ValidationError
-from .estimation import _h_values, wls_estimate
+from .detection import DetectionMethod, DetectorSpec, run_detectors
+from .errors import (
+    DimensionMismatch,
+    InfeasibleSupport,
+    SingularGainMatrix,
+    SingularGram,
+    ValidationError,
+)
+from .estimation import WlsModel, _h_values, residual_norm
 
 # |a_i| at or below this is treated as structurally zero when computing support.
 SUPPORT_ZERO_THRESHOLD = 1e-12
@@ -65,12 +71,10 @@ class ProjectionMatrices:
 def projection_matrices(H) -> ProjectionMatrices:
     """P = H (H' H)^-1 H' and B = P - I. Requires full column rank."""
     Hv = _h_values(H)
-    gram = Hv.T @ Hv
     try:
-        cho = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
+        P = Hv @ WlsModel(Hv, np.ones(Hv.shape[0])).solve(Hv.T)
+    except SingularGainMatrix as exc:
         raise SingularGram(f"H is rank deficient: {exc}") from exc
-    P = Hv @ scipy.linalg.cho_solve(cho, Hv.T)
     P = 0.5 * (P + P.T)
     return ProjectionMatrices(hat=P, complement=P - np.eye(Hv.shape[0]))
 
@@ -150,6 +154,8 @@ def targeted_attack(H, pinned: Mapping[int, float]) -> AttackVector:
         if not 0 <= idx < n:
             raise DimensionMismatch(f"pinned state index {idx} out of range 0..{n - 1}")
         c[idx] = float(value)
+    if not np.all(np.isfinite(c)):
+        raise ValidationError(f"pinned state shifts must be finite, got {dict(pinned)}")
     return _finalize(Hv, c)
 
 
@@ -160,24 +166,20 @@ def verify_stealth(z, atk: AttackVector, H, w, confidence: float = 0.99) -> bool
     norms within 1e-9 * (1 + ||r||) and (ii) identical chi-square and LNR
     verdicts at the given confidence.
     """
-    Hv = _h_values(H)
+    model = WlsModel(H, w)
     z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != Hv.shape[0] or atk.a.shape[0] != Hv.shape[0]:
+    if z.shape[0] != model.m or atk.a.shape[0] != model.m:
         raise DimensionMismatch("z, attack and H disagree on meter count")
-    m, n = Hv.shape
 
-    clean = wls_estimate(Hv, z, w)
-    attacked = wls_estimate(Hv, z + atk.a, w)
-    norm_clean = np.linalg.norm(clean.residual / clean.sigmas)
-    norm_attacked = np.linalg.norm(attacked.residual / attacked.sigmas)
-    if abs(norm_attacked - norm_clean) > 1e-9 * (1.0 + norm_clean):
+    clean = model.estimate(z)
+    attacked = model.estimate(z + atk.a)
+    norm_clean = residual_norm(clean)
+    if abs(residual_norm(attacked) - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False
 
-    omega = residual_covariance(Hv, w)
-    for res_clean, res_attacked in (
-        (chi_square_test(clean, m, n, confidence), chi_square_test(attacked, m, n, confidence)),
-        (lnr_test(clean, omega, confidence), lnr_test(attacked, omega, confidence)),
-    ):
-        if res_clean.bad_data_detected != res_attacked.bad_data_detected:
-            return False
-    return True
+    specs = [DetectorSpec(method, confidence) for method in DetectionMethod]
+    clean_verdicts, attacked_verdicts = (
+        [rep.bad_data_detected for rep in run_detectors(specs, res, model)]
+        for res in (clean, attacked)
+    )
+    return clean_verdicts == attacked_verdicts

@@ -18,6 +18,7 @@ semantic problems raise the validation errors of the domain modules.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .network import Meter, MeterConfig, NetworkModel, build_network
 
 
 def load_json(path) -> dict:
+    """Read a JSON document; NaN, Infinity and overflowing numbers are ParseErrors."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -35,8 +37,15 @@ def load_json(path) -> dict:
         raise ParseError(path, "-", f"cannot read file: {exc}") from exc
     if not text.strip():
         raise ParseError(path, "line 1", "file is empty")
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ParseError(path, "-", f"non-finite number {token}")
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
 
@@ -109,14 +118,6 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
             )
         )
     return DispatchCase(network=net, generators=tuple(generators), loads=tuple(loads))
-
-
-def parse_case_files(network_path, meters_path, market_path=None):
-    """Load and cross-validate a network, its meter set and optionally a market case."""
-    net = parse_network(network_path)
-    meters = parse_meters(meters_path, net)
-    case = parse_market(market_path, net) if market_path is not None else None
-    return net, meters, case
 
 
 def dump_attack(atk, path) -> None:

@@ -15,29 +15,23 @@ from pathlib import Path
 
 from . import caseio
 from .attack import random_constrained_attack, targeted_attack
-from .detection import DetectionMethod
-from .errors import (
-    FdiLabError,
-    InfeasibleError,
-    NumericalError,
-    ParseError,
-    ValidationError,
-)
+from .detection import DetectionMethod, DetectorSpec
+from .errors import FdiLabError, InfeasibleError, ParseError, ValidationError
+from .market import solve_dc_opf
 from .network import build_h_matrix
 from .scenario import (
-    DetectorSpec,
     FileSource,
     NoAttack,
     Scenario,
+    _branch_name,
+    _csv,
+    _dispatch_lines,
+    _dispatch_rows,
     _fmt,
     parse_scenario,
     run_monte_carlo,
     run_scenario,
 )
-
-
-def _write(path, text: str) -> None:
-    Path(path).write_text(text)
 
 
 def _pipeline_scenario(args, detectors) -> Scenario:
@@ -52,24 +46,18 @@ def _pipeline_scenario(args, detectors) -> Scenario:
     )
 
 
-def _cmd_estimate(args) -> int:
-    report = run_scenario(_pipeline_scenario(args, detectors=()))
+def _cmd_report(args) -> int:
+    """Print the report ``args.report`` builds; write its CSV to ``--out`` if given."""
+    report = args.report(args)
     sys.stdout.write(report.to_text())
     if args.out:
-        _write(args.out, report.to_csv())
+        Path(args.out).write_text(report.to_csv())
     return 0
 
 
-def _cmd_detect(args) -> int:
-    detectors = (
-        DetectorSpec(DetectionMethod.CHI_SQUARE, args.confidence),
-        DetectorSpec(DetectionMethod.LNR, args.confidence),
-    )
-    report = run_scenario(_pipeline_scenario(args, detectors))
-    sys.stdout.write(report.to_text())
-    if args.out:
-        _write(args.out, report.to_csv())
-    return 0
+def _detect_report(args):
+    detectors = tuple(DetectorSpec(method, args.confidence) for method in DetectionMethod)
+    return run_scenario(_pipeline_scenario(args, detectors))
 
 
 def _load_model(args):
@@ -114,51 +102,18 @@ def _cmd_attack_targeted(args) -> int:
 
 
 def _cmd_opf(args) -> int:
-    from .market import solve_dc_opf
-
     net = caseio.parse_network(args.case)
     case = caseio.parse_market(args.market, net)
     result = solve_dc_opf(case)
     out = ["[dispatch]"]
     for g, gen in enumerate(case.generators):
         out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")
-    for b, br in enumerate(net.branches):
-        out.append(f"  flow {br.from_bus}-{br.to_bus} = {_fmt(result.flows[b])} MW")
-    for bus, price in result.lmp.items():
-        out.append(f"  lmp(bus {bus}) = {_fmt(price)} $/MWh")
-    if result.binding_lines:
-        names = ", ".join(
-            f"{net.branches[b].from_bus}-{net.branches[b].to_bus}" for b in result.binding_lines
-        )
-        out.append(f"  binding lines: {names}")
-    out.append(f"  cost = {_fmt(result.objective)} $/h")
+    for b, flow in enumerate(result.flows):
+        out.append(f"  flow {_branch_name(net, b)} = {_fmt(flow)} MW")
+    out += _dispatch_lines(result, net)
     sys.stdout.write("\n".join(out) + "\n")
     if args.out:
-        lines = ["stage,quantity,index,value"]
-        for g in range(len(result.gen_output)):
-            lines.append(f"dispatch,gen_mw,{g},{_fmt(result.gen_output[g])}")
-        for b, br in enumerate(net.branches):
-            lines.append(f"dispatch,flow_mw,{br.from_bus}-{br.to_bus},{_fmt(result.flows[b])}")
-        for bus, price in result.lmp.items():
-            lines.append(f"dispatch,lmp,{bus},{_fmt(price)}")
-        lines.append(f"dispatch,objective_per_h,,{_fmt(result.objective)}")
-        _write(args.out, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_scenario_run(args) -> int:
-    report = run_scenario(parse_scenario(args.scenario))
-    sys.stdout.write(report.to_text())
-    if args.out:
-        _write(args.out, report.to_csv())
-    return 0
-
-
-def _cmd_montecarlo(args) -> int:
-    summary = run_monte_carlo(parse_scenario(args.scenario), trials=args.trials, base_seed=args.seed)
-    sys.stdout.write(summary.to_text())
-    if args.out:
-        _write(args.out, summary.to_csv())
+        Path(args.out).write_text(_csv(_dispatch_rows("dispatch", result, net)))
     return 0
 
 
@@ -180,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="weighted least-squares state estimate")
     _add_model_args(p)
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_report, report=lambda a: run_scenario(_pipeline_scenario(a, detectors=())))
 
     p = sub.add_parser("detect", help="run both bad-data detectors")
     _add_model_args(p)
     p.add_argument("--confidence", type=float, default=0.99)
-    p.set_defaults(func=_cmd_detect)
+    p.set_defaults(func=_cmd_report, report=_detect_report)
 
     attack = sub.add_parser("attack", help="synthesize a stealth attack vector")
     attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
@@ -219,14 +174,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = scenario_sub.add_parser("run", help="run a scenario file end to end")
     p.add_argument("scenario", help="scenario file (JSON)")
     p.add_argument("--out", help="write a CSV report here")
-    p.set_defaults(func=_cmd_scenario_run)
+    p.set_defaults(func=_cmd_report, report=lambda a: run_scenario(parse_scenario(a.scenario)))
 
     p = sub.add_parser("montecarlo", help="seeded detection-rate experiment")
     p.add_argument("scenario", help="scenario file with simulated measurements")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--out", help="write a CSV report here")
-    p.set_defaults(func=_cmd_montecarlo)
+    p.set_defaults(
+        func=_cmd_report,
+        report=lambda a: run_monte_carlo(parse_scenario(a.scenario), trials=a.trials, base_seed=a.seed),
+    )
 
     return parser
 
@@ -236,8 +194,6 @@ def _exit_code(exc: FdiLabError) -> int:
         return 2
     if isinstance(exc, InfeasibleError):
         return 4
-    if isinstance(exc, NumericalError):
-        return 3
     return 3
 
 

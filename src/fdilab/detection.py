@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 from scipy import stats
 
-from .errors import AllMetersCritical, DegenerateFreedom, SingularGainMatrix, ValidationError
-from .estimation import EstimationResult, _h_values, _sigma_values
+from .errors import AllMetersCritical, DegenerateFreedom, DimensionMismatch, ValidationError
+from .estimation import EstimationResult, WlsModel
 
 # Omega_ii below this multiple of the meter variance marks a critical measurement.
 CRITICALITY_FLOOR = 1e-10
@@ -46,6 +45,12 @@ class DetectionReport:
     bad_data_detected: bool
     confidence: float
     suspect_meter: int | None = None
+
+
+@dataclass(frozen=True)
+class DetectorSpec:
+    method: DetectionMethod
+    confidence: float = 0.99
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ def chi_square_test(res: EstimationResult, m: int, n: int, confidence: float = 0
     _check_probability(confidence)
     if m <= n:
         raise DegenerateFreedom(f"m={m} <= n={n}: residual has no degrees of freedom")
+    if m != len(res.residual) or n != len(res.state):
+        raise DimensionMismatch(
+            f"m={m}, n={n} disagree with an estimate of {len(res.state)} states "
+            f"from {len(res.residual)} meters"
+        )
     threshold = chi_square_quantile(confidence, m - n)
     statistic = res.objective
     return DetectionReport(
@@ -96,19 +106,7 @@ def residual_covariance(H, w) -> ResidualCovariance:
     Diagonal entries are the residual variances used to normalize the LNR
     statistic; Omega R^-1 is the (idempotent) residual projector.
     """
-    Hv = _h_values(H)
-    m, n = Hv.shape
-    sig = _sigma_values(w, m)
-    Hw = Hv / sig[:, None]
-    gain = Hw.T @ Hw
-    try:
-        cho = scipy.linalg.cho_factor(gain)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGainMatrix(f"gain matrix is singular: {exc}") from exc
-    inner = scipy.linalg.cho_solve(cho, Hv.T)
-    omega = np.diag(sig**2) - Hv @ inner
-    omega = 0.5 * (omega + omega.T)  # strip asymmetric round-off
-    return ResidualCovariance(omega=omega)
+    return ResidualCovariance(omega=WlsModel(H, w).omega)
 
 
 def lnr_test(
@@ -146,4 +144,18 @@ def lnr_test(
         bad_data_detected=detected,
         confidence=confidence,
         suspect_meter=suspect if detected else None,
+    )
+
+
+def run_detectors(specs, result: EstimationResult, model: WlsModel) -> tuple[DetectionReport, ...]:
+    """Run each detector spec on one estimate made with ``model``.
+
+    Omega is taken from the model, so it is built only when an LNR spec
+    is present and only once per model.
+    """
+    return tuple(
+        chi_square_test(result, model.m, model.n, spec.confidence)
+        if spec.method is DetectionMethod.CHI_SQUARE
+        else lnr_test(result, ResidualCovariance(model.omega), spec.confidence)
+        for spec in specs
     )

@@ -6,12 +6,15 @@ The WLS estimate solves the normal equations
     x_hat = (H' R^-1 H)^-1 H' R^-1 z,      R = diag(sigma_i^2),
 
 and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
-r = z - H x_hat.
+r = z - H x_hat. ``WlsModel`` holds one (H, sigmas) pair and factors its
+gain once for every estimate, Omega and projection made from it;
+``wls_estimate`` is a one-shot call on a fresh model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -64,34 +67,66 @@ def _sigma_values(w, m: int, allow_zero: bool = False) -> np.ndarray:
     return sig
 
 
+class WlsModel:
+    """The weighted normal equations of one meter set, solved for any z.
+
+    Holds the validated H and sigmas and R^-1/2 H. The Cholesky factor of
+    the gain H' R^-1 H and the residual covariance Omega = R - H (H' R^-1
+    H)^-1 H' are each worked out on first use and then kept, so every
+    estimate, Omega and projection made from one model shares one
+    factorisation, and a caller that needs neither pays for neither.
+    """
+
+    def __init__(self, H, w):
+        self.H = _h_values(H)
+        self.m, self.n = self.H.shape
+        self.sigmas = _sigma_values(w, self.m)
+        self.Hw = self.H / self.sigmas[:, None]     # R^-1/2 H
+
+    @cached_property
+    def factor(self):
+        """Cholesky factor of H' R^-1 H; SingularGainMatrix when it is not invertible."""
+        gain = self.Hw.T @ self.Hw
+        try:
+            return scipy.linalg.cho_factor(gain)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularGainMatrix(f"gain matrix is singular: {exc}") from exc
+
+    def solve(self, rhs) -> np.ndarray:
+        """(H' R^-1 H)^-1 rhs."""
+        return scipy.linalg.cho_solve(self.factor, rhs)
+
+    def estimate(self, z) -> EstimationResult:
+        """WLS estimate on the measurement vector z, which must be finite."""
+        z = np.asarray(z, dtype=float).reshape(-1)
+        if z.shape[0] != self.m:
+            raise DimensionMismatch(f"z has {z.shape[0]} entries, H has {self.m} rows")
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("measurement values must all be finite")
+        state = self.solve(self.Hw.T @ (z / self.sigmas))
+        fitted = self.H @ state
+        residual = z - fitted
+        objective = float(np.sum((residual / self.sigmas) ** 2))
+        return EstimationResult(
+            state=state, fitted=fitted, residual=residual, objective=objective, sigmas=self.sigmas
+        )
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Omega = R - H (H' R^-1 H)^-1 H', symmetrised."""
+        omega = np.diag(self.sigmas**2) - self.H @ self.solve(self.H.T)
+        return 0.5 * (omega + omega.T)  # strip asymmetric round-off
+
+
 def wls_estimate(H, z, w) -> EstimationResult:
     """Solve the weighted normal equations for the state estimate.
 
     ``H`` may be a MeasurementMatrix or a plain (m, n) array; ``w`` a
     WeightModel or a sigma vector. Raises SingularGainMatrix when
-    H' R^-1 H is not invertible (unobservable configuration).
+    H' R^-1 H is not invertible (unobservable configuration) and
+    ValidationError when z is not finite.
     """
-    Hv = _h_values(H)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    m, n = Hv.shape
-    if z.shape[0] != m:
-        raise DimensionMismatch(f"z has {z.shape[0]} entries, H has {m} rows")
-    sig = _sigma_values(w, m)
-
-    Hw = Hv / sig[:, None]          # R^-1/2 H
-    zw = z / sig
-    gain = Hw.T @ Hw                # H' R^-1 H
-    try:
-        cho = scipy.linalg.cho_factor(gain)
-        state = scipy.linalg.cho_solve(cho, Hw.T @ zw)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGainMatrix(f"gain matrix is singular: {exc}") from exc
-    fitted = Hv @ state
-    residual = z - fitted
-    objective = float(np.sum((residual / sig) ** 2))
-    return EstimationResult(
-        state=state, fitted=fitted, residual=residual, objective=objective, sigmas=sig
-    )
+    return WlsModel(H, w).estimate(z)
 
 
 def simulate_measurements(H, x_true, w, seed=None) -> np.ndarray:

@@ -16,7 +16,6 @@ aggregates detection rates.
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,21 +23,55 @@ import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
-from .detection import (
-    DetectionMethod,
-    DetectionReport,
-    chi_square_test,
-    lnr_test,
-    residual_covariance,
-)
+from .detection import DetectionMethod, DetectionReport, DetectorSpec, run_detectors
 from .errors import FdiLabError, ParseError, ValidationError
-from .estimation import EstimationResult, WeightModel, simulate_measurements, wls_estimate
+from .estimation import (
+    EstimationResult,
+    WeightModel,
+    WlsModel,
+    simulate_measurements,
+    wls_estimate,
+)
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
 from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
 
 
 def _fmt(value) -> str:
     return f"{float(value):.6f}"
+
+
+# -- CSV rendering ---------------------------------------------------------------
+
+def _row(stage: str, quantity: str, index, value) -> tuple[str, str, str, str]:
+    return (stage, quantity, str(index), _fmt(value))
+
+
+def _csv(rows) -> str:
+    """The CSV report: the fixed header, then one line per (stage, quantity, index, value) row."""
+    return "\n".join(["stage,quantity,index,value", *(",".join(row) for row in rows)]) + "\n"
+
+
+def _branch_name(net: NetworkModel, b: int) -> str:
+    return f"{net.branches[b].from_bus}-{net.branches[b].to_bus}"
+
+
+def _dispatch_rows(stage: str, result: DispatchResult, net: NetworkModel) -> list:
+    """CSV rows of one dispatch: generation, branch flows, LMPs and cost."""
+    return [
+        *(_row(stage, "gen_mw", g, mw) for g, mw in enumerate(result.gen_output)),
+        *(_row(stage, "flow_mw", _branch_name(net, b), flow) for b, flow in enumerate(result.flows)),
+        *(_row(stage, "lmp", bus, price) for bus, price in result.lmp.items()),
+        _row(stage, "objective_per_h", "", result.objective),
+    ]
+
+
+def _dispatch_lines(result: DispatchResult, net: NetworkModel) -> list[str]:
+    """Text lines of one dispatch after its generation: LMPs, binding lines and cost."""
+    out = [f"  lmp(bus {bus}) = {_fmt(price)} $/MWh" for bus, price in result.lmp.items()]
+    if result.binding_lines:
+        out.append(f"  binding lines: {', '.join(_branch_name(net, b) for b in result.binding_lines)}")
+    out.append(f"  cost = {_fmt(result.objective)} $/h")
+    return out
 
 
 @contextlib.contextmanager
@@ -86,12 +119,6 @@ class TargetedAttackSpec:
 class GrossErrorSpec:
     meter: int
     magnitude_pu: float
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    method: DetectionMethod
-    confidence: float = 0.99
 
 
 @dataclass(frozen=True)
@@ -209,9 +236,7 @@ def parse_scenario(path) -> Scenario:
 
 # -- pipeline ------------------------------------------------------------------
 
-def _build_attack_vector(
-    spec, H: MeasurementMatrix, sigmas: np.ndarray
-) -> tuple[np.ndarray | None, AttackVector | None]:
+def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None, AttackVector | None]:
     """Return (perturbation added to z, AttackVector echo when a = Hc)."""
     if isinstance(spec, NoAttack):
         return None, None
@@ -229,21 +254,6 @@ def _build_attack_vector(
         a[spec.meter] = spec.magnitude_pu
         return a, None
     raise ValidationError(f"unsupported attack spec {spec!r}")
-
-
-def _run_detectors(
-    detectors, observed: EstimationResult, H: MeasurementMatrix, weights: WeightModel
-) -> tuple[DetectionReport, ...]:
-    omega = None
-    reports = []
-    for spec in detectors:
-        if spec.method is DetectionMethod.CHI_SQUARE:
-            reports.append(chi_square_test(observed, H.m, H.n, spec.confidence))
-        else:
-            if omega is None:
-                omega = residual_covariance(H, weights)
-            reports.append(lnr_test(observed, omega, spec.confidence))
-    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -270,7 +280,7 @@ class ScenarioReport:
         rows: list[tuple[str, str, str, str]] = []
 
         def add(stage, quantity, index, value):
-            rows.append((stage, quantity, str(index), _fmt(value)))
+            rows.append(_row(stage, quantity, index, value))
 
         for k, bus in enumerate(self.network.state_buses):
             add("estimation", "state_rad", bus, self.observed.state[k])
@@ -304,24 +314,15 @@ class ScenarioReport:
         for label, result in (("market.before", self.market_before), ("market.after", self.market_after)):
             if result is None:
                 continue
-            for g in range(len(result.gen_output)):
-                add(label, "gen_mw", g, result.gen_output[g])
-            for b, br in enumerate(self.network.branches):
-                add(label, "flow_mw", f"{br.from_bus}-{br.to_bus}", result.flows[b])
-            for bus, price in result.lmp.items():
-                add(label, "lmp", bus, price)
-            add(label, "objective_per_h", "", result.objective)
+            rows.extend(_dispatch_rows(label, result, self.network))
             for b in result.binding_lines:
-                br = self.network.branches[b]
-                add(label, "binding", f"{br.from_bus}-{br.to_bus}", 1.0)
+                add(label, "binding", _branch_name(self.network, b), 1.0)
         if self.profit_per_h is not None:
             add("market", "profit_per_h", "", self.profit_per_h)
         return rows
 
     def to_csv(self) -> str:
-        lines = ["stage,quantity,index,value"]
-        lines.extend(",".join(row) for row in self.csv_rows())
-        return "\n".join(lines) + "\n"
+        return _csv(self.csv_rows())
 
     def to_text(self) -> str:
         out = [f"scenario: {self.name}"]
@@ -360,17 +361,8 @@ class ScenarioReport:
             if result is None:
                 continue
             out.append(f"[{label}]")
-            gen_txt = " ".join(_fmt(v) for v in result.gen_output)
-            out.append(f"  generation MW = {gen_txt}")
-            for bus, price in result.lmp.items():
-                out.append(f"  lmp(bus {bus}) = {_fmt(price)} $/MWh")
-            if result.binding_lines:
-                names = ", ".join(
-                    f"{self.network.branches[b].from_bus}-{self.network.branches[b].to_bus}"
-                    for b in result.binding_lines
-                )
-                out.append(f"  binding lines: {names}")
-            out.append(f"  cost = {_fmt(result.objective)} $/h")
+            out.append(f"  generation MW = {' '.join(_fmt(v) for v in result.gen_output)}")
+            out += _dispatch_lines(result, self.network)
         if self.profit_per_h is not None:
             out.append(
                 f"[profit] buy bus {self.buy_bus} before, sell bus {self.sell_bus} after, "
@@ -397,13 +389,13 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
             x_true = np.asarray(scn.measurements.x_true, dtype=float)
             z = simulate_measurements(H, x_true, weights, seed=scn.measurements.seed)
     with _stage("attack"):
-        perturbation, atk = _build_attack_vector(scn.attack, H, meters.sigmas)
+        perturbation, atk = _build_attack_vector(scn.attack, H)
         z_observed = z if perturbation is None else z + perturbation
     with _stage("estimate"):
         observed = wls_estimate(H, z_observed, weights)
         clean = wls_estimate(H, z, weights) if perturbation is not None else None
     with _stage("detect"):
-        detections = _run_detectors(scn.detectors, observed, H, weights)
+        detections = run_detectors(scn.detectors, observed, WlsModel(H, weights))
 
     market_before = market_after = None
     profit = None
@@ -487,16 +479,18 @@ class MonteCarloSummary:
         return "\n".join(out) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["stage,quantity,index,value"]
+        rows = []
         for rate in self.rates:
             stage = f"montecarlo.{rate.method.value}"
-            lines.append(f"{stage},detection_rate,,{_fmt(rate.detection_rate)}")
-            lines.append(f"{stage},detections,,{_fmt(rate.detections)}")
-            lines.append(f"{stage},mean_statistic,,{_fmt(rate.mean_statistic)}")
-        lines.append(f"montecarlo,trials,,{_fmt(self.trials)}")
+            rows.append(_row(stage, "detection_rate", "", rate.detection_rate))
+            rows.append(_row(stage, "detections", "", rate.detections))
+            rows.append(_row(stage, "mean_statistic", "", rate.mean_statistic))
+        rows.append(_row("montecarlo", "trials", "", self.trials))
         if self.identified is not None:
-            lines.append(f"montecarlo,identification_accuracy,,{_fmt(self.identification_accuracy)}")
-        return "\n".join(lines) + "\n"
+            rows.append(
+                _row("montecarlo", "identification_accuracy", "", self.identification_accuracy)
+            )
+        return _csv(rows)
 
 
 def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSummary:
@@ -520,9 +514,13 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     with _stage("model"):
         H = build_h_matrix(net, meters)
         weights = WeightModel(meters.sigmas)
-        omega = residual_covariance(H, weights)
+        # factor the gain, and build Omega when an LNR detector needs it, in this stage
+        model = WlsModel(H, weights)
+        model.factor
+        if any(spec.method is DetectionMethod.LNR for spec in scn.detectors):
+            model.omega
     with _stage("attack"):
-        perturbation, _ = _build_attack_vector(scn.attack, H, meters.sigmas)
+        perturbation, _ = _build_attack_vector(scn.attack, H)
     x_true = np.asarray(scn.measurements.x_true, dtype=float)
     target_meter = scn.attack.meter if isinstance(scn.attack, GrossErrorSpec) else None
 
@@ -534,20 +532,15 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         z = simulate_measurements(H, x_true, weights, seed=rng)
         if perturbation is not None:
             z = z + perturbation
-        est = wls_estimate(H, z, weights)
-        all_fired = True
-        suspect_ok = False
-        for d, spec in enumerate(scn.detectors):
-            if spec.method is DetectionMethod.CHI_SQUARE:
-                rep = chi_square_test(est, H.m, H.n, spec.confidence)
-            else:
-                rep = lnr_test(est, omega, spec.confidence)
-                suspect_ok = rep.suspect_meter == target_meter
+        reports = run_detectors(scn.detectors, model.estimate(z), model)
+        for d, rep in enumerate(reports):
             counts[d] += rep.bad_data_detected
             stat_sums[d] += rep.statistic
-            all_fired &= rep.bad_data_detected
-        if identified is not None and all_fired and suspect_ok:
-            identified += 1
+        if identified is not None and all(rep.bad_data_detected for rep in reports):
+            # the last LNR report names the suspect; without one nothing is identified
+            suspects = [rep.suspect_meter for rep in reports if rep.method is DetectionMethod.LNR]
+            if suspects and suspects[-1] == target_meter:
+                identified += 1
 
     rates = tuple(
         DetectorRate(
@@ -563,8 +556,3 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         name=scn.name, trials=trials, base_seed=base_seed, rates=rates, identified=identified
     )
 
-
-def dump_report_json(report: ScenarioReport, path) -> None:
-    """Machine-readable sidecar of the CSV (same quantities, nested)."""
-    doc = {"name": report.name, "rows": [list(r) for r in report.csv_rows()]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

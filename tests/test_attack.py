@@ -165,3 +165,9 @@ def test_gross_error_is_not_stealthy(h5, z5, w5):
     spike[2] = 0.5  # 50 sigma
     atk = AttackVector(a=spike, c=np.zeros(4), support=(2,))
     assert not verify_stealth(z5, atk, h5, w5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_targeted_rejects_non_finite_pin(h5, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        targeted_attack(h5, {2: bad})

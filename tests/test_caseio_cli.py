@@ -231,3 +231,75 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "lmp(bus 4) = 15.000000" in proc.stdout
+
+
+# -- non-finite input ---------------------------------------------------------------
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_json_rejects_non_finite_numbers(tmp_path, token):
+    p = tmp_path / "doc.json"
+    p.write_text(f'{{"values_pu": [0.1, {token}]}}')
+    with pytest.raises(ParseError, match="non-finite"):
+        caseio.load_json(p)
+
+
+def _scenario_copy(tmp_path, name, edit):
+    doc = json.loads((CASES_5BUS / f"{name}.json").read_text())
+    edit(doc)
+    for key in ("network", "meters"):
+        doc[key] = str(CASES_5BUS / doc[key])
+    if "file" in doc["measurements"]:
+        doc["measurements"]["file"] = str(CASES_5BUS / doc["measurements"]["file"])
+    if "market" in doc:
+        doc["market"]["file"] = str(CASES_5BUS / doc["market"]["file"])
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))  # json.dumps writes nan as NaN
+    return p
+
+
+def _nan_x_true(doc):
+    doc["measurements"]["simulate"]["x_true"][1] = float("nan")
+
+
+def _nan_pin(doc):
+    doc["attack"]["pinned"]["3"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, name, edit",
+    [
+        ("scenario", "mc_clean", _nan_x_true),
+        ("montecarlo", "mc_clean", _nan_x_true),
+        ("scenario", "profit", _nan_pin),
+    ],
+)
+def test_cli_non_finite_scenario_exits_2(capsys, tmp_path, command, name, edit):
+    path = _scenario_copy(tmp_path, name, edit)
+    argv = ["scenario", "run", path] if command == "scenario" else ["montecarlo", path, "--trials", 5]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "ParseError" in err and "non-finite" in err
+    assert out == ""
+
+
+def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
+    doc = json.loads((CASES_5BUS / "market.json").read_text())
+    doc["generators"][0]["price"] = float("nan")
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "opf", "--case", CASES_5BUS / "network.json", "--market", market)
+    assert code == 2
+    assert "ParseError" in err
+
+
+def test_cli_targeted_non_finite_pin_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "attack", "targeted",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--pin", "3=nan",
+    )
+    assert code == 2
+    assert "ValidationError" in err
+    assert "nan" not in out

@@ -5,19 +5,22 @@ import pytest
 
 from fdilab.detection import (
     DetectionMethod,
+    DetectorSpec,
     chi_square_quantile,
     chi_square_test,
     gaussian_quantile,
     lnr_test,
     residual_covariance,
+    run_detectors,
 )
 from fdilab.errors import (
     AllMetersCritical,
     DegenerateFreedom,
+    DimensionMismatch,
     SingularGainMatrix,
     ValidationError,
 )
-from fdilab.estimation import WeightModel, wls_estimate
+from fdilab.estimation import WeightModel, WlsModel, wls_estimate
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 # closed-form and table oracles for the quantiles
@@ -225,3 +228,22 @@ def test_noise_free_passes_any_confidence(h5, w5):
     for confidence in (0.5, 0.9, 0.99, 0.9999):
         assert not chi_square_test(res, 6, 4, confidence).bad_data_detected
         assert not lnr_test(res, omega, confidence).bad_data_detected
+
+
+def test_chi_square_dimensions_must_match_result(h5, z5, w5):
+    res = wls_estimate(h5, z5, w5)
+    with pytest.raises(DimensionMismatch):
+        chi_square_test(res, 7, 4)
+    with pytest.raises(DimensionMismatch):
+        chi_square_test(res, 6, 3)
+
+
+def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
+    model = WlsModel(h5, w5)
+    res = model.estimate(z5)
+    (chi,) = run_detectors([DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95)], res, model)
+    assert "omega" not in vars(model)
+    assert chi == chi_square_test(res, 6, 4, 0.95)
+    both = run_detectors([DetectorSpec(m) for m in DetectionMethod], res, model)
+    assert both[1] == lnr_test(res, residual_covariance(h5, w5))
+    assert "omega" in vars(model)

@@ -5,6 +5,7 @@ from conftest import TABLE_J, TABLE_XHAT
 from fdilab.errors import DimensionMismatch, SingularGainMatrix, ValidationError
 from fdilab.estimation import (
     WeightModel,
+    WlsModel,
     residual_norm,
     simulate_measurements,
     wls_estimate,
@@ -115,3 +116,25 @@ def test_residual_norm_pythagorean():
         sigmas=np.ones(2),
     )
     assert residual_norm(res) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_wls_model_factors_once_on_first_use(h5, z5, w5):
+    model = WlsModel(h5, w5)
+    assert "factor" not in vars(model)
+    first = model.estimate(z5)
+    factor = model.factor
+    second = model.estimate(z5 + 0.01)
+    assert model.factor is factor
+    one_shot = wls_estimate(h5, z5, w5)
+    for name in ("state", "fitted", "residual", "sigmas"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(one_shot, name))
+    assert first.objective == one_shot.objective
+    np.testing.assert_array_equal(second.state, wls_estimate(h5, z5 + 0.01, w5).state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurement_rejected(h5, z5, w5, bad):
+    z = z5.copy()
+    z[3] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        wls_estimate(h5, z, w5)

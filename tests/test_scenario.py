@@ -30,6 +30,12 @@ def simulated_scenario(attack=NoAttack(), seed=1):
     )
 
 
+def test_detector_spec_still_importable_from_scenario():
+    from fdilab import detection
+
+    assert DetectorSpec is detection.DetectorSpec
+
+
 def test_case1_clean_passes_both():
     report = run_scenario(parse_scenario(CASES_5BUS / "case1.json"))
     assert len(report.detections) == 2
