@@ -31,6 +31,11 @@ from .estimation import EstimationResult, WlsModel
 # Omega_ii below this multiple of the meter variance marks a critical measurement.
 CRITICALITY_FLOOR = 1e-10
 
+# Normalized residuals within this relative distance of the largest count as tied
+# with it. Perfectly correlated meters tie in exact arithmetic, so without it
+# round-off would choose the suspect among them.
+LNR_TIE_TOLERANCE = 1e-9
+
 
 class DetectionMethod(str, Enum):
     CHI_SQUARE = "chi_square"
@@ -116,8 +121,10 @@ def lnr_test(
 
     Critical meters (Omega_ii below CRITICALITY_FLOOR * sigma_i^2) are
     skipped with a warning; if every meter is critical the test is
-    undefined and AllMetersCritical is raised. ``suspect_meter`` is the
-    argmax index, reported only when bad data is detected.
+    undefined and AllMetersCritical is raised. The statistic is the
+    largest normalized residual; ``suspect_meter`` is the lowest meter
+    whose normalized residual is within LNR_TIE_TOLERANCE of it, reported
+    only when bad data is detected.
     """
     _check_probability(confidence)
     diag = np.diag(omega.omega)
@@ -132,8 +139,8 @@ def lnr_test(
         warnings.warn(f"critical meters excluded from LNR test: {skipped}", stacklevel=2)
     normalized = np.full(diag.shape, -np.inf)
     normalized[usable] = np.abs(res.residual[usable]) / np.sqrt(diag[usable])
-    suspect = int(np.argmax(normalized))
-    statistic = float(normalized[suspect])
+    statistic = float(np.max(normalized))
+    suspect = int(np.argmax(normalized >= statistic * (1.0 - LNR_TIE_TOLERANCE)))
     # two-sided: residual sign carries no information
     threshold = gaussian_quantile(1.0 - (1.0 - confidence) / 2.0)
     detected = statistic > threshold

@@ -170,6 +170,20 @@ def test_lnr_identifies_the_identifiable_meter(h5, w5):
         assert rep.bad_data_detected and rep.suspect_meter == 2
 
 
+@pytest.mark.parametrize("meter", [m for m, group in CORRELATED_GROUPS.items() if len(group) > 1])
+def test_lnr_names_the_lowest_meter_of_a_correlated_group(h5, w5, meter):
+    # the group's normalized residuals are equal in exact arithmetic, so the
+    # suspect must not depend on which of them round-off makes largest
+    omega = residual_covariance(h5, w5)
+    lowest = min(CORRELATED_GROUPS[meter])
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        z = h5.values @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
+        z[meter] += 0.5
+        rep = lnr_test(wls_estimate(h5, z, w5), omega, confidence=0.99)
+        assert rep.suspect_meter == lowest, f"seed {seed}: suspect {rep.suspect_meter}"
+
+
 def test_residual_correlation_structure(h5, w5):
     # group members are perfectly correlated and their joint removal breaks
     # observability; meter 2 correlates with nobody at |rho| = 1
