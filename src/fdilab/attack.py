@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.linalg
 
-from .detection import DetectionMethod, DetectorSpec, run_detectors
+from .detection import DetectionMethod, Detector, DetectorSpec
 from .errors import (
     DimensionMismatch,
     InfeasibleSupport,
@@ -177,9 +177,8 @@ def verify_stealth(z, atk: AttackVector, H, w, confidence: float = 0.99) -> bool
     if abs(residual_norm(attacked) - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False
 
-    specs = [DetectorSpec(method, confidence) for method in DetectionMethod]
+    detectors = [Detector.for_model(DetectorSpec(method, confidence), model) for method in DetectionMethod]
     clean_verdicts, attacked_verdicts = (
-        [rep.bad_data_detected for rep in run_detectors(specs, res, model)]
-        for res in (clean, attacked)
+        [detector.report(res).bad_data_detected for detector in detectors] for res in (clean, attacked)
     )
     return clean_verdicts == attacked_verdicts

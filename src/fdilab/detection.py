@@ -8,12 +8,17 @@ Two tests are provided, both at a configurable certainty level (default
   data is clean; J above the quantile flags bad data.
 * largest normalized residual (LNR): each residual is normalized by the
   square root of its variance Omega_ii and the maximum is compared with
-  a two-sided unit-Gaussian threshold; the argmax names the suspect
-  meter.
+  a two-sided unit-Gaussian threshold; the lowest meter whose normalized
+  residual ties with the maximum names the suspect.
 
 A meter whose residual variance is structurally zero (a critical
 measurement, removal of which destroys observability) carries no bad-data
 information and is excluded from the LNR statistic.
+
+A ``Detector`` is one test made ready for one meter set: its threshold is
+computed once, and it judges a single estimate or a block of them from
+``WlsModel.fit``. ``chi_square_test``, ``lnr_test`` and ``run_detectors``
+all judge through it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import AllMetersCritical, DegenerateFreedom, DimensionMismatch, ValidationError
 from .estimation import EstimationResult, WlsModel
@@ -70,13 +75,13 @@ def chi_square_quantile(p: float, nu: int) -> float:
     _check_probability(p)
     if nu < 1:
         raise ValidationError(f"degrees of freedom {nu} must be >= 1")
-    return float(stats.chi2.ppf(p, nu))
+    return float(2.0 * special.gammaincinv(nu / 2.0, p))
 
 
 def gaussian_quantile(p: float) -> float:
     """Standard normal inverse CDF."""
     _check_probability(p)
-    return float(stats.norm.ppf(p))
+    return float(special.ndtri(p))
 
 
 def _check_probability(p: float):
@@ -84,25 +89,89 @@ def _check_probability(p: float):
         raise ValidationError(f"probability {p} must lie strictly between 0 and 1")
 
 
-def chi_square_test(res: EstimationResult, m: int, n: int, confidence: float = 0.99) -> DetectionReport:
-    """Compare J with the chi-square(m - n) quantile at the given confidence."""
+@dataclass(frozen=True, eq=False)
+class Detector:
+    """One detector spec made ready to judge estimates from one meter set.
+
+    ``threshold`` is computed once. An LNR detector also holds the usable
+    meters and sqrt(Omega_ii) of each; a chi-square detector holds neither.
+    Build one with ``Detector.for_model``.
+    """
+
+    spec: DetectorSpec
+    threshold: float
+    usable: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    @classmethod
+    def for_model(cls, spec: DetectorSpec, model: WlsModel) -> Detector:
+        if spec.method is DetectionMethod.CHI_SQUARE:
+            return cls(spec, _chi_square_threshold(spec.confidence, model.m, model.n))
+        return _lnr_detector(spec.confidence, model.omega_diagonal, model.sigmas**2)
+
+    def statistics(self, result: EstimationResult) -> tuple[np.ndarray, np.ndarray | None]:
+        """(statistic, suspect meter) of one estimate, or of each row of a block.
+
+        Chi-square: J and no suspect. LNR: the largest normalized residual
+        |r_i| / sqrt(Omega_ii) over the usable meters, and the lowest meter
+        whose normalized residual is within LNR_TIE_TOLERANCE of it.
+        """
+        if self.usable is None:
+            return np.asarray(result.objective), None
+        normalized = np.where(self.usable, np.abs(result.residual) / self.scale, -np.inf)
+        statistic = normalized.max(axis=-1)
+        suspect = np.argmax(normalized >= statistic[..., None] * (1.0 - LNR_TIE_TOLERANCE), axis=-1)
+        return statistic, suspect
+
+    def report(self, result: EstimationResult) -> DetectionReport:
+        """The verdict on one estimate; the suspect is reported only when bad data is detected."""
+        statistic, suspect = self.statistics(result)
+        statistic = float(statistic)
+        detected = statistic > self.threshold
+        return DetectionReport(
+            method=self.spec.method,
+            statistic=statistic,
+            threshold=self.threshold,
+            bad_data_detected=detected,
+            confidence=self.spec.confidence,
+            suspect_meter=int(suspect) if detected and suspect is not None else None,
+        )
+
+
+def _chi_square_threshold(confidence: float, m: int, n: int) -> float:
     _check_probability(confidence)
     if m <= n:
         raise DegenerateFreedom(f"m={m} <= n={n}: residual has no degrees of freedom")
+    return chi_square_quantile(confidence, m - n)
+
+
+def _lnr_detector(confidence: float, diag: np.ndarray, variances: np.ndarray) -> Detector:
+    """LNR detector normalizing by ``diag`` = diag(Omega); warns about critical meters."""
+    _check_probability(confidence)
+    if diag.shape != variances.shape:
+        raise ValidationError("omega and estimation result disagree on meter count")
+    usable = diag >= CRITICALITY_FLOOR * variances
+    if not np.any(usable):
+        raise AllMetersCritical("every meter is critical; LNR statistic is undefined")
+    if not np.all(usable):
+        skipped = np.flatnonzero(~usable).tolist()
+        warnings.warn(f"critical meters excluded from LNR test: {skipped}", stacklevel=3)
+    # two-sided: residual sign carries no information
+    threshold = gaussian_quantile(1.0 - (1.0 - confidence) / 2.0)
+    return Detector(
+        DetectorSpec(DetectionMethod.LNR, confidence), threshold, usable, np.sqrt(np.where(usable, diag, 1.0))
+    )
+
+
+def chi_square_test(res: EstimationResult, m: int, n: int, confidence: float = 0.99) -> DetectionReport:
+    """Compare J with the chi-square(m - n) quantile at the given confidence."""
+    threshold = _chi_square_threshold(confidence, m, n)
     if m != len(res.residual) or n != len(res.state):
         raise DimensionMismatch(
             f"m={m}, n={n} disagree with an estimate of {len(res.state)} states "
             f"from {len(res.residual)} meters"
         )
-    threshold = chi_square_quantile(confidence, m - n)
-    statistic = res.objective
-    return DetectionReport(
-        method=DetectionMethod.CHI_SQUARE,
-        statistic=statistic,
-        threshold=threshold,
-        bad_data_detected=statistic > threshold,
-        confidence=confidence,
-    )
+    return Detector(DetectorSpec(DetectionMethod.CHI_SQUARE, confidence), threshold).report(res)
 
 
 def residual_covariance(H, w) -> ResidualCovariance:
@@ -126,43 +195,13 @@ def lnr_test(
     whose normalized residual is within LNR_TIE_TOLERANCE of it, reported
     only when bad data is detected.
     """
-    _check_probability(confidence)
-    diag = np.diag(omega.omega)
-    variances = res.sigmas**2
-    if diag.shape != variances.shape:
-        raise ValidationError("omega and estimation result disagree on meter count")
-    usable = diag >= CRITICALITY_FLOOR * variances
-    if not np.any(usable):
-        raise AllMetersCritical("every meter is critical; LNR statistic is undefined")
-    if not np.all(usable):
-        skipped = np.flatnonzero(~usable).tolist()
-        warnings.warn(f"critical meters excluded from LNR test: {skipped}", stacklevel=2)
-    normalized = np.full(diag.shape, -np.inf)
-    normalized[usable] = np.abs(res.residual[usable]) / np.sqrt(diag[usable])
-    statistic = float(np.max(normalized))
-    suspect = int(np.argmax(normalized >= statistic * (1.0 - LNR_TIE_TOLERANCE)))
-    # two-sided: residual sign carries no information
-    threshold = gaussian_quantile(1.0 - (1.0 - confidence) / 2.0)
-    detected = statistic > threshold
-    return DetectionReport(
-        method=DetectionMethod.LNR,
-        statistic=statistic,
-        threshold=threshold,
-        bad_data_detected=detected,
-        confidence=confidence,
-        suspect_meter=suspect if detected else None,
-    )
+    return _lnr_detector(confidence, np.diag(omega.omega), res.sigmas**2).report(res)
 
 
 def run_detectors(specs, result: EstimationResult, model: WlsModel) -> tuple[DetectionReport, ...]:
     """Run each detector spec on one estimate made with ``model``.
 
-    Omega is taken from the model, so it is built only when an LNR spec
+    LNR normalizes by the model's diag(Omega), built only when an LNR spec
     is present and only once per model.
     """
-    return tuple(
-        chi_square_test(result, model.m, model.n, spec.confidence)
-        if spec.method is DetectionMethod.CHI_SQUARE
-        else lnr_test(result, ResidualCovariance(model.omega), spec.confidence)
-        for spec in specs
-    )
+    return tuple(Detector.for_model(spec, model).report(result) for spec in specs)

@@ -7,8 +7,9 @@ The WLS estimate solves the normal equations
 
 and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
 r = z - H x_hat. ``WlsModel`` holds one (H, sigmas) pair and factors its
-gain once for every estimate, Omega and projection made from it;
-``wls_estimate`` is a one-shot call on a fresh model.
+gain once for every estimate, Omega and projection made from it; it
+estimates one z or a block of them with one solve. ``wls_estimate`` is a
+one-shot call on a fresh model.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class WeightModel:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """One estimate; from ``WlsModel.fit``, one per row of a block, stacked along a leading axis."""
+
     state: np.ndarray       # x_hat, radians, non-slack buses
     fitted: np.ndarray      # H x_hat
     residual: np.ndarray    # z - H x_hat
@@ -71,10 +74,10 @@ class WlsModel:
     """The weighted normal equations of one meter set, solved for any z.
 
     Holds the validated H and sigmas and R^-1/2 H. The Cholesky factor of
-    the gain H' R^-1 H and the residual covariance Omega = R - H (H' R^-1
-    H)^-1 H' are each worked out on first use and then kept, so every
-    estimate, Omega and projection made from one model shares one
-    factorisation, and a caller that needs neither pays for neither.
+    the gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1
+    H)^-1 H' and its diagonal are each worked out on first use and then
+    kept, so every estimate, Omega and projection made from one model
+    shares one factorisation, and a caller pays only for what it uses.
     """
 
     def __init__(self, H, w):
@@ -101,12 +104,34 @@ class WlsModel:
         z = np.asarray(z, dtype=float).reshape(-1)
         if z.shape[0] != self.m:
             raise DimensionMismatch(f"z has {z.shape[0]} entries, H has {self.m} rows")
-        if not np.all(np.isfinite(z)):
+        est = self.fit(z[None, :])
+        return EstimationResult(
+            state=est.state[0],
+            fitted=est.fitted[0],
+            residual=est.residual[0],
+            objective=float(est.objective[0]),
+            sigmas=self.sigmas,
+        )
+
+    def fit(self, Z) -> EstimationResult:
+        """WLS estimates on each row of the (trials, m) block Z, which must be finite.
+
+        One solve serves the whole block. Every field of the result but
+        ``sigmas`` has a leading trial axis: state (trials, n), fitted and
+        residual (trials, m), objective (trials,).
+        """
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.m:
+            raise DimensionMismatch(f"z block has shape {Z.shape}, H has {self.m} rows")
+        if not np.all(np.isfinite(Z)):
             raise ValidationError("measurement values must all be finite")
-        state = self.solve(self.Hw.T @ (z / self.sigmas))
-        fitted = self.H @ state
-        residual = z - fitted
-        objective = float(np.sum((residual / self.sigmas) ** 2))
+        # Trials are columns in the solve, so one z takes the matrix-vector
+        # products and single right-hand side it always has, and keeps its bits.
+        state = self.solve(self.Hw.T @ (Z / self.sigmas).T).T
+        fitted = (self.H @ state.T).T
+        residual = Z - fitted
+        # C order makes np.sum add each row as it adds a single vector
+        objective = np.sum(np.ascontiguousarray((residual / self.sigmas) ** 2), axis=1)
         return EstimationResult(
             state=state, fitted=fitted, residual=residual, objective=objective, sigmas=self.sigmas
         )
@@ -116,6 +141,16 @@ class WlsModel:
         """Omega = R - H (H' R^-1 H)^-1 H', symmetrised."""
         omega = np.diag(self.sigmas**2) - self.H @ self.solve(self.H.T)
         return 0.5 * (omega + omega.T)  # strip asymmetric round-off
+
+    @cached_property
+    def omega_diagonal(self) -> np.ndarray:
+        """diag(Omega) = sigma^2 - colsum(W^2), W = U^-T H' for the gain factor U' U.
+
+        One triangular solve on the factor; the m x m Omega is never formed.
+        """
+        factor, lower = self.factor
+        W = scipy.linalg.solve_triangular(factor, self.H.T, trans=0 if lower else 1, lower=lower)
+        return self.sigmas**2 - np.einsum("ij,ij->j", W, W)
 
 
 def wls_estimate(H, z, w) -> EstimationResult:

@@ -9,8 +9,8 @@ executes the pipeline
 
 and returns a report whose text and CSV renderings are byte-for-byte
 deterministic given identical inputs and seeds. ``run_monte_carlo``
-repeats the pipeline over independently seeded noise realizations and
-aggregates detection rates.
+repeats the pipeline over independently seeded noise realizations, a
+block of trials at a time, and aggregates detection rates.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
-from .detection import DetectionMethod, DetectionReport, DetectorSpec, run_detectors
-from .errors import FdiLabError, ParseError, ValidationError
+from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec, run_detectors
+from .errors import DimensionMismatch, FdiLabError, ParseError, ValidationError
 from .estimation import (
     EstimationResult,
     WeightModel,
@@ -34,6 +34,11 @@ from .estimation import (
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
 from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
+
+
+# A Monte Carlo block holds about this many measurement values (trials x meters),
+# so its arrays stay a few megabytes on any grid, whatever the trial count.
+MC_BLOCK_ELEMENTS = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -499,7 +504,8 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     The scenario must use a simulated measurement source; its own seed is
     ignored and trial t draws noise from a generator seeded by
     (base_seed, t), so two runs with equal base seeds see identical noise
-    regardless of the attack applied.
+    regardless of the attack applied. Trials are estimated and judged a
+    block at a time, with each detector's threshold computed once per run.
     """
     if trials < 1:
         raise ValidationError(f"trials {trials} must be >= 1")
@@ -513,34 +519,45 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         meters = caseio.parse_meters(scn.meters_path, net)
     with _stage("model"):
         H = build_h_matrix(net, meters)
-        weights = WeightModel(meters.sigmas)
-        # factor the gain, and build Omega when an LNR detector needs it, in this stage
-        model = WlsModel(H, weights)
+        # factor the gain, and work out diag(Omega) when an LNR detector needs it, in this stage
+        model = WlsModel(H, WeightModel(meters.sigmas))
         model.factor
         if any(spec.method is DetectionMethod.LNR for spec in scn.detectors):
-            model.omega
+            model.omega_diagonal
     with _stage("attack"):
         perturbation, _ = _build_attack_vector(scn.attack, H)
     x_true = np.asarray(scn.measurements.x_true, dtype=float)
+    if x_true.shape[0] != H.n:
+        raise DimensionMismatch(f"x_true has {x_true.shape[0]} entries, H has {H.n} columns")
+    detectors = [Detector.for_model(spec, model) for spec in scn.detectors]
     target_meter = scn.attack.meter if isinstance(scn.attack, GrossErrorSpec) else None
 
-    counts = [0] * len(scn.detectors)
-    stat_sums = [0.0] * len(scn.detectors)
+    noiseless = H.values @ x_true
+    counts = [0] * len(detectors)
+    stat_sums = [0.0] * len(detectors)
     identified = 0 if target_meter is not None else None
-    for trial in range(trials):
-        rng = np.random.default_rng([base_seed, trial])
-        z = simulate_measurements(H, x_true, weights, seed=rng)
+    block = max(1, MC_BLOCK_ELEMENTS // H.m)
+    for first in range(0, trials, block):
+        noise = np.empty((min(block, trials - first), H.m))
+        for trial, row in enumerate(noise, start=first):
+            np.random.default_rng([base_seed, trial]).standard_normal(out=row)
+        z = noiseless + noise * model.sigmas
         if perturbation is not None:
             z = z + perturbation
-        reports = run_detectors(scn.detectors, model.estimate(z), model)
-        for d, rep in enumerate(reports):
-            counts[d] += rep.bad_data_detected
-            stat_sums[d] += rep.statistic
-        if identified is not None and all(rep.bad_data_detected for rep in reports):
-            # the last LNR report names the suspect; without one nothing is identified
-            suspects = [rep.suspect_meter for rep in reports if rep.method is DetectionMethod.LNR]
-            if suspects and suspects[-1] == target_meter:
-                identified += 1
+        estimates = model.fit(z)
+        all_fired = np.ones(len(noise), dtype=bool)
+        suspects = None  # of the last LNR detector; without one nothing is identified
+        for d, detector in enumerate(detectors):
+            statistic, suspect = detector.statistics(estimates)
+            fired = statistic > detector.threshold
+            counts[d] += int(np.count_nonzero(fired))
+            for value in statistic.tolist():  # one at a time in trial order, as a per-trial loop adds
+                stat_sums[d] += value
+            all_fired &= fired
+            if suspect is not None:
+                suspects = suspect
+        if identified is not None and suspects is not None:
+            identified += int(np.count_nonzero(all_fired & (suspects == target_meter)))
 
     rates = tuple(
         DetectorRate(
@@ -555,4 +572,3 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     return MonteCarloSummary(
         name=scn.name, trials=trials, base_seed=base_seed, rates=rates, identified=identified
     )
-

@@ -1,8 +1,14 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdilab
 from fdilab.detection import (
     DetectionMethod,
     DetectorSpec,
@@ -46,6 +52,32 @@ def test_gaussian_quantile_values():
     assert gaussian_quantile(0.975) == pytest.approx(GAUSS_975, abs=1e-6)
     # symmetry
     assert gaussian_quantile(0.25) == pytest.approx(-gaussian_quantile(0.75), abs=1e-12)
+
+
+# chi-square confidences in use (scenario files, CLI, bench, tests) and the
+# two-sided Gaussian probabilities 1 - (1 - c) / 2 that LNR takes from them
+CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999)
+
+
+def test_quantiles_equal_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    for p in CONFIDENCES:
+        for nu in range(1, 201):
+            assert chi_square_quantile(p, nu) == float(stats.chi2.ppf(p, nu)), (p, nu)
+        for q in (p, 1.0 - (1.0 - p) / 2.0):
+            assert gaussian_quantile(q) == float(stats.norm.ppf(q)), q
+
+
+def test_import_leaves_scipy_stats_out():
+    # a fresh interpreter importing the package under test, wherever it lives
+    src = str(Path(fdilab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fdilab; print(fdilab.__file__); print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    imported, stats_loaded = out.stdout.split()
+    assert Path(imported).resolve() == Path(fdilab.__file__).resolve()
+    assert stats_loaded == "False"
 
 
 def test_quantile_domain_checks():
@@ -256,8 +288,20 @@ def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
     model = WlsModel(h5, w5)
     res = model.estimate(z5)
     (chi,) = run_detectors([DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95)], res, model)
-    assert "omega" not in vars(model)
+    assert "omega_diagonal" not in vars(model)
     assert chi == chi_square_test(res, 6, 4, 0.95)
     both = run_detectors([DetectorSpec(m) for m in DetectionMethod], res, model)
-    assert both[1] == lnr_test(res, residual_covariance(h5, w5))
-    assert "omega" in vars(model)
+    # only the diagonal is built, by another route than the full Omega, so the
+    # statistic agrees with lnr_test to round-off
+    reference = lnr_test(res, residual_covariance(h5, w5))
+    assert both[1].statistic == pytest.approx(reference.statistic, rel=1e-12)
+    assert dataclasses.replace(both[1], statistic=reference.statistic) == reference
+    assert "omega_diagonal" in vars(model) and "omega" not in vars(model)
+
+
+@pytest.mark.parametrize("system", ["5bus", "critical"])
+def test_omega_diagonal_matches_full_omega(h5, w5, system):
+    H, w = (h5, w5) if system == "5bus" else critical_meter_system()
+    model = WlsModel(H, w)
+    full = np.diag(model.omega)
+    np.testing.assert_allclose(model.omega_diagonal, full, rtol=1e-12, atol=1e-12 * np.max(w.sigmas**2))

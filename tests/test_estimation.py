@@ -138,3 +138,32 @@ def test_non_finite_measurement_rejected(h5, z5, w5, bad):
     z[3] = bad
     with pytest.raises(ValidationError, match="finite"):
         wls_estimate(h5, z, w5)
+
+
+def test_fit_estimates_each_row_of_a_block(h5, w5):
+    model = WlsModel(h5, w5)
+    rng = np.random.default_rng(4)
+    Z = h5.values @ rng.normal(scale=0.02, size=(4, 25)) + rng.normal(scale=0.01, size=(6, 25))
+    block = model.fit(Z.T)
+    assert block.state.shape == (25, 4) and block.residual.shape == (25, 6)
+    assert block.objective.shape == (25,)
+    for t, z in enumerate(Z.T):
+        one = model.estimate(z)
+        # a one-row block takes the arithmetic of a single estimate, bit for bit
+        single = model.fit(z[None, :])
+        assert np.array_equal(single.state[0], one.state) and single.objective[0] == one.objective
+        np.testing.assert_allclose(block.state[t], one.state, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(block.residual[t], one.residual, rtol=1e-9, atol=1e-15)
+        assert block.objective[t] == pytest.approx(one.objective, rel=1e-12)
+
+
+def test_fit_checks_its_block(h5, w5):
+    model = WlsModel(h5, w5)
+    with pytest.raises(DimensionMismatch):
+        model.fit(np.zeros((3, 5)))
+    with pytest.raises(DimensionMismatch):
+        model.fit(np.zeros(6))
+    Z = np.zeros((3, 6))
+    Z[1, 2] = np.inf
+    with pytest.raises(ValidationError):
+        model.fit(Z)

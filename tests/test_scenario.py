@@ -1,9 +1,17 @@
+import dataclasses
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import CASES_5BUS, TABLE_XHAT
-from fdilab.detection import DetectionMethod
+from fdilab import caseio, detection, scenario
+from fdilab.attack import random_constrained_attack
+from fdilab.detection import DetectionMethod, chi_square_test, lnr_test, residual_covariance
 from fdilab.errors import ValidationError
+from fdilab.estimation import WeightModel, simulate_measurements, wls_estimate
+from fdilab.network import build_h_matrix
 from fdilab.scenario import (
     DetectorSpec,
     GrossErrorSpec,
@@ -142,3 +150,127 @@ def test_monte_carlo_argument_checks():
         run_monte_carlo(simulated_scenario(), trials=0, base_seed=0)
     with pytest.raises(ValidationError):
         run_monte_carlo(simulated_scenario(), trials=10, base_seed=-1)
+
+
+# -- batched Monte Carlo against a per-trial reference ------------------------------
+
+def reference_monte_carlo(scn, trials, base_seed):
+    """The per-trial loop that run_monte_carlo batches, built from the one-shot public functions.
+
+    Returns (method, confidence, detections, trials) per detector, the mean
+    statistics and the identified count.
+    """
+    net = caseio.parse_network(scn.network_path)
+    meters = caseio.parse_meters(scn.meters_path, net)
+    H = build_h_matrix(net, meters)
+    w = WeightModel(meters.sigmas)
+    perturbation = None
+    if isinstance(scn.attack, GrossErrorSpec):
+        perturbation = np.zeros(H.m)
+        perturbation[scn.attack.meter] = scn.attack.magnitude_pu
+    elif isinstance(scn.attack, RandomAttackSpec):
+        perturbation = random_constrained_attack(
+            H, scn.attack.support, seed=scn.attack.seed, magnitude=scn.attack.magnitude
+        ).a
+    omega = residual_covariance(H, w)
+    counts, sums = [0] * len(scn.detectors), [0.0] * len(scn.detectors)
+    identified = 0 if isinstance(scn.attack, GrossErrorSpec) else None
+    for trial in range(trials):
+        z = simulate_measurements(H, scn.measurements.x_true, w, seed=np.random.default_rng([base_seed, trial]))
+        if perturbation is not None:
+            z = z + perturbation
+        res = wls_estimate(H, z, w)
+        reports = [
+            chi_square_test(res, H.m, H.n, spec.confidence)
+            if spec.method is DetectionMethod.CHI_SQUARE
+            else lnr_test(res, omega, spec.confidence)
+            for spec in scn.detectors
+        ]
+        for d, rep in enumerate(reports):
+            counts[d] += rep.bad_data_detected
+            sums[d] += rep.statistic
+        suspects = [rep.suspect_meter for rep in reports if rep.method is DetectionMethod.LNR]
+        if identified is not None and all(rep.bad_data_detected for rep in reports):
+            identified += bool(suspects) and suspects[-1] == scn.attack.meter
+    rates = [(spec.method, spec.confidence, counts[d], trials) for d, spec in enumerate(scn.detectors)]
+    return rates, [total / trials for total in sums], identified
+
+
+CHI_ONLY = (DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95),)
+STEALTH = RandomAttackSpec(support=(0, 2, 3), seed=7, magnitude=0.1)
+
+
+@pytest.mark.parametrize(
+    "attack, detectors, block_trials",
+    [
+        (NoAttack(), BOTH, None),
+        (GrossErrorSpec(meter=2, magnitude_pu=0.05), BOTH, None),
+        (GrossErrorSpec(meter=4, magnitude_pu=0.5), BOTH, None),   # tied with meters 0 and 1
+        (GrossErrorSpec(meter=3, magnitude_pu=0.05), BOTH, None),  # tied with meter 5, often missed
+        (STEALTH, BOTH, None),
+        (GrossErrorSpec(meter=2, magnitude_pu=0.05), CHI_ONLY, None),
+        (GrossErrorSpec(meter=0, magnitude_pu=0.04), BOTH, 7),     # 300 trials in 43 blocks
+        (NoAttack(), BOTH, 64),
+    ],
+    ids=["clean", "gross", "gross-tied", "gross-tied-weak", "stealth", "chi-only", "blocks-of-7", "blocks-of-64"],
+)
+def test_monte_carlo_matches_per_trial_reference(monkeypatch, attack, detectors, block_trials):
+    if block_trials is not None:
+        monkeypatch.setattr(scenario, "MC_BLOCK_ELEMENTS", block_trials * 6)
+    scn = dataclasses.replace(simulated_scenario(attack), detectors=detectors)
+    summary = run_monte_carlo(scn, trials=300, base_seed=17)
+    rates, means, identified = reference_monte_carlo(scn, trials=300, base_seed=17)
+    assert [(r.method, r.confidence, r.detections, r.trials) for r in summary.rates] == rates
+    assert summary.identified == identified
+    # a block takes matrix-matrix products where one trial takes matrix-vector
+    # ones, so each statistic may differ in its last few bits
+    assert [r.mean_statistic for r in summary.rates] == pytest.approx(means, rel=1e-12)
+
+
+def test_monte_carlo_reference_sees_detections():
+    # the reference comparison above is not vacuous: rates lie strictly between 0 and all trials
+    scn = simulated_scenario(GrossErrorSpec(meter=3, magnitude_pu=0.05))
+    (chi, lnr), _, identified = reference_monte_carlo(scn, trials=300, base_seed=17)
+    assert 0 < chi[2] < 300 and 0 < lnr[2] < 300 and 0 < identified < 300
+
+
+def write_critical_case(directory):
+    """3-bus chain whose meter on branch 1-2 is critical (see test_detection)."""
+    (directory / "network.json").write_text(json.dumps({
+        "base_mva": 100, "slack": 1, "buses": [1, 2, 3],
+        "branches": [{"from": 1, "to": 2, "x_pu": 1.0, "limit_mw": None},
+                     {"from": 2, "to": 3, "x_pu": 1.0, "limit_mw": None}],
+    }))
+    (directory / "meters.json").write_text(json.dumps(
+        {"meters": [{"branch": [1, 2], "sigma": 0.01}, {"branch": [2, 3], "sigma": 0.01},
+                    {"branch": [2, 3], "sigma": 0.01}]}
+    ))
+    return Scenario(
+        name="critical",
+        network_path=directory / "network.json",
+        meters_path=directory / "meters.json",
+        measurements=SimulateSource(x_true=(0.01, -0.02), seed=0),
+        detectors=BOTH,
+    )
+
+
+def test_monte_carlo_warns_about_critical_meters_once_per_run(tmp_path):
+    scn = write_critical_case(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summary = run_monte_carlo(scn, trials=50, base_seed=3)
+    assert [str(w.message) for w in caught] == ["critical meters excluded from LNR test: [0]"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rates, _, _ = reference_monte_carlo(scn, trials=50, base_seed=3)
+    assert [(r.method, r.confidence, r.detections, r.trials) for r in summary.rates] == rates
+
+
+def test_monte_carlo_computes_each_threshold_once(monkeypatch):
+    calls = []
+    for name in ("chi_square_quantile", "gaussian_quantile"):
+        original = getattr(detection, name)
+        monkeypatch.setattr(detection, name, lambda *args, _f=original: calls.append(_f) or _f(*args))
+    monkeypatch.setattr(scenario, "MC_BLOCK_ELEMENTS", 60)
+    run_monte_carlo(simulated_scenario(), trials=100, base_seed=1)
+    assert len(calls) == 2  # one per detector spec, for 100 trials in 10 blocks
