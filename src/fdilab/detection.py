@@ -105,8 +105,9 @@ class Detector:
 
     @classmethod
     def for_model(cls, spec: DetectorSpec, model: WlsModel) -> Detector:
+        """The detector for estimates made with ``model``; LNR uses its diag(Omega)."""
         if spec.method is DetectionMethod.CHI_SQUARE:
-            return cls(spec, _chi_square_threshold(spec.confidence, model.m, model.n))
+            return _chi_square_detector(spec.confidence, model.m, model.n)
         return _lnr_detector(spec.confidence, model.omega_diagonal, model.sigmas**2)
 
     def statistics(self, result: EstimationResult) -> tuple[np.ndarray, np.ndarray | None]:
@@ -138,11 +139,12 @@ class Detector:
         )
 
 
-def _chi_square_threshold(confidence: float, m: int, n: int) -> float:
+def _chi_square_detector(confidence: float, m: int, n: int) -> Detector:
+    """Chi-square detector with m - n degrees of freedom."""
     _check_probability(confidence)
     if m <= n:
         raise DegenerateFreedom(f"m={m} <= n={n}: residual has no degrees of freedom")
-    return chi_square_quantile(confidence, m - n)
+    return Detector(DetectorSpec(DetectionMethod.CHI_SQUARE, confidence), chi_square_quantile(confidence, m - n))
 
 
 def _lnr_detector(confidence: float, diag: np.ndarray, variances: np.ndarray) -> Detector:
@@ -165,13 +167,13 @@ def _lnr_detector(confidence: float, diag: np.ndarray, variances: np.ndarray) ->
 
 def chi_square_test(res: EstimationResult, m: int, n: int, confidence: float = 0.99) -> DetectionReport:
     """Compare J with the chi-square(m - n) quantile at the given confidence."""
-    threshold = _chi_square_threshold(confidence, m, n)
+    detector = _chi_square_detector(confidence, m, n)
     if m != len(res.residual) or n != len(res.state):
         raise DimensionMismatch(
             f"m={m}, n={n} disagree with an estimate of {len(res.state)} states "
             f"from {len(res.residual)} meters"
         )
-    return Detector(DetectorSpec(DetectionMethod.CHI_SQUARE, confidence), threshold).report(res)
+    return detector.report(res)
 
 
 def residual_covariance(H, w) -> ResidualCovariance:

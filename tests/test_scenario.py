@@ -9,7 +9,7 @@ from conftest import CASES_5BUS, TABLE_XHAT
 from fdilab import caseio, detection, scenario
 from fdilab.attack import random_constrained_attack
 from fdilab.detection import DetectionMethod, chi_square_test, lnr_test, residual_covariance
-from fdilab.errors import ValidationError
+from fdilab.errors import DimensionMismatch, ValidationError
 from fdilab.estimation import WeightModel, simulate_measurements, wls_estimate
 from fdilab.network import build_h_matrix
 from fdilab.scenario import (
@@ -150,6 +150,9 @@ def test_monte_carlo_argument_checks():
         run_monte_carlo(simulated_scenario(), trials=0, base_seed=0)
     with pytest.raises(ValidationError):
         run_monte_carlo(simulated_scenario(), trials=10, base_seed=-1)
+    short = dataclasses.replace(simulated_scenario(), measurements=SimulateSource(x_true=(0.0,) * 3, seed=1))
+    with pytest.raises(DimensionMismatch):
+        run_monte_carlo(short, trials=10, base_seed=0)
 
 
 # -- batched Monte Carlo against a per-trial reference ------------------------------
