@@ -61,7 +61,7 @@ class NumericalError(FdiLabError):
 
 
 class UnobservableConfiguration(NumericalError):
-    """rank(H) < n: the meter set cannot pin down the state."""
+    """rank(H) < n: metered branches leave some bus cut off from the slack."""
 
 
 class SingularGainMatrix(NumericalError):

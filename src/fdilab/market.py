@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -109,6 +108,9 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     the flow on branch (i, j) is base_mva * (theta_i - theta_j) / x. LMPs
     are read off the equality-constraint duals of the LP solution.
     """
+    # scipy.optimize is loaded by the first OPF, not by ``import fdilab``
+    from scipy.optimize import linprog
+
     net = case.network
     gens = case.generators
     ng = len(gens)

@@ -6,12 +6,17 @@ per-unit. One bus is the slack with its angle fixed at zero, so a system
 of b buses has n = b - 1 state variables.
 
 ``build_h_matrix`` assembles the m x n measurement matrix H that maps the
-state vector onto the m metered branch flows, z = H x + e.
+state vector onto the m metered branch flows, z = H x + e. Whether H has
+full column rank is a property of the metered graph alone (Krumpholz,
+Clements and Davis, 1980), so one walk from the slack decides both the
+connectivity of the network and the observability of a meter placement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .errors import (
 BusId = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """Transmission line between two buses. ``limit_mw`` of None means unconstrained."""
 
@@ -42,6 +47,11 @@ class Branch:
         if not self.x_pu > 0:
             raise NonPositiveReactance(
                 f"branch {self.from_bus}-{self.to_bus}: reactance {self.x_pu} must be > 0"
+            )
+        if not (math.isfinite(self.x_pu) and math.isfinite(1.0 / float(self.x_pu))):
+            raise ValidationError(
+                f"branch {self.from_bus}-{self.to_bus}: reactance {self.x_pu} and its "
+                "reciprocal must both be finite"
             )
         if self.limit_mw is not None and not self.limit_mw > 0:
             raise ValidationError(
@@ -81,20 +91,7 @@ class NetworkModel:
         self._check_connected()
 
     def _check_connected(self):
-        if len(self.buses) <= 1:
-            return
-        adjacency: dict[BusId, list[BusId]] = {b: [] for b in self.buses}
-        for br in self.branches:
-            adjacency[br.from_bus].append(br.to_bus)
-            adjacency[br.to_bus].append(br.from_bus)
-        reached = {self.slack}
-        stack = [self.slack]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        missing = sorted(set(self.buses) - reached)
+        missing = _unreached(self, self.branches)
         if missing:
             raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {self.slack}")
 
@@ -107,21 +104,52 @@ class NetworkModel:
         """Non-slack buses in input order; defines the state/column ordering."""
         return tuple(b for b in self.buses if b != self.slack)
 
+    @cached_property
+    def _branch_lookup(self) -> dict[tuple[BusId, BusId], int]:
+        """Index of the first branch joining each bus pair, keyed (lower id, higher id).
+
+        One entry per pair rather than per direction, because a ScenarioReport
+        keeps its network, and with it this dict, for as long as it lives.
+        """
+        lookup: dict[tuple[BusId, BusId], int] = {}
+        for i, br in enumerate(self.branches):
+            lookup.setdefault(_pair(br.from_bus, br.to_bus), i)
+        return lookup
+
     def branch_index(self, from_bus: BusId, to_bus: BusId) -> tuple[int, int]:
         """Return (index, orientation) of the branch joining the two buses.
 
         orientation is +1 when (from_bus, to_bus) matches the stored branch
-        direction and -1 when reversed.
+        direction and -1 when reversed. Of parallel branches, the first in
+        input order wins, whichever way it is stored.
         """
-        for i, br in enumerate(self.branches):
-            if (br.from_bus, br.to_bus) == (from_bus, to_bus):
-                return i, +1
-            if (br.from_bus, br.to_bus) == (to_bus, from_bus):
-                return i, -1
-        raise UnknownBranch(f"no branch joins buses {from_bus} and {to_bus}")
+        index = self._branch_lookup.get(_pair(from_bus, to_bus))
+        if index is None:
+            raise UnknownBranch(f"no branch joins buses {from_bus} and {to_bus}")
+        return index, +1 if self.branches[index].from_bus == from_bus else -1
 
 
-@dataclass(frozen=True)
+def _pair(a: BusId, b: BusId) -> tuple[BusId, BusId]:
+    return (a, b) if a <= b else (b, a)
+
+
+def _unreached(net: NetworkModel, branches) -> list[BusId]:
+    """Buses of ``net`` that no path over ``branches`` joins to the slack, sorted."""
+    adjacency: dict[BusId, list[BusId]] = {b: [] for b in net.buses}
+    for br in branches:
+        adjacency[br.from_bus].append(br.to_bus)
+        adjacency[br.to_bus].append(br.from_bus)
+    reached = {net.slack}
+    stack = [net.slack]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    return sorted(set(net.buses) - reached)
+
+
+@dataclass(frozen=True, slots=True)
 class Meter:
     """One real-power flow meter on a branch.
 
@@ -207,22 +235,30 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
 
     The row of a meter on branch (i, j) oriented i->j carries +1/x in the
     column of theta_i and -1/x in the column of theta_j; the slack bus has
-    no column. Raises UnobservableConfiguration when rank(H) < n.
+    no column. Raises UnobservableConfiguration when rank(H) < n, which
+    holds exactly when some bus is not joined to the slack by metered
+    branches: a walk over them decides it, and no factorisation of H is
+    made. A placement that is observable but badly conditioned passes here
+    and fails where its gain is factored, as SingularGainMatrix.
     """
     state = net.state_buses
     col = {b: k for k, b in enumerate(state)}
     H = np.zeros((len(meters), len(state)))
+    metered = []
     for row, meter in enumerate(meters.meters):
         if not 0 <= meter.branch < len(net.branches):
             raise UnknownBranch(f"meter {row} references branch index {meter.branch}")
         br = net.branches[meter.branch]
+        metered.append(br)
         w = meter.orientation / br.x_pu
         if br.from_bus != net.slack:
             H[row, col[br.from_bus]] += w
         if br.to_bus != net.slack:
             H[row, col[br.to_bus]] -= w
-    if np.linalg.matrix_rank(H) < len(state):
+    unobserved = _unreached(net, metered)
+    if unobserved:
         raise UnobservableConfiguration(
-            f"rank(H) < {len(state)}: meter placement does not observe the full state"
+            f"rank(H) < {len(state)}: buses {unobserved} are not joined to slack bus "
+            f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
     return MeasurementMatrix(values=H, state_buses=state)

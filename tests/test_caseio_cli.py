@@ -213,6 +213,39 @@ def test_cli_infeasible_exits_4(capsys, tmp_path):
     assert "InfeasibleDispatch" in err
 
 
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_reactance_without_finite_reciprocal_exits_2(capsys, tmp_path):
+    net = _write(
+        tmp_path / "net.json",
+        {"buses": [1, 2], "slack": 1, "branches": [{"from": 1, "to": 2, "x_pu": 1e-320}]},
+    )
+    meters = _write(tmp_path / "meters.json", {"meters": [{"branch": [1, 2]}, {"branch": [2, 1]}]})
+    z = _write(tmp_path / "z.json", {"values_pu": [0.1, -0.1]})
+    code, out, err = run_cli(capsys, "estimate", "--case", net, "--meters", meters, "--measurements", z)
+    assert code == 2
+    assert "stage=parse ValidationError: branch 1-2: reactance 1e-320" in err
+    assert out == ""
+
+
+def test_cli_ill_conditioned_placement_exits_3(capsys, tmp_path):
+    # every bus is observed, so H builds; the numerically singular gain fails
+    # the estimate stage (the rank test on H used to fail the model stage)
+    branches = [(1, 2, 1e-8), (2, 3, 1e8), (3, 4, 0.1)]
+    records = [{"from": f, "to": t, "x_pu": x} for f, t, x in branches]
+    net = _write(tmp_path / "net.json", {"buses": [1, 2, 3, 4], "slack": 1, "branches": records})
+    pairs = [[f, t] for f, t, _ in branches + branches[:1]]
+    meters = _write(tmp_path / "meters.json", {"meters": [{"branch": pair} for pair in pairs]})
+    z = _write(tmp_path / "z.json", {"values_pu": [0.1, 0.2, 0.3, 0.1]})
+    code, out, err = run_cli(capsys, "estimate", "--case", net, "--meters", meters, "--measurements", z)
+    assert code == 3
+    assert "stage=estimate SingularGainMatrix" in err
+    assert out == ""
+
+
 def test_cli_montecarlo_needs_simulation(capsys):
     code, _, err = run_cli(
         capsys, "montecarlo", CASES_5BUS / "case1.json", "--trials", 10

@@ -73,11 +73,16 @@ def test_import_leaves_scipy_stats_out():
     # a fresh interpreter importing the package under test, wherever it lives
     src = str(Path(fdilab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fdilab; print(fdilab.__file__); print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, fdilab; print(fdilab.__file__); "
+        "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    imported, stats_loaded = out.stdout.split()
+    imported, stats_loaded, optimize_loaded = out.stdout.split()
     assert Path(imported).resolve() == Path(fdilab.__file__).resolve()
     assert stats_loaded == "False"
+    # the OPF loads scipy.optimize on its first call
+    assert optimize_loaded == "False"
 
 
 def test_quantile_domain_checks():

@@ -5,10 +5,12 @@ from fdilab.errors import (
     DisconnectedGraph,
     DuplicateBus,
     NonPositiveReactance,
+    NumericalError,
     UnknownBranch,
     UnobservableConfiguration,
     ValidationError,
 )
+from fdilab.estimation import wls_estimate
 from fdilab.network import (
     Branch,
     Meter,
@@ -64,6 +66,22 @@ def test_nonpositive_reactance_rejected():
     for bad in (0.0, -0.05):
         with pytest.raises(NonPositiveReactance):
             Branch(1, 2, bad)
+
+
+def test_reactance_without_finite_reciprocal_rejected():
+    # 1 / 1e-320 overflows to inf; 1 / inf is a zero row that no walk could see
+    for bad in (1e-320, float("inf")):
+        with pytest.raises(ValidationError, match="branch 1-2: reactance") as info:
+            Branch(1, 2, bad)
+        assert not isinstance(info.value, NonPositiveReactance)
+    with pytest.raises(ValidationError, match="branch 2-3"):
+        build_network(
+            {
+                "buses": [1, 2, 3],
+                "slack": 1,
+                "branches": [{"from": 1, "to": 2, "x_pu": 0.1}, {"from": 2, "to": 3, "x_pu": 1e-320}],
+            }
+        )
 
 
 def test_self_loop_and_bad_limit_rejected():
@@ -140,6 +158,27 @@ def test_unobservable_meter_placement(net5):
         build_h_matrix(net5, meters)
 
 
+def test_unobservable_placement_names_the_unreached_buses(net5):
+    # meters on 1-2 and 2-4 leave buses 3 and 5 unobserved, whatever the copies
+    meters = MeterConfig((Meter(branch=0), Meter(branch=2), Meter(branch=2, orientation=-1)))
+    with pytest.raises(UnobservableConfiguration, match=r"buses \[3, 5\]"):
+        build_h_matrix(net5, meters)
+
+
+def test_ill_conditioned_placement_fails_where_the_gain_is_factored():
+    # connected chain, so every bus is observed, but the gain of 1e-8, 1e8, 0.1
+    # reactances is numerically singular: the estimate, not H, raises
+    net = NetworkModel(
+        buses=(1, 2, 3, 4),
+        branches=(Branch(1, 2, 1e-8), Branch(2, 3, 1e8), Branch(3, 4, 0.1)),
+        slack=1,
+    )
+    meters = MeterConfig(tuple(Meter(branch=i) for i in (0, 1, 2, 0)))
+    H = build_h_matrix(net, meters)
+    with pytest.raises(NumericalError):
+        wls_estimate(H, np.zeros(4), meters.sigmas)
+
+
 def test_meter_orientation_flips_sign():
     net = two_bus(x=0.5)
     forward = build_h_matrix(net, MeterConfig((Meter(branch=0, orientation=+1),)))
@@ -153,3 +192,17 @@ def test_branch_index_lookup(net5):
     assert net5.branch_index(4, 3) == (4, -1)
     with pytest.raises(UnknownBranch):
         net5.branch_index(1, 5)
+
+
+def test_branch_index_takes_the_first_parallel_branch_either_way():
+    net = NetworkModel(
+        buses=(1, 2, 3),
+        branches=(Branch(2, 1, 0.1), Branch(1, 2, 0.2), Branch(2, 3, 0.1), Branch(2, 3, 0.3)),
+        slack=1,
+    )
+    assert net.branch_index(1, 2) == (0, -1)
+    assert net.branch_index(2, 1) == (0, +1)
+    assert net.branch_index(2, 3) == (2, +1)
+    assert net.branch_index(3, 2) == (2, -1)
+    with pytest.raises(UnknownBranch, match="no branch joins buses 1 and 3"):
+        net.branch_index(1, 3)

@@ -1,0 +1,127 @@
+"""Property tests of the topological observability check and the branch lookup.
+
+Each example is a seeded random connected network: a random spanning tree
+with random branch directions, plus parallel branches, reversed duplicate
+branches and random extra lines, in shuffled input order, with a random
+slack. Meters sit on a random subset of branches, each read in a random
+direction and some read twice, once each way.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fdilab.errors import UnknownBranch, UnobservableConfiguration
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def networks(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_buses = draw(st.integers(2, 12))
+    n_extra = draw(st.integers(0, 2 * n_buses))
+    rng = np.random.default_rng(seed)
+    buses = [int(b) for b in rng.choice(np.arange(1, 4 * n_buses), n_buses, replace=False)]
+    order = rng.permutation(buses)
+    pairs = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n_buses)]
+    for _ in range(n_extra):
+        kind = rng.integers(3)
+        if kind < 2:  # a parallel branch, stored the same way or reversed
+            f, t = pairs[rng.integers(len(pairs))]
+            pairs.append((f, t) if kind == 0 else (t, f))
+        else:
+            f, t = rng.choice(buses, 2, replace=False)
+            pairs.append((int(f), int(t)))
+    pairs = [(t, f) if rng.random() < 0.5 else (f, t) for f, t in pairs]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    branches = tuple(Branch(f, t, float(x)) for (f, t), x in zip(pairs, rng.uniform(0.01, 1.0, len(pairs))))
+    net = NetworkModel(buses=tuple(buses), branches=branches, slack=int(rng.choice(buses)))
+
+    keep = rng.random() * 0.8 + 0.2
+    meters = []
+    for br in branches:
+        if rng.random() < keep:
+            ends = (br.from_bus, br.to_bus) if rng.random() < 0.5 else (br.to_bus, br.from_bus)
+            reads = [ends, ends[::-1]] if rng.random() < 0.3 else [ends]
+            for f, t in reads:
+                index, orientation = net.branch_index(f, t)
+                meters.append(Meter(branch=index, orientation=orientation))
+    meters = [meters[i] for i in rng.permutation(len(meters))] or [Meter(branch=0)]
+    return net, MeterConfig(tuple(meters))
+
+
+def scan_branch_index(net, from_bus, to_bus):
+    """The linear scan the lookup replaced: first branch in input order, either direction."""
+    for i, br in enumerate(net.branches):
+        if (br.from_bus, br.to_bus) == (from_bus, to_bus):
+            return i, +1
+        if (br.from_bus, br.to_bus) == (to_bus, from_bus):
+            return i, -1
+    raise UnknownBranch(f"no branch joins buses {from_bus} and {to_bus}")
+
+
+def reference_h(net, meters):
+    col = {b: k for k, b in enumerate(net.state_buses)}
+    H = np.zeros((len(meters), net.n_states))
+    for row, meter in enumerate(meters.meters):
+        br = net.branches[meter.branch]
+        w = meter.orientation / br.x_pu
+        if br.from_bus != net.slack:
+            H[row, col[br.from_bus]] += w
+        if br.to_bus != net.slack:
+            H[row, col[br.to_bus]] -= w
+    return H
+
+
+def build_or_none(net, meters):
+    try:
+        return build_h_matrix(net, meters)
+    except UnobservableConfiguration:
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(networks())
+def test_graph_walk_verdict_equals_full_rank(case):
+    net, meters = case
+    expected = reference_h(net, meters)
+    H = build_or_none(net, meters)
+    assert (H is not None) == (np.linalg.matrix_rank(expected) == net.n_states)
+    if H is not None:
+        assert np.array_equal(H.values, expected)
+        assert H.state_buses == net.state_buses
+
+
+@PROPERTY_SETTINGS
+@given(networks())
+def test_branch_index_matches_the_linear_scan(case):
+    net, _ = case
+    for f in net.buses:
+        for t in net.buses:
+            if f == t:
+                continue
+            try:
+                expected = scan_branch_index(net, f, t)
+            except UnknownBranch as exc:
+                with pytest.raises(UnknownBranch) as info:
+                    net.branch_index(f, t)
+                assert str(info.value) == str(exc)
+            else:
+                assert net.branch_index(f, t) == expected
+
+
+@PROPERTY_SETTINGS
+@given(networks())
+def test_build_h_matrix_computes_no_svd(case):
+    net, meters = case
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("build_h_matrix factored H")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "matrix_rank", no_svd)
+        patch.setattr(np.linalg, "svd", no_svd)
+        build_or_none(net, meters)
