@@ -244,18 +244,16 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     state = net.state_buses
     col = {b: k for k, b in enumerate(state)}
     H = np.zeros((len(meters), len(state)))
-    metered = []
     for row, meter in enumerate(meters.meters):
         if not 0 <= meter.branch < len(net.branches):
             raise UnknownBranch(f"meter {row} references branch index {meter.branch}")
         br = net.branches[meter.branch]
-        metered.append(br)
         w = meter.orientation / br.x_pu
         if br.from_bus != net.slack:
             H[row, col[br.from_bus]] += w
         if br.to_bus != net.slack:
             H[row, col[br.to_bus]] -= w
-    unobserved = _unreached(net, metered)
+    unobserved = _unreached(net, (net.branches[m.branch] for m in meters.meters))
     if unobserved:
         raise UnobservableConfiguration(
             f"rank(H) < {len(state)}: buses {unobserved} are not joined to slack bus "
