@@ -13,7 +13,13 @@ Construction routes:
   of meters. Any c in the null space of the uncontrolled rows of H gives
   an attack with support inside I_m; such a c exists whenever
   |I_m| >= m - n + 1 (fewer than n uncontrolled rows cannot have full
-  column rank), and may exist for smaller supports too.
+  column rank), and may exist for smaller supports too. For branch-flow
+  meters that null space is a property of the meter graph (as in Sou,
+  Sandberg and Johansson, 2013): an uncontrolled meter on branch (i, j)
+  forces c_i = c_j, or c_i = 0 when j is the slack, so c is feasible
+  exactly when it is constant on each component of the graph of
+  uncontrolled metered branches and zero on the slack's component. The
+  basis is read off that graph, with no factorisation of H.
 * ``targeted_attack``: pin chosen entries of c (e.g. to move a specific
   perceived flow by a chosen amount) and zero-fill the rest, the
   minimum-norm completion.
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .detection import DetectionMethod, Detector, DetectorSpec
 from .errors import (
@@ -42,10 +47,6 @@ from .estimation import WlsModel, _h_values, residual_norm
 
 # |a_i| at or below this is treated as structurally zero when computing support.
 SUPPORT_ZERO_THRESHOLD = 1e-12
-
-# Singular values below this multiple of the largest count as zero in null-space
-# extraction.
-_RANK_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,14 @@ def attack_from_c(H, c) -> AttackVector:
 def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude: float = 0.1) -> AttackVector:
     """Random stealth attack confined to the ``controlled`` meter set.
 
-    Draws a seeded random combination of the null-space basis of the
-    uncontrolled rows of H and scales it so that ||a|| = magnitude.
-    Raises InfeasibleSupport when that null space is trivial.
+    Draws c = B g, where B is the graph null-space basis of the
+    uncontrolled rows of H (see ``_null_space``) and g is standard normal
+    from ``seed``, and scales it so that ||a|| = magnitude. B is
+    orthonormal, so c is an isotropic Gaussian on that null space; B
+    depends only on which meters are controlled and on the meter graph,
+    so the draw is fixed by topology and seed. Raises InfeasibleSupport
+    when the null space is trivial, and ValidationError when an
+    uncontrolled row of H is not a branch-flow row.
     """
     Hv = _h_values(H)
     m = Hv.shape[0]
@@ -112,14 +118,12 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
     if not magnitude > 0:
         raise ValidationError(f"attack magnitude {magnitude} must be > 0")
 
-    uncontrolled = [i for i in range(m) if i not in controlled]
-    if uncontrolled:
-        basis = scipy.linalg.null_space(Hv[uncontrolled, :], rcond=_RANK_TOLERANCE)
-    else:
-        basis = np.eye(Hv.shape[1])  # no constraint: any c works
+    uncontrolled = np.ones(m, dtype=bool)
+    uncontrolled[controlled] = False
+    basis = _null_space(Hv, uncontrolled)
     if basis.shape[1] == 0:
         raise InfeasibleSupport(
-            f"no nonzero state shift keeps meters {uncontrolled} untouched"
+            f"no nonzero state shift keeps meters {np.flatnonzero(uncontrolled).tolist()} untouched"
         )
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -132,10 +136,63 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
         raise InfeasibleSupport("random draws produced only degenerate attacks")
     scale = magnitude / norm_a
     atk = _finalize(Hv, c * scale)
-    stray = [i for i in atk.support if i not in controlled]
+    stray = [i for i in atk.support if uncontrolled[i]]
     if stray:  # pragma: no cover - the null-space construction rules this out
         raise InfeasibleSupport(f"construction leaked onto uncontrolled meters {stray}")
     return atk
+
+
+def _null_space(Hv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {c : H[rows] c = 0}, read off the meter graph.
+
+    ``rows`` is a boolean mask over the rows of H. Each selected row must
+    be a branch-flow row: two nonzeros of opposite value join their two
+    state columns, one nonzero joins its column to the slack, and an
+    all-zero row constrains nothing. The basis has one column per
+    component of that graph without the slack, ordered by the component's
+    lowest state index: its indicator vector scaled to unit norm.
+    """
+    n = Hv.shape[1]
+    row, col = np.nonzero(Hv)  # row-major: the entries of one row are adjacent
+    keep = rows[row]
+    row, col = row[keep], col[keep]
+    count = np.bincount(row, minlength=Hv.shape[0])
+    if count.max(initial=0) > 2:
+        worst = int(np.argmax(count))
+        raise ValidationError(
+            f"row {worst} of H has {count[worst]} nonzeros; a branch-flow meter reads at most two states"
+        )
+    pair = np.flatnonzero(row[1:] == row[:-1])  # first entry of each two-entry row
+    first, second = Hv[row[pair], col[pair]], Hv[row[pair], col[pair + 1]]
+    if (first != -second).any():
+        bad = int(row[pair[np.argmax(first != -second)]])
+        raise ValidationError(
+            f"row {bad} of H is not a branch flow: its two nonzeros {Hv[bad][Hv[bad] != 0].tolist()} "
+            "are not opposite"
+        )
+
+    parent = list(range(n + 1))  # node n is the slack
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    grounded = col[count[row] == 1]
+    left = np.concatenate((col[pair], grounded)).tolist()
+    right = np.concatenate((col[pair + 1], np.full(len(grounded), n))).tolist()
+    for i, j in zip(left, right):
+        ri, rj = find(i), find(j)
+        if ri != rj:  # the lower index becomes the root, so a root is its component's minimum
+            parent[max(ri, rj)] = min(ri, rj)
+    label = np.array([find(i) for i in range(n)])
+    free = np.flatnonzero(label != find(n))
+    roots = free[label[free] == free]
+    column = np.searchsorted(roots, label[free])
+    basis = np.zeros((n, len(roots)))
+    basis[free, column] = 1.0 / np.sqrt(np.bincount(column)[column])
+    return basis
 
 
 def targeted_attack(H, pinned: Mapping[int, float]) -> AttackVector:

@@ -69,13 +69,14 @@ def parse_network(path) -> NetworkModel:
 def parse_meters(path, net: NetworkModel) -> MeterConfig:
     doc = load_json(path)
     records = _require(doc, "meters", path, "top level")
+    resolve = net.branch_resolver()
     meters = []
     for i, rec in enumerate(records):
         pair = _require(rec, "branch", path, f"meters[{i}]")
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ParseError(path, f"meters[{i}].branch", "expected a [from, to] bus pair")
         try:
-            index, orientation = net.branch_index(int(pair[0]), int(pair[1]))
+            index, orientation = resolve(int(pair[0]), int(pair[1]))
         except UnknownBranch as exc:
             raise ValidationError(f"meters[{i}]: {exc}") from exc
         meters.append(Meter(branch=index, orientation=orientation, sigma=float(rec.get("sigma", 0.01))))

@@ -23,7 +23,7 @@ from .scenario import (
     FileSource,
     NoAttack,
     Scenario,
-    _branch_name,
+    _branch_names,
     _csv,
     _dispatch_lines,
     _dispatch_rows,
@@ -105,15 +105,16 @@ def _cmd_opf(args) -> int:
     net = caseio.parse_network(args.case)
     case = caseio.parse_market(args.market, net)
     result = solve_dc_opf(case)
+    names = _branch_names(net)
     out = ["[dispatch]"]
     for g, gen in enumerate(case.generators):
         out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")
     for b, flow in enumerate(result.flows):
-        out.append(f"  flow {_branch_name(net, b)} = {_fmt(flow)} MW")
-    out += _dispatch_lines(result, net)
+        out.append(f"  flow {names[b]} = {_fmt(flow)} MW")
+    out += _dispatch_lines(result, names)
     sys.stdout.write("\n".join(out) + "\n")
     if args.out:
-        Path(args.out).write_text(_csv(_dispatch_rows("dispatch", result, net)))
+        Path(args.out).write_text(_csv(_dispatch_rows("dispatch", result, names)))
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -104,29 +104,34 @@ class NetworkModel:
         """Non-slack buses in input order; defines the state/column ordering."""
         return tuple(b for b in self.buses if b != self.slack)
 
-    @cached_property
-    def _branch_lookup(self) -> dict[tuple[BusId, BusId], int]:
-        """Index of the first branch joining each bus pair, keyed (lower id, higher id).
+    def branch_resolver(self) -> Callable[[BusId, BusId], tuple[int, int]]:
+        """``branch_index`` for many lookups, through one dict built for this call.
 
-        One entry per pair rather than per direction, because a ScenarioReport
-        keeps its network, and with it this dict, for as long as it lives.
+        The dict, keyed (lower id, higher id), lives as long as the returned
+        function, not as long as the network.
         """
-        lookup: dict[tuple[BusId, BusId], int] = {}
+        first: dict[tuple[BusId, BusId], int] = {}
         for i, br in enumerate(self.branches):
-            lookup.setdefault(_pair(br.from_bus, br.to_bus), i)
-        return lookup
+            first.setdefault(_pair(br.from_bus, br.to_bus), i)
+        branches = self.branches
+
+        def resolve(from_bus: BusId, to_bus: BusId) -> tuple[int, int]:
+            index = first.get(_pair(from_bus, to_bus))
+            if index is None:
+                raise UnknownBranch(f"no branch joins buses {from_bus} and {to_bus}")
+            return index, +1 if branches[index].from_bus == from_bus else -1
+
+        return resolve
 
     def branch_index(self, from_bus: BusId, to_bus: BusId) -> tuple[int, int]:
         """Return (index, orientation) of the branch joining the two buses.
 
         orientation is +1 when (from_bus, to_bus) matches the stored branch
         direction and -1 when reversed. Of parallel branches, the first in
-        input order wins, whichever way it is stored.
+        input order wins, whichever way it is stored. Each call makes one pass
+        over the branches; ``branch_resolver`` serves many lookups from one.
         """
-        index = self._branch_lookup.get(_pair(from_bus, to_bus))
-        if index is None:
-            raise UnknownBranch(f"no branch joins buses {from_bus} and {to_bus}")
-        return index, +1 if self.branches[index].from_bus == from_bus else -1
+        return self.branch_resolver()(from_bus, to_bus)
 
 
 def _pair(a: BusId, b: BusId) -> tuple[BusId, BusId]:

@@ -33,7 +33,7 @@ from .estimation import (
     wls_estimate,
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
+from .network import MeasurementMatrix, NetworkModel, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -56,25 +56,26 @@ def _csv(rows) -> str:
     return "\n".join(["stage,quantity,index,value", *(",".join(row) for row in rows)]) + "\n"
 
 
-def _branch_name(net: NetworkModel, b: int) -> str:
-    return f"{net.branches[b].from_bus}-{net.branches[b].to_bus}"
+def _branch_names(net: NetworkModel) -> tuple[str, ...]:
+    """The "from-to" name of each branch, as reports print it."""
+    return tuple(f"{br.from_bus}-{br.to_bus}" for br in net.branches)
 
 
-def _dispatch_rows(stage: str, result: DispatchResult, net: NetworkModel) -> list:
+def _dispatch_rows(stage: str, result: DispatchResult, names: tuple[str, ...]) -> list:
     """CSV rows of one dispatch: generation, branch flows, LMPs and cost."""
     return [
         *(_row(stage, "gen_mw", g, mw) for g, mw in enumerate(result.gen_output)),
-        *(_row(stage, "flow_mw", _branch_name(net, b), flow) for b, flow in enumerate(result.flows)),
+        *(_row(stage, "flow_mw", names[b], flow) for b, flow in enumerate(result.flows)),
         *(_row(stage, "lmp", bus, price) for bus, price in result.lmp.items()),
         _row(stage, "objective_per_h", "", result.objective),
     ]
 
 
-def _dispatch_lines(result: DispatchResult, net: NetworkModel) -> list[str]:
+def _dispatch_lines(result: DispatchResult, names: tuple[str, ...]) -> list[str]:
     """Text lines of one dispatch after its generation: LMPs, binding lines and cost."""
     out = [f"  lmp(bus {bus}) = {_fmt(price)} $/MWh" for bus, price in result.lmp.items()]
     if result.binding_lines:
-        out.append(f"  binding lines: {', '.join(_branch_name(net, b) for b in result.binding_lines)}")
+        out.append(f"  binding lines: {', '.join(names[b] for b in result.binding_lines)}")
     out.append(f"  cost = {_fmt(result.objective)} $/h")
     return out
 
@@ -263,11 +264,16 @@ def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None,
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Full record of one pipeline run; renders to text or CSV rows."""
+    """Full record of one pipeline run; renders to text or CSV rows.
+
+    Of the network it keeps only what the renderers print: the state buses,
+    and the branch names when a market ran, since only the market sections
+    name branches. A kept report holds no Branch objects.
+    """
 
     name: str
-    network: NetworkModel
-    meters: MeterConfig
+    state_buses: tuple[int, ...]            # bus of each state entry, in column order
+    branch_names: tuple[str, ...]           # "from-to" of each branch; () without a market
     measured: np.ndarray                    # what the operator received (post-attack)
     observed: EstimationResult              # estimate on `measured`
     clean: EstimationResult | None          # pre-attack estimate when an attack ran
@@ -287,7 +293,7 @@ class ScenarioReport:
         def add(stage, quantity, index, value):
             rows.append(_row(stage, quantity, index, value))
 
-        for k, bus in enumerate(self.network.state_buses):
+        for k, bus in enumerate(self.state_buses):
             add("estimation", "state_rad", bus, self.observed.state[k])
         for i in range(len(self.measured)):
             add("estimation", "measured_pu", i, self.measured[i])
@@ -296,11 +302,11 @@ class ScenarioReport:
         add("estimation", "objective", "", self.observed.objective)
         add("estimation", "weighted_residual_norm", "", np.sqrt(self.observed.objective))
         if self.clean is not None:
-            for k, bus in enumerate(self.network.state_buses):
+            for k, bus in enumerate(self.state_buses):
                 add("estimation_clean", "state_rad", bus, self.clean.state[k])
             add("estimation_clean", "objective", "", self.clean.objective)
         if self.attack_vector is not None:
-            for k, bus in enumerate(self.network.state_buses):
+            for k, bus in enumerate(self.state_buses):
                 add("attack", "c_rad", bus, self.attack_vector.c[k])
             for i in range(len(self.attack_vector.a)):
                 add("attack", "a_pu", i, self.attack_vector.a[i])
@@ -319,9 +325,9 @@ class ScenarioReport:
         for label, result in (("market.before", self.market_before), ("market.after", self.market_after)):
             if result is None:
                 continue
-            rows.extend(_dispatch_rows(label, result, self.network))
+            rows.extend(_dispatch_rows(label, result, self.branch_names))
             for b in result.binding_lines:
-                add(label, "binding", _branch_name(self.network, b), 1.0)
+                add(label, "binding", self.branch_names[b], 1.0)
         if self.profit_per_h is not None:
             add("market", "profit_per_h", "", self.profit_per_h)
         return rows
@@ -332,14 +338,14 @@ class ScenarioReport:
     def to_text(self) -> str:
         out = [f"scenario: {self.name}"]
         out.append("[estimation]")
-        for k, bus in enumerate(self.network.state_buses):
+        for k, bus in enumerate(self.state_buses):
             out.append(f"  angle(bus {bus}) = {_fmt(self.observed.state[k])} rad")
         out.append(f"  objective J = {_fmt(self.observed.objective)}")
         out.append(f"  weighted residual norm = {_fmt(np.sqrt(self.observed.objective))}")
         if self.clean is not None:
             shift = self.observed.state - self.clean.state
             out.append("[attack effect]")
-            for k, bus in enumerate(self.network.state_buses):
+            for k, bus in enumerate(self.state_buses):
                 out.append(f"  estimate shift(bus {bus}) = {_fmt(shift[k])} rad")
         if self.attack_vector is not None:
             out.append("[attack]")
@@ -367,7 +373,7 @@ class ScenarioReport:
                 continue
             out.append(f"[{label}]")
             out.append(f"  generation MW = {' '.join(_fmt(v) for v in result.gen_output)}")
-            out += _dispatch_lines(result, self.network)
+            out += _dispatch_lines(result, self.branch_names)
         if self.profit_per_h is not None:
             out.append(
                 f"[profit] buy bus {self.buy_bus} before, sell bus {self.sell_bus} after, "
@@ -425,8 +431,8 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
 
     return ScenarioReport(
         name=scn.name,
-        network=net,
-        meters=meters,
+        state_buses=net.state_buses,
+        branch_names=_branch_names(net) if scn.market is not None else (),
         measured=z_observed,
         observed=observed,
         clean=clean,

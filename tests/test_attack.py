@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,7 @@ from fdilab.errors import (
     ValidationError,
 )
 from fdilab.estimation import wls_estimate
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 
 # -- projection matrices ---------------------------------------------------------
@@ -105,6 +107,35 @@ def test_random_attack_argument_checks(h5):
         random_constrained_attack(h5, [0, 99], seed=0)
     with pytest.raises(ValidationError):
         random_constrained_attack(h5, [0, 1, 2], seed=0, magnitude=0.0)
+
+
+def test_null_space_is_exact_whatever_the_reactances():
+    # 1/x spans 16 orders of magnitude, so an SVD with a relative rank
+    # tolerance sees a null space for foothold [2] that is not there
+    net = NetworkModel(
+        buses=(1, 2, 3),
+        branches=(Branch(1, 2, 1e-8), Branch(2, 3, 1e8), Branch(1, 3, 0.1)),
+        slack=1,
+    )
+    H = build_h_matrix(net, MeterConfig(tuple(Meter(branch=b) for b in range(3))))
+    with pytest.raises(InfeasibleSupport, match=re.escape("no nonzero state shift keeps meters [0, 1] untouched")):
+        random_constrained_attack(H, [2], seed=0)
+    for foothold in ([0, 2], [1, 2]):
+        atk = random_constrained_attack(H, foothold, seed=0)
+        assert set(atk.support) <= set(foothold)
+        assert np.linalg.norm(atk.a) == pytest.approx(0.1, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "H, message",
+    [
+        (np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]), "row 1 of H has 3 nonzeros"),
+        (np.array([[1.0, -1.0], [1.0, 2.0]]), "row 1 of H is not a branch flow"),
+    ],
+)
+def test_random_attack_rejects_rows_outside_the_branch_flow_model(H, message):
+    with pytest.raises(ValidationError, match=message):
+        random_constrained_attack(H, [0], seed=0)
 
 
 # -- targeted attacks ---------------------------------------------------------------

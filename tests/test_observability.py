@@ -1,17 +1,23 @@
-"""Property tests of the topological observability check and the branch lookup.
+"""Property tests of the graph algorithms that replaced dense algebra on H.
+
+The topological observability check, the branch lookup and the null
+space of the uncontrolled meters that random stealth attacks draw from.
 
 Each example is a seeded random connected network: a random spanning tree
 with random branch directions, plus parallel branches, reversed duplicate
 branches and random extra lines, in shuffled input order, with a random
 slack. Meters sit on a random subset of branches, each read in a random
-direction and some read twice, once each way.
+direction and some read twice, once each way. Attacker footholds are
+random meter subsets.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdilab.attack import _null_space, random_constrained_attack
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
@@ -125,3 +131,45 @@ def test_build_h_matrix_computes_no_svd(case):
         patch.setattr(np.linalg, "matrix_rank", no_svd)
         patch.setattr(np.linalg, "svd", no_svd)
         build_or_none(net, meters)
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_graph_null_space_spans_the_svd_null_space(case, seed):
+    net, meters = case
+    H = reference_h(net, meters)
+    rng = np.random.default_rng(seed)
+    uncontrolled = rng.random(len(meters)) < rng.random()
+    basis = _null_space(H, uncontrolled)
+    if uncontrolled.any():
+        expected = scipy.linalg.null_space(H[uncontrolled], rcond=1e-10)
+    else:
+        expected = np.eye(net.n_states)
+    assert basis.shape == expected.shape
+    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(basis @ basis.T, expected @ expected.T, atol=1e-9)
+    lowest = [int(np.flatnonzero(column)[0]) for column in basis.T]
+    assert lowest == sorted(lowest)
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_every_foothold_at_the_support_bound_is_feasible_without_svd(case, seed):
+    net, meters = case
+    H = build_or_none(net, meters)
+    if H is None:
+        return
+    m, n = H.m, H.n
+    rng = np.random.default_rng(seed)
+    foothold = rng.choice(m, int(rng.integers(m - n + 1, m + 1)), replace=False)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("random_constrained_attack factored H")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.linalg, "null_space", no_svd)
+        patch.setattr(np.linalg, "svd", no_svd)
+        atk = random_constrained_attack(H, foothold, seed=seed, magnitude=0.1)
+    assert set(atk.support) <= set(foothold.tolist())
+    assert np.linalg.norm(atk.a) == pytest.approx(0.1, rel=1e-9)
+    assert np.max(np.abs(atk.a - H.values @ atk.c)) <= 1e-12
