@@ -8,9 +8,7 @@ locational marginal prices to quantify what such an attack earns.
 
 from .attack import (
     AttackVector,
-    ProjectionMatrices,
     attack_from_c,
-    projection_matrices,
     random_constrained_attack,
     targeted_attack,
     verify_stealth,
@@ -76,7 +74,6 @@ __all__ = [
     "MeterConfig",
     "MonteCarloSummary",
     "NetworkModel",
-    "ProjectionMatrices",
     "ResidualCovariance",
     "Scenario",
     "ScenarioReport",
@@ -91,7 +88,6 @@ __all__ = [
     "lnr_test",
     "parse_scenario",
     "perceived_case_from_attack",
-    "projection_matrices",
     "random_constrained_attack",
     "residual_covariance",
     "residual_norm",

@@ -36,14 +36,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .detection import DetectionMethod, Detector, DetectorSpec
-from .errors import (
-    DimensionMismatch,
-    InfeasibleSupport,
-    SingularGainMatrix,
-    SingularGram,
-    ValidationError,
-)
-from .estimation import WlsModel, _h_values, residual_norm
+from .errors import DimensionMismatch, InfeasibleSupport, ValidationError
+from .estimation import WlsModel, _h_values
 
 # |a_i| at or below this is treated as structurally zero when computing support.
 SUPPORT_ZERO_THRESHOLD = 1e-12
@@ -56,28 +50,6 @@ class AttackVector:
     a: np.ndarray
     c: np.ndarray
     support: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ProjectionMatrices:
-    """Hat matrix P onto col(H) and its complement B = P - I.
-
-    B annihilates exactly the column space: B a = 0 iff a = H c for some c.
-    """
-
-    hat: np.ndarray
-    complement: np.ndarray
-
-
-def projection_matrices(H) -> ProjectionMatrices:
-    """P = H (H' H)^-1 H' and B = P - I. Requires full column rank."""
-    Hv = _h_values(H)
-    try:
-        P = Hv @ WlsModel(Hv, np.ones(Hv.shape[0])).solve(Hv.T)
-    except SingularGainMatrix as exc:
-        raise SingularGram(f"H is rank deficient: {exc}") from exc
-    P = 0.5 * (P + P.T)
-    return ProjectionMatrices(hat=P, complement=P - np.eye(Hv.shape[0]))
 
 
 def _finalize(Hv: np.ndarray, c: np.ndarray) -> AttackVector:
@@ -219,23 +191,25 @@ def targeted_attack(H, pinned: Mapping[int, float]) -> AttackVector:
 def verify_stealth(z, atk: AttackVector, H, w, confidence: float = 0.99) -> bool:
     """True iff the attack is invisible to both detectors on this data.
 
-    Estimates on z and on z + a, then requires (i) equal weighted residual
-    norms within 1e-9 * (1 + ||r||) and (ii) identical chi-square and LNR
-    verdicts at the given confidence.
+    Estimates on z and on z + a as one block, then requires (i) equal
+    weighted residual norms within 1e-9 * (1 + ||r||) and (ii) identical
+    chi-square and LNR verdicts at the given confidence.
     """
+    # A model of its own: one from WlsModel.of would keep the gain factor and
+    # diag(Omega) attached to the caller's H between calls.
     model = WlsModel(H, w)
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != model.m or atk.a.shape[0] != model.m:
         raise DimensionMismatch("z, attack and H disagree on meter count")
 
-    clean = model.estimate(z)
-    attacked = model.estimate(z + atk.a)
-    norm_clean = residual_norm(clean)
-    if abs(residual_norm(attacked) - norm_clean) > 1e-9 * (1.0 + norm_clean):
+    both = model.fit(np.stack((z, z + atk.a)))  # the clean and the attacked estimate, one solve
+    norm_clean, norm_attacked = np.linalg.norm(both.residual / model.sigmas, axis=1)
+    if abs(norm_attacked - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False
 
-    detectors = [Detector.for_model(DetectorSpec(method, confidence), model) for method in DetectionMethod]
-    clean_verdicts, attacked_verdicts = (
-        [detector.report(res).bad_data_detected for detector in detectors] for res in (clean, attacked)
-    )
-    return clean_verdicts == attacked_verdicts
+    for method in DetectionMethod:
+        detector = Detector.for_model(DetectorSpec(method, confidence), model)
+        clean_fired, attacked_fired = detector.statistics(both)[0] > detector.threshold
+        if clean_fired != attacked_fired:
+            return False
+    return True

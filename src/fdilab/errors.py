@@ -68,10 +68,6 @@ class SingularGainMatrix(NumericalError):
     pass
 
 
-class SingularGram(NumericalError):
-    pass
-
-
 class AllMetersCritical(NumericalError):
     """Every residual variance is structurally zero; LNR test undefined."""
 

@@ -7,9 +7,9 @@ The WLS estimate solves the normal equations
 
 and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
 r = z - H x_hat. ``WlsModel`` holds one (H, sigmas) pair and factors its
-gain once for every estimate, Omega and projection made from it; it
-estimates one z or a block of them with one solve. ``wls_estimate`` is a
-one-shot call on a fresh model.
+gain once for every estimate and Omega made from it; it estimates one z
+or a block of them with one solve. ``wls_estimate`` estimates through
+``WlsModel.of``, the one model of a MeasurementMatrix and a WeightModel.
 """
 
 from __future__ import annotations
@@ -21,17 +21,17 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, SingularGainMatrix, ValidationError
-from .network import MeasurementMatrix
+from .network import MeasurementMatrix, _read_only
 
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Per-meter standard deviations (per-unit). All strictly positive."""
+    """Per-meter standard deviations (per-unit). All strictly positive; read-only."""
 
     sigmas: np.ndarray
 
     def __post_init__(self):
-        sig = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
+        sig = np.atleast_1d(_read_only(self.sigmas))
         if sig.ndim != 1:
             raise ValidationError("sigmas must be a 1-D vector")
         if not np.all(np.isfinite(sig)) or np.any(sig <= 0):
@@ -73,23 +73,38 @@ def _sigma_values(w, m: int, allow_zero: bool = False) -> np.ndarray:
 class WlsModel:
     """The weighted normal equations of one meter set, solved for any z.
 
-    Holds the validated H and sigmas and R^-1/2 H. The Cholesky factor of
+    Holds the validated H and sigmas, not R^-1/2 H. The Cholesky factor of
     the gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1
     H)^-1 H' and its diagonal are each worked out on first use and then
-    kept, so every estimate, Omega and projection made from one model
-    shares one factorisation, and a caller pays only for what it uses.
+    kept, so every estimate and Omega made from one model shares one
+    factorisation, and a caller pays only for what it uses.
     """
 
     def __init__(self, H, w):
         self.H = _h_values(H)
         self.m, self.n = self.H.shape
         self.sigmas = _sigma_values(w, self.m)
-        self.Hw = self.H / self.sigmas[:, None]     # R^-1/2 H
+
+    @classmethod
+    def of(cls, H, w) -> WlsModel:
+        """The model of a MeasurementMatrix H and a WeightModel w, shared while H lives.
+
+        H keeps the model of the last WeightModel it served, compared by
+        identity and held strongly, so that identity is never reused; both
+        arrays are read-only. Any other pair, such as plain arrays, gets a
+        fresh model.
+        """
+        if not (isinstance(H, MeasurementMatrix) and isinstance(w, WeightModel)):
+            return cls(H, w)
+        if H._model is None or H._model[0] is not w:
+            object.__setattr__(H, "_model", (w, cls(H, w)))
+        return H._model[1]
 
     @cached_property
     def factor(self):
         """Cholesky factor of H' R^-1 H; SingularGainMatrix when it is not invertible."""
-        gain = self.Hw.T @ self.Hw
+        Hw = self.H / self.sigmas[:, None]  # R^-1/2 H; fit forms it again by the same expression
+        gain = Hw.T @ Hw
         try:
             return scipy.linalg.cho_factor(gain)
         except scipy.linalg.LinAlgError as exc:
@@ -127,7 +142,7 @@ class WlsModel:
             raise ValidationError("measurement values must all be finite")
         # Trials are columns in the solve, so one z takes the matrix-vector
         # products and single right-hand side it always has, and keeps its bits.
-        state = self.solve(self.Hw.T @ (Z / self.sigmas).T).T
+        state = self.solve((self.H / self.sigmas[:, None]).T @ (Z / self.sigmas).T).T
         fitted = (self.H @ state.T).T
         residual = Z - fitted
         # C order makes np.sum add each row as it adds a single vector
@@ -157,11 +172,11 @@ def wls_estimate(H, z, w) -> EstimationResult:
     """Solve the weighted normal equations for the state estimate.
 
     ``H`` may be a MeasurementMatrix or a plain (m, n) array; ``w`` a
-    WeightModel or a sigma vector. Raises SingularGainMatrix when
-    H' R^-1 H is not invertible (unobservable configuration) and
-    ValidationError when z is not finite.
+    WeightModel or a sigma vector; the model is ``WlsModel.of(H, w)``.
+    Raises SingularGainMatrix when H' R^-1 H is not invertible
+    (unobservable configuration) and ValidationError when z is not finite.
     """
-    return WlsModel(H, w).estimate(z)
+    return WlsModel.of(H, w).estimate(z)
 
 
 def simulate_measurements(H, x_true, w, seed=None) -> np.ndarray:

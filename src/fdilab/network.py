@@ -189,12 +189,29 @@ class MeterConfig:
         return len(self.meters)
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array: a copy, so a caller's array is never
+    frozen, unless it already is a read-only float array that owns its memory."""
+    owned = isinstance(values, np.ndarray) and values.dtype == float and values.base is None
+    if not owned or values.flags.writeable:
+        values = np.array(values, dtype=float)
+        values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """m x n matrix mapping non-slack bus angles to metered branch flows."""
+    """m x n matrix mapping non-slack bus angles to metered branch flows.
+
+    ``values`` is read-only; ``_model`` is the slot of ``WlsModel.of``.
+    """
 
     values: np.ndarray
     state_buses: tuple[BusId, ...] = field(default=())
+    _model: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _read_only(self.values))
 
     @property
     def m(self) -> int:
@@ -258,6 +275,7 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
             H[row, col[br.from_bus]] += w
         if br.to_bus != net.slack:
             H[row, col[br.to_bus]] -= w
+    H.flags.writeable = False  # handed over to the MeasurementMatrix without a copy
     unobserved = _unreached(net, (net.branches[m.branch] for m in meters.meters))
     if unobserved:
         raise UnobservableConfiguration(

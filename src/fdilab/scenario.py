@@ -406,7 +406,8 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
         observed = wls_estimate(H, z_observed, weights)
         clean = wls_estimate(H, z, weights) if perturbation is not None else None
     with _stage("detect"):
-        detections = run_detectors(scn.detectors, observed, WlsModel(H, weights))
+        detections = run_detectors(scn.detectors, observed, WlsModel.of(H, weights))
+    del H, weights  # and with H its model, gain factor and diag(Omega): the market needs none
 
     market_before = market_after = None
     profit = None
@@ -526,7 +527,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     with _stage("model"):
         H = build_h_matrix(net, meters)
         # factor the gain, and work out diag(Omega) when an LNR detector needs it, in this stage
-        model = WlsModel(H, WeightModel(meters.sigmas))
+        model = WlsModel.of(H, WeightModel(meters.sigmas))
         model.factor
         if any(spec.method is DetectionMethod.LNR for spec in scn.detectors):
             model.omega_diagonal

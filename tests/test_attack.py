@@ -6,48 +6,13 @@ import pytest
 
 from fdilab.attack import (
     attack_from_c,
-    projection_matrices,
     random_constrained_attack,
     targeted_attack,
     verify_stealth,
 )
-from fdilab.errors import (
-    DimensionMismatch,
-    InfeasibleSupport,
-    SingularGram,
-    ValidationError,
-)
+from fdilab.errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from fdilab.estimation import wls_estimate
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
-
-
-# -- projection matrices ---------------------------------------------------------
-
-def test_projection_orthonormal_columns():
-    Q = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 2)))[0]
-    proj = projection_matrices(Q)
-    np.testing.assert_allclose(proj.hat, Q @ Q.T, atol=1e-12)
-
-
-def test_projection_properties(h5):
-    proj = projection_matrices(h5)
-    P, B = proj.hat, proj.complement
-    assert np.trace(P) == pytest.approx(4.0, abs=1e-8)
-    np.testing.assert_allclose(P, P.T, atol=1e-10)
-    np.testing.assert_allclose(P @ P, P, atol=1e-8)
-    assert np.max(np.abs(B @ h5.values)) < 1e-8
-
-
-def test_projection_square_invertible():
-    H = np.array([[2.0, 0.0], [1.0, 3.0]])
-    proj = projection_matrices(H)
-    np.testing.assert_allclose(proj.hat, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(proj.complement, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_projection_rank_deficient():
-    with pytest.raises(SingularGram):
-        projection_matrices(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
 
 
 # -- direct construction ----------------------------------------------------------
@@ -72,14 +37,12 @@ def test_attack_from_c_dimension_check(h5):
 # -- random constrained attacks ----------------------------------------------------
 
 def test_every_size3_support_is_feasible(h5):
-    proj = projection_matrices(h5)
     for support in combinations(range(6), 3):
         atk = random_constrained_attack(h5, support, seed=5, magnitude=0.1)
         assert set(atk.support) <= set(support), f"support leak for {support}"
         norm = np.linalg.norm(atk.a)
         assert norm == pytest.approx(0.1, rel=1e-9)
         assert np.linalg.norm(atk.a - h5.values @ atk.c) <= 1e-10 * norm
-        assert np.linalg.norm(proj.complement @ atk.a) <= 1e-8 * norm
 
 
 def test_all_meters_controlled_always_feasible(h5):

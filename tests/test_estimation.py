@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from fdilab.estimation import (
     simulate_measurements,
     wls_estimate,
 )
+from fdilab.network import MeasurementMatrix, build_h_matrix
+from fdilab.scenario import GrossErrorSpec, Scenario, SimulateSource, run_scenario
 
 
 def test_noise_free_data_is_fixed_point(h5, w5):
@@ -167,3 +171,61 @@ def test_fit_checks_its_block(h5, w5):
     Z[1, 2] = np.inf
     with pytest.raises(ValidationError):
         model.fit(Z)
+
+
+# -- the shared model of a MeasurementMatrix and a WeightModel ---------------------
+
+def test_h_values_and_sigmas_are_read_only(net5, meters5):
+    H, w = build_h_matrix(net5, meters5), WeightModel(meters5.sigmas)
+    with pytest.raises(ValueError):
+        H.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        w.sigmas[0] = 1.0
+
+
+def test_read_only_arrays_are_copies_of_a_callers_array(h5):
+    values, sigmas = h5.values.copy(), np.full(6, 0.01)
+    H, w = MeasurementMatrix(values, h5.state_buses), WeightModel(sigmas)
+    assert values.flags.writeable and sigmas.flags.writeable
+    values[0, 0], sigmas[0] = 7.0, 7.0
+    assert H.values[0, 0] == h5.values[0, 0] and w.sigmas[0] == 0.01
+
+
+def test_shared_model_is_one_per_matrix_and_weights(net5, meters5, z5):
+    H, w = build_h_matrix(net5, meters5), WeightModel(meters5.sigmas)
+    model = WlsModel.of(H, w)
+    assert WlsModel.of(H, w) is model
+    wls_estimate(H, z5, w)
+    assert "factor" in vars(model)  # wls_estimate went through it
+
+    # weights equal in value but another object replace the one slot
+    other = WeightModel(meters5.sigmas)
+    replaced = WlsModel.of(H, other)
+    assert replaced is not model and WlsModel.of(H, other) is replaced
+    assert WlsModel.of(H, w) is not model
+
+
+def test_plain_arrays_never_share_a_model(h5, w5):
+    assert WlsModel.of(h5.values, w5) is not WlsModel.of(h5.values, w5)
+    assert WlsModel.of(h5, w5.sigmas) is not WlsModel.of(h5, w5.sigmas)
+
+
+def test_singular_gain_fails_the_estimate_stage_of_a_scenario(tmp_path):
+    # every bus is observed, so H builds; the numerically singular gain fails
+    # where the shared model is first factored
+    branches = [(1, 2, 1e-8), (2, 3, 1e8), (3, 4, 0.1)]
+    records = [{"from": f, "to": t, "x_pu": x} for f, t, x in branches]
+    net = {"buses": [1, 2, 3, 4], "slack": 1, "branches": records}
+    meters = {"meters": [{"branch": [f, t]} for f, t, _ in branches + branches[:1]]}
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    (tmp_path / "meters.json").write_text(json.dumps(meters))
+    scn = Scenario(
+        name="ill-conditioned",
+        network_path=tmp_path / "net.json",
+        meters_path=tmp_path / "meters.json",
+        measurements=SimulateSource(x_true=(0.01, 0.02, 0.03), seed=0),
+        attack=GrossErrorSpec(meter=1, magnitude_pu=0.5),
+    )
+    with pytest.raises(SingularGainMatrix) as info:
+        run_scenario(scn)
+    assert info.value.stage == "estimate"

@@ -1,7 +1,9 @@
 """Property tests of the graph algorithms that replaced dense algebra on H.
 
 The topological observability check, the branch lookup and the null
-space of the uncontrolled meters that random stealth attacks draw from.
+space of the uncontrolled meters that random stealth attacks draw from;
+and, on the same networks, the stealth guarantee of a = Hc through the
+shared estimator model.
 
 Each example is a seeded random connected network: a random spanning tree
 with random branch directions, plus parallel branches, reversed duplicate
@@ -14,11 +16,13 @@ random meter subsets.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdilab.attack import _null_space, random_constrained_attack
+from fdilab.attack import _null_space, attack_from_c, random_constrained_attack, verify_stealth
+from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
+from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -173,3 +177,31 @@ def test_every_foothold_at_the_support_bound_is_feasible_without_svd(case, seed)
     assert set(atk.support) <= set(foothold.tolist())
     assert np.linalg.norm(atk.a) == pytest.approx(0.1, rel=1e-9)
     assert np.max(np.abs(atk.a - H.values @ atk.c)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1))
+@pytest.mark.filterwarnings("ignore:critical meters excluded")
+def test_stealth_attack_leaves_residual_and_verdicts_and_shifts_the_state_by_c(case, seed):
+    net, meters = case
+    H = build_or_none(net, meters)
+    # Chi-square needs m > n, and LNR a meter that is not critical: without one
+    # LNR is undefined and raises AllMetersCritical. Since diag(Omega R^-1) sums
+    # to m - n, m > n already implies such a meter.
+    assume(H is not None and H.m > H.n)
+    rng = np.random.default_rng(seed)
+    w = WeightModel(rng.uniform(0.005, 0.05, H.m))
+    model = WlsModel.of(H, w)
+    assume(np.any(model.omega_diagonal >= CRITICALITY_FLOOR * model.sigmas**2))
+    z = simulate_measurements(H, rng.normal(scale=0.1, size=H.n), w, seed=rng)
+    c = rng.normal(scale=0.1, size=H.n)
+    atk = attack_from_c(H, c)
+
+    clean, attacked = wls_estimate(H, z, w), wls_estimate(H, z + atk.a, w)
+    assert WlsModel.of(H, w) is model
+    assert np.linalg.norm(attacked.residual - clean.residual) <= 1e-9 * np.linalg.norm(clean.residual)
+    assert np.linalg.norm(attacked.state - clean.state - c) <= 1e-9 * np.linalg.norm(c)
+    for method in DetectionMethod:
+        detector = Detector.for_model(DetectorSpec(method), model)
+        assert detector.report(attacked).bad_data_detected == detector.report(clean).bad_data_detected
+    assert verify_stealth(z, atk, H, w)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CASES_5BUS, TABLE_XHAT
-from fdilab import caseio, detection, scenario
+from fdilab import caseio, detection, estimation, scenario
 from fdilab.attack import random_constrained_attack
 from fdilab.detection import DetectionMethod, chi_square_test, lnr_test, residual_covariance
 from fdilab.errors import DimensionMismatch, ValidationError
@@ -277,3 +277,35 @@ def test_monte_carlo_computes_each_threshold_once(monkeypatch):
     monkeypatch.setattr(scenario, "MC_BLOCK_ELEMENTS", 60)
     run_monte_carlo(simulated_scenario(), trials=100, base_seed=1)
     assert len(calls) == 2  # one per detector spec, for 100 trials in 10 blocks
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """The shape of each gain Cholesky-factored through fdilab.estimation, in call order."""
+    calls = []
+    original = estimation.scipy.linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(estimation.scipy.linalg, "cho_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case, attacked",
+    [("case1.json", False), ("case2.json", True), ("case3.json", True)],
+    ids=["detect", "gross", "random"],
+)
+def test_scenario_factors_its_gain_once(factorisations, case, attacked):
+    report = run_scenario(parse_scenario(CASES_5BUS / case))
+    assert [rep.method for rep in report.detections] == [DetectionMethod.CHI_SQUARE, DetectionMethod.LNR]
+    assert (report.clean is not None) == attacked
+    # both estimates and both detectors share one model
+    assert factorisations == [(4, 4)]
+
+
+def test_monte_carlo_factors_its_gain_once(factorisations):
+    run_monte_carlo(simulated_scenario(GrossErrorSpec(meter=2, magnitude_pu=0.5)), trials=10_000, base_seed=1)
+    assert factorisations == [(4, 4)]
