@@ -9,7 +9,7 @@ Formats:
 * measurements: {"values_pu": [0.91, ...]}  in meter order
 * market:       {"generators": [{"bus": 1, "price": 10, "pmax": 250, "pmin": 0}, ...],
                  "loads": [{"bus": 1, "mw": 100}, ...]}
-* attack echo:  {"c": [...], "a": [...], "support": [...]}
+* attack echo:  {"c": [...], "a": [...], "support": [...]}  (written only)
 
 Parse failures raise ParseError with the offending path and location;
 semantic problems raise the validation errors of the domain modules.
@@ -128,16 +128,3 @@ def dump_attack(atk, path) -> None:
         "support": list(atk.support),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def parse_attack(path):
-    from .attack import AttackVector
-
-    doc = load_json(path)
-    for key in ("c", "a", "support"):
-        _require(doc, key, path, "top level")
-    return AttackVector(
-        a=np.asarray(doc["a"], dtype=float),
-        c=np.asarray(doc["c"], dtype=float),
-        support=tuple(int(i) for i in doc["support"]),
-    )

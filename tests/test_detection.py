@@ -304,9 +304,37 @@ def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
     assert "omega_diagonal" in vars(model) and "omega" not in vars(model)
 
 
-@pytest.mark.parametrize("system", ["5bus", "critical"])
+def plain_system():
+    """A plain H with rows no branch-flow meter has: three nonzeros, and none."""
+    H = np.array([
+        [1.0, 0.0, 0.0],
+        [0.0, 2.0, 0.0],
+        [0.0, 0.0, -1.5],
+        [0.7, -1.2, 0.9],  # the cross term of columns 0 and 2 counts too
+        [0.0, 0.0, 0.0],   # measures nothing, so Omega_ii = sigma_i^2
+        [1.0, -1.0, 0.0],
+        [0.0, 1.0, -1.0],
+    ])
+    return H, WeightModel(np.array([0.01, 0.02, 0.015, 0.03, 0.01, 0.02, 0.01]))
+
+
+@pytest.mark.parametrize("system", ["5bus", "critical", "plain"])
 def test_omega_diagonal_matches_full_omega(h5, w5, system):
-    H, w = (h5, w5) if system == "5bus" else critical_meter_system()
+    H, w = {"5bus": lambda: (h5, w5), "critical": critical_meter_system, "plain": plain_system}[system]()
     model = WlsModel(H, w)
     full = np.diag(model.omega)
     np.testing.assert_allclose(model.omega_diagonal, full, rtol=1e-12, atol=1e-12 * np.max(w.sigmas**2))
+
+
+def test_omega_diagonal_keeps_the_factor_and_no_inverse_gain(h5, z5, w5):
+    model = WlsModel(h5, w5)
+    before = model.estimate(z5)
+    factor = model.factor[0].copy()
+    model.omega_diagonal
+    after = model.estimate(z5)
+    for field in ("state", "fitted", "residual"):
+        assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
+    assert after.objective == before.objective
+    # the factor is the only n x n array the model holds, and it is unchanged
+    assert np.array_equal(model.factor[0], factor)
+    assert sorted(vars(model)) == ["H", "factor", "m", "n", "omega_diagonal", "sigmas"]

@@ -205,3 +205,22 @@ def test_stealth_attack_leaves_residual_and_verdicts_and_shifts_the_state_by_c(c
         detector = Detector.for_model(DetectorSpec(method), model)
         assert detector.report(attacked).bad_data_detected == detector.report(clean).bad_data_detected
     assert verify_stealth(z, atk, H, w)
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_omega_diagonal_from_the_inverse_gain_matches_the_full_omega(case, seed):
+    net, meters = case
+    H = build_or_none(net, meters)
+    assume(H is not None)
+    m, n = H.m, H.n
+    sigmas = np.random.default_rng(seed).uniform(0.005, 0.05, m)
+    model = WlsModel(H, WeightModel(sigmas))
+    full = model.omega
+    np.testing.assert_allclose(model.omega_diagonal, np.diag(full), rtol=1e-10, atol=1e-12 * np.max(sigmas**2))
+    critical = CRITICALITY_FLOOR * sigmas**2
+    assert np.array_equal(model.omega_diagonal < critical, np.diag(full) < critical)
+    # Omega R^-1 is the residual projector: idempotent, with trace m - n
+    assert np.sum(model.omega_diagonal / sigmas**2) == pytest.approx(m - n, rel=1e-9, abs=1e-9)
+    projector = full / sigmas**2
+    np.testing.assert_allclose(projector @ projector, projector, rtol=0, atol=1e-9)
