@@ -16,7 +16,6 @@ from .attack import (
 from .detection import (
     DetectionMethod,
     DetectionReport,
-    ResidualCovariance,
     chi_square_quantile,
     chi_square_test,
     gaussian_quantile,
@@ -26,7 +25,6 @@ from .detection import (
 from .estimation import (
     EstimationResult,
     WeightModel,
-    residual_norm,
     simulate_measurements,
     wls_estimate,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "MeterConfig",
     "MonteCarloSummary",
     "NetworkModel",
-    "ResidualCovariance",
     "Scenario",
     "ScenarioReport",
     "WeightModel",
@@ -90,7 +87,6 @@ __all__ = [
     "perceived_case_from_attack",
     "random_constrained_attack",
     "residual_covariance",
-    "residual_norm",
     "run_monte_carlo",
     "run_scenario",
     "simulate_measurements",

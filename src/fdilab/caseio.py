@@ -11,12 +11,15 @@ Formats:
                  "loads": [{"bus": 1, "mw": 100}, ...]}
 * attack echo:  {"c": [...], "a": [...], "support": [...]}  (written only)
 
-Parse failures raise ParseError with the offending path and location;
-semantic problems raise the validation errors of the domain modules.
+Parse failures raise ParseError with the offending path and location; so
+does a field of the wrong type or shape, such as a bus id "x" or a missing
+key, in every reader (``reader``). Semantic problems raise the validation
+errors of the domain modules.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -50,12 +53,28 @@ def load_json(path) -> dict:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
 
 
+def reader(parse):
+    """Make a conversion error in ``parse(path, ...)`` a ParseError naming the file.
+
+    Domain errors (every FdiLabError) pass through unchanged.
+    """
+    @functools.wraps(parse)
+    def read(path, *args, **kwargs):
+        try:
+            return parse(path, *args, **kwargs)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise ParseError(path, "-", f"malformed field: {type(exc).__name__}: {exc}") from exc
+
+    return read
+
+
 def _require(record: dict, key: str, path, location: str):
     if key not in record:
         raise ParseError(path, location, f"missing required field '{key}'")
     return record[key]
 
 
+@reader
 def parse_network(path) -> NetworkModel:
     doc = load_json(path)
     for key in ("buses", "branches", "slack"):
@@ -66,6 +85,7 @@ def parse_network(path) -> NetworkModel:
     return build_network(doc)
 
 
+@reader
 def parse_meters(path, net: NetworkModel) -> MeterConfig:
     doc = load_json(path)
     records = _require(doc, "meters", path, "top level")
@@ -83,6 +103,7 @@ def parse_meters(path, net: NetworkModel) -> MeterConfig:
     return MeterConfig(meters=tuple(meters))
 
 
+@reader
 def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
     doc = load_json(path)
     values = _require(doc, "values_pu", path, "top level")
@@ -96,6 +117,7 @@ def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
     return z
 
 
+@reader
 def parse_market(path, net: NetworkModel) -> DispatchCase:
     doc = load_json(path)
     gen_records = _require(doc, "generators", path, "top level")

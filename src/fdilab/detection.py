@@ -63,13 +63,6 @@ class DetectorSpec:
     confidence: float = 0.99
 
 
-@dataclass(frozen=True)
-class ResidualCovariance:
-    """Covariance Omega = R - H (H' R^-1 H)^-1 H' of the residual vector."""
-
-    omega: np.ndarray
-
-
 def chi_square_quantile(p: float, nu: int) -> float:
     """x such that the chi-square(nu) CDF at x equals p."""
     _check_probability(p)
@@ -176,17 +169,17 @@ def chi_square_test(res: EstimationResult, m: int, n: int, confidence: float = 0
     return detector.report(res)
 
 
-def residual_covariance(H, w) -> ResidualCovariance:
-    """Omega = R - H (H' R^-1 H)^-1 H'.
+def residual_covariance(H, w) -> np.ndarray:
+    """Omega = R - H (H' R^-1 H)^-1 H', the covariance of the residual vector.
 
     Diagonal entries are the residual variances used to normalize the LNR
     statistic; Omega R^-1 is the (idempotent) residual projector.
     """
-    return ResidualCovariance(omega=WlsModel(H, w).omega)
+    return WlsModel(H, w).omega
 
 
 def lnr_test(
-    res: EstimationResult, omega: ResidualCovariance, confidence: float = 0.99
+    res: EstimationResult, omega: np.ndarray, confidence: float = 0.99
 ) -> DetectionReport:
     """Largest normalized residual test with two-sided Gaussian threshold.
 
@@ -197,7 +190,7 @@ def lnr_test(
     whose normalized residual is within LNR_TIE_TOLERANCE of it, reported
     only when bad data is detected.
     """
-    return _lnr_detector(confidence, np.diag(omega.omega), res.sigmas**2).report(res)
+    return _lnr_detector(confidence, np.diag(omega), res.sigmas**2).report(res)
 
 
 def run_detectors(specs, result: EstimationResult, model: WlsModel) -> tuple[DetectionReport, ...]:

@@ -206,7 +206,3 @@ def simulate_measurements(H, x_true, w, seed=None) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return Hv @ x_true + rng.standard_normal(m) * sig
 
-
-def residual_norm(res: EstimationResult) -> float:
-    """L2 norm of the weighted residual (r_i / sigma_i); equals sqrt(J)."""
-    return float(np.linalg.norm(res.residual / res.sigmas))

@@ -114,47 +114,40 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     net = case.network
     gens = case.generators
     ng = len(gens)
-    state = net.state_buses
-    thcol = {b: ng + k for k, b in enumerate(state)}
-    nv = ng + len(state)
+    row = {bus: k for k, bus in enumerate(net.buses)}
+    col = {bus: ng + k for k, bus in enumerate(net.state_buses)}  # angle columns
+    nv = ng + len(col)
 
     cost = np.zeros(nv)
     cost[:ng] = [g.price for g in gens]
-
     loads = case.load_by_bus()
+    b_eq = np.array([loads[bus] for bus in net.buses])
     A_eq = np.zeros((len(net.buses), nv))
-    b_eq = np.zeros(len(net.buses))
-    for row, bus in enumerate(net.buses):
-        b_eq[row] = loads[bus]
-        for gi, g in enumerate(gens):
-            if g.bus == bus:
-                A_eq[row, gi] += 1.0
-        for br in net.branches:
-            if bus not in (br.from_bus, br.to_bus):
-                continue
-            coef = net.base_mva / br.x_pu
-            sign = 1.0 if br.from_bus == bus else -1.0  # outflow orientation
-            if br.from_bus != net.slack:
-                A_eq[row, thcol[br.from_bus]] -= sign * coef
-            if br.to_bus != net.slack:
-                A_eq[row, thcol[br.to_bus]] += sign * coef
+    for gi, g in enumerate(gens):
+        A_eq[row[g.bus], gi] = 1.0
 
-    ub_rows, ub_rhs = [], []
+    # One pass over the branches. The flow's angle terms, (column, d flow / d
+    # column) for each end that is not the slack, leave the from-bus balance
+    # row and enter the to-bus row; every entry sums its terms in branch order.
+    limited = []  # (terms, limit) of each branch with a flow limit
     for br in net.branches:
-        if br.limit_mw is None:
-            continue
-        row = np.zeros(nv)
         coef = net.base_mva / br.x_pu
-        if br.from_bus != net.slack:
-            row[thcol[br.from_bus]] = coef
-        if br.to_bus != net.slack:
-            row[thcol[br.to_bus]] = -coef
-        ub_rows.extend([row, -row])
-        ub_rhs.extend([br.limit_mw, br.limit_mw])
-    A_ub = np.array(ub_rows) if ub_rows else None
-    b_ub = np.array(ub_rhs) if ub_rhs else None
+        terms = [(col[b], s) for b, s in ((br.from_bus, coef), (br.to_bus, -coef)) if b in col]
+        for c, s in terms:
+            A_eq[row[br.from_bus], c] -= s
+            A_eq[row[br.to_bus], c] += s
+        if br.limit_mw is not None:
+            limited.append((terms, br.limit_mw))
 
-    bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * len(state)
+    A_ub = b_ub = None
+    if limited:  # +flow <= limit, then -flow <= limit, branch by branch
+        A_ub = np.zeros((2 * len(limited), nv))
+        for k, (terms, _) in enumerate(limited):
+            for c, s in terms:
+                A_ub[2 * k, c], A_ub[2 * k + 1, c] = s, -s
+        b_ub = np.repeat([limit for _, limit in limited], 2)
+
+    bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * len(col)
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 2:
         raise InfeasibleDispatch(f"no feasible dispatch: {res.message}")
@@ -163,7 +156,7 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     if res.status != 0:
         raise NumericalError(f"LP solve failed (status {res.status}): {res.message}")
 
-    theta = {net.slack: 0.0, **{b: res.x[thcol[b]] for b in state}}
+    theta = {net.slack: 0.0, **{b: res.x[c] for b, c in col.items()}}
     flows = np.array(
         [net.base_mva / br.x_pu * (theta[br.from_bus] - theta[br.to_bus]) for br in net.branches]
     )
@@ -172,7 +165,7 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
         for i, br in enumerate(net.branches)
         if br.limit_mw is not None and abs(flows[i]) >= br.limit_mw - BINDING_TOLERANCE_MW
     )
-    lmp = {bus: float(res.eqlin.marginals[row]) for row, bus in enumerate(net.buses)}
+    lmp = {bus: float(res.eqlin.marginals[k]) for bus, k in row.items()}
     return DispatchResult(
         gen_output=res.x[:ng].copy(),
         flows=flows,

@@ -105,10 +105,13 @@ class NetworkModel:
         return tuple(b for b in self.buses if b != self.slack)
 
     def branch_resolver(self) -> Callable[[BusId, BusId], tuple[int, int]]:
-        """``branch_index`` for many lookups, through one dict built for this call.
+        """A lookup ``(from_bus, to_bus) -> (index, orientation)`` of branches.
 
-        The dict, keyed (lower id, higher id), lives as long as the returned
-        function, not as long as the network.
+        orientation is +1 when (from_bus, to_bus) matches the stored branch
+        direction and -1 when reversed. Of parallel branches, the first in
+        input order wins, whichever way it is stored. The lookup's dict, keyed
+        (lower id, higher id), lives as long as the returned function, not as
+        long as the network.
         """
         first: dict[tuple[BusId, BusId], int] = {}
         for i, br in enumerate(self.branches):
@@ -122,16 +125,6 @@ class NetworkModel:
             return index, +1 if branches[index].from_bus == from_bus else -1
 
         return resolve
-
-    def branch_index(self, from_bus: BusId, to_bus: BusId) -> tuple[int, int]:
-        """Return (index, orientation) of the branch joining the two buses.
-
-        orientation is +1 when (from_bus, to_bus) matches the stored branch
-        direction and -1 when reversed. Of parallel branches, the first in
-        input order wins, whichever way it is stored. Each call makes one pass
-        over the branches; ``branch_resolver`` serves many lookups from one.
-        """
-        return self.branch_resolver()(from_bus, to_bus)
 
 
 def _pair(a: BusId, b: BusId) -> tuple[BusId, BusId]:

@@ -158,6 +158,7 @@ _METHOD_ALIASES = {
 }
 
 
+@caseio.reader
 def parse_scenario(path) -> Scenario:
     """Read a scenario file; relative paths resolve against its directory."""
     path = Path(path)

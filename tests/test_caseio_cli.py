@@ -336,3 +336,45 @@ def test_cli_targeted_non_finite_pin_exits_2(capsys):
     assert code == 2
     assert "ValidationError" in err
     assert "nan" not in out
+
+
+# -- malformed values ---------------------------------------------------------------
+
+# file of the 5-bus case -> edit that leaves it valid JSON with a value of the wrong type or shape
+MALFORMED = {
+    "random attack without support": ("profit.json", lambda d: d.update(attack={"type": "random", "seed": 1})),
+    "gross error without meter": (
+        "profit.json", lambda d: d.update(attack={"type": "gross_error", "magnitude_pu": 0.5})
+    ),
+    "pinned bus x": ("profit.json", lambda d: d["attack"].update(pinned={"x": 0.03})),
+    "support a": ("profit.json", lambda d: d.update(attack={"type": "random", "support": ["a"], "seed": 1})),
+    "x_true abc": ("profit.json", lambda d: d.update(measurements={"simulate": {"x_true": "abc", "seed": 1}})),
+    "confidence high": ("profit.json", lambda d: d["detectors"][0].update(confidence="high")),
+    "attack is a string": ("profit.json", lambda d: d.update(attack="random")),
+    "generator bus x": ("market.json", lambda d: d["generators"][0].update(bus="x")),
+    "sigma tiny": ("meters.json", lambda d: d["meters"][0].update(sigma="tiny")),
+    "branch a": ("meters.json", lambda d: d["meters"][0].update(branch=["a", 2])),
+    "values a": ("measurements.json", lambda d: d.update(values_pu=["a", *d["values_pu"][1:]])),
+}
+
+
+@pytest.mark.parametrize("name, edit", MALFORMED.values(), ids=list(MALFORMED))
+def test_cli_malformed_value_exits_2_naming_the_file(capsys, tmp_path, name, edit):
+    for source in CASES_5BUS.glob("*.json"):
+        (tmp_path / source.name).write_text(source.read_text())
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    _write(path, doc)
+    code, out, err = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
+    assert code == 2
+    assert f"ParseError: {path}: " in err
+    assert out == ""
+
+
+def test_readers_pass_domain_errors_through(tmp_path, net5):
+    doc = json.loads((CASES_5BUS / "market.json").read_text())
+    doc["loads"][0]["mw"] = -1.0
+    with pytest.raises(ValidationError, match="demand -1.0 < 0") as info:
+        caseio.parse_market(_write(tmp_path / "market.json", doc), net5)
+    assert not isinstance(info.value, ParseError)

@@ -137,12 +137,12 @@ def test_confidence_monotonicity(h5, z5, w5):
 # -- residual covariance ----------------------------------------------------------
 
 def test_omega_zero_for_square_system():
-    res = residual_covariance(np.array([[-1.0]]), [0.01])
-    assert abs(res.omega[0, 0]) < 1e-18
+    omega = residual_covariance(np.array([[-1.0]]), [0.01])
+    assert abs(omega[0, 0]) < 1e-18
 
 
 def test_omega_properties(h5, w5):
-    omega = residual_covariance(h5, w5).omega
+    omega = residual_covariance(h5, w5)
     np.testing.assert_allclose(omega, omega.T, atol=1e-10)
     assert np.all(np.diag(omega) >= -1e-10)
     r_inv = np.diag(1.0 / w5.sigmas**2)
@@ -224,7 +224,7 @@ def test_lnr_names_the_lowest_meter_of_a_correlated_group(h5, w5, meter):
 def test_residual_correlation_structure(h5, w5):
     # group members are perfectly correlated and their joint removal breaks
     # observability; meter 2 correlates with nobody at |rho| = 1
-    omega = residual_covariance(h5, w5).omega
+    omega = residual_covariance(h5, w5)
     scale = np.sqrt(np.diag(omega))
     rho = omega / np.outer(scale, scale)
     for i, group in CORRELATED_GROUPS.items():
@@ -256,7 +256,7 @@ def critical_meter_system():
 def test_critical_meter_excluded_with_warning():
     H, w = critical_meter_system()
     omega = residual_covariance(H, w)
-    assert abs(omega.omega[0, 0]) <= 1e-10 * 0.01**2
+    assert abs(omega[0, 0]) <= 1e-10 * 0.01**2
     # gross error on the critical meter is structurally invisible to LNR
     z = np.array([0.5, 0.0, 0.0])
     res = wls_estimate(H, z, w)

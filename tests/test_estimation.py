@@ -8,7 +8,6 @@ from fdilab.errors import DimensionMismatch, SingularGainMatrix, ValidationError
 from fdilab.estimation import (
     WeightModel,
     WlsModel,
-    residual_norm,
     simulate_measurements,
     wls_estimate,
 )
@@ -98,28 +97,6 @@ def test_simulate_noise_scale():
         [simulate_measurements(H, [0.0], [0.01], seed=s)[0] for s in range(10_000)]
     )
     assert np.std(draws) == pytest.approx(0.01, rel=0.05)
-
-
-def test_residual_norm_values(h5, z5, w5):
-    res = wls_estimate(h5, z5, w5)
-    assert residual_norm(res) == pytest.approx(np.sqrt(TABLE_J), rel=1e-9)
-
-    clean = wls_estimate(h5, h5.values @ np.zeros(4), w5)
-    assert residual_norm(clean) < 1e-12
-
-
-def test_residual_norm_pythagorean():
-    # weighted residual (3, 4) with sigma = 1 has norm 5
-    from fdilab.estimation import EstimationResult
-
-    res = EstimationResult(
-        state=np.zeros(1),
-        fitted=np.zeros(2),
-        residual=np.array([3.0, 4.0]),
-        objective=25.0,
-        sigmas=np.ones(2),
-    )
-    assert residual_norm(res) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_wls_model_factors_once_on_first_use(h5, z5, w5):

@@ -1,6 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CASES_5BUS
+from fdilab import caseio
 from fdilab.attack import targeted_attack
 from fdilab.errors import InfeasibleDispatch, UnknownBus, ValidationError
 from fdilab.estimation import wls_estimate
@@ -13,6 +20,9 @@ from fdilab.market import (
     solve_dc_opf,
 )
 from fdilab.network import Branch, NetworkModel
+from test_observability import networks
+
+MARKET_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def single_bus_case(price=10.0, pmax=100.0, demand=50.0):
@@ -206,3 +216,207 @@ def test_arbitrage_unknown_bus(market5):
         arbitrage_profit(result, result, 1, 9, 1.0)
     with pytest.raises(ValidationError):
         arbitrage_profit(result, result, 1, 4, -1.0)
+
+
+# -- the LP handed to linprog ------------------------------------------------------
+
+def reference_lp(case):
+    """linprog's arguments as the per-bus scan of every generator and branch built them.
+
+    This is the assembly ``solve_dc_opf`` used before its one pass over the
+    branches, kept verbatim as the reference the LP is pinned to.
+    """
+    net = case.network
+    gens = case.generators
+    ng = len(gens)
+    state = net.state_buses
+    thcol = {b: ng + k for k, b in enumerate(state)}
+    nv = ng + len(state)
+
+    cost = np.zeros(nv)
+    cost[:ng] = [g.price for g in gens]
+
+    loads = case.load_by_bus()
+    A_eq = np.zeros((len(net.buses), nv))
+    b_eq = np.zeros(len(net.buses))
+    for row, bus in enumerate(net.buses):
+        b_eq[row] = loads[bus]
+        for gi, g in enumerate(gens):
+            if g.bus == bus:
+                A_eq[row, gi] += 1.0
+        for br in net.branches:
+            if bus not in (br.from_bus, br.to_bus):
+                continue
+            coef = net.base_mva / br.x_pu
+            sign = 1.0 if br.from_bus == bus else -1.0  # outflow orientation
+            if br.from_bus != net.slack:
+                A_eq[row, thcol[br.from_bus]] -= sign * coef
+            if br.to_bus != net.slack:
+                A_eq[row, thcol[br.to_bus]] += sign * coef
+
+    ub_rows, ub_rhs = [], []
+    for br in net.branches:
+        if br.limit_mw is None:
+            continue
+        row = np.zeros(nv)
+        coef = net.base_mva / br.x_pu
+        if br.from_bus != net.slack:
+            row[thcol[br.from_bus]] = coef
+        if br.to_bus != net.slack:
+            row[thcol[br.to_bus]] = -coef
+        ub_rows.extend([row, -row])
+        ub_rhs.extend([br.limit_mw, br.limit_mw])
+    A_ub = np.array(ub_rows) if ub_rows else None
+    b_ub = np.array(ub_rhs) if ub_rhs else None
+
+    bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * len(state)
+    return dict(c=cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+
+
+def solve_recording_lp(case, monkeypatch, solve_instead=None):
+    """Run ``solve_dc_opf``, recording linprog's arguments; optionally solve other ones."""
+    real = scipy.optimize.linprog
+    seen = []
+
+    def spy(c, **kwargs):
+        seen.append(dict(c=c, **kwargs))
+        return real(**(solve_instead or seen[-1]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "linprog", spy)
+        result = solve_dc_opf(case)
+    (lp,) = seen
+    return lp, result
+
+
+def result_bits(result):
+    """Every field of a DispatchResult, floats as their IEEE bytes."""
+    return (
+        result.gen_output.tobytes(),
+        result.flows.tobytes(),
+        tuple(result.lmp),
+        np.array(list(result.lmp.values())).tobytes(),
+        np.float64(result.objective).tobytes(),
+        result.binding_lines,
+    )
+
+
+def assert_pinned_to_reference(case, monkeypatch):
+    expected = reference_lp(case)
+    lp, result = solve_recording_lp(case, monkeypatch)
+    assert lp.keys() == expected.keys()
+    for key, want in expected.items():
+        if isinstance(want, np.ndarray):
+            assert isinstance(lp[key], np.ndarray) and np.array_equal(lp[key], want), key
+        else:
+            assert not isinstance(lp[key], np.ndarray) and lp[key] == want, key
+    _, on_reference = solve_recording_lp(case, monkeypatch, solve_instead=expected)
+    assert result_bits(result) == result_bits(on_reference)
+
+
+@st.composite
+def markets(draw):
+    """A random feasible market on a random network, with flow limits on some branches.
+
+    Most buses carry a load; generators (p_min = 0, some sharing a bus) have
+    1.2 to 3 times the demand in capacity. Each limited branch gets 1.05 to
+    1.5 times its flow under proportional dispatch, every unit at the same
+    share of its capacity: that dispatch stays feasible, while the
+    least-cost one may congest the line.
+    """
+    net, _ = draw(networks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nb = len(net.buses)
+    demand = np.where(rng.random(nb) < 0.7, rng.uniform(1.0, 100.0, nb), 0.0)
+    at = rng.integers(nb, size=rng.integers(1, nb + 2))
+    capacity = rng.uniform(0.5, 1.5, len(at))
+    capacity *= rng.uniform(1.2, 3.0) * max(demand.sum(), 1.0) / capacity.sum()
+
+    injection = -demand
+    np.add.at(injection, at, capacity * demand.sum() / capacity.sum())
+    index = {bus: k for k, bus in enumerate(net.buses)}
+    incidence = np.zeros((len(net.branches), nb))
+    for i, br in enumerate(net.branches):
+        incidence[i, [index[br.from_bus], index[br.to_bus]]] = 1.0, -1.0
+    susceptance = np.array([net.base_mva / br.x_pu for br in net.branches])
+    laplacian = (incidence.T * susceptance) @ incidence
+    theta = np.zeros(nb)
+    free = [k for k, bus in enumerate(net.buses) if bus != net.slack]
+    theta[free] = np.linalg.solve(laplacian[np.ix_(free, free)], injection[free])
+    flows = susceptance * (incidence @ theta)
+    branches = tuple(
+        Branch(br.from_bus, br.to_bus, br.x_pu, max(1.0, abs(flow) * rng.uniform(1.05, 1.5)))
+        if rng.random() < 0.5
+        else br
+        for br, flow in zip(net.branches, flows)
+    )
+    return DispatchCase(
+        network=NetworkModel(buses=net.buses, branches=branches, slack=net.slack),
+        generators=tuple(
+            Generator(bus=net.buses[k], price=float(p), p_max=float(c))
+            for k, p, c in zip(at, rng.uniform(5.0, 50.0, len(at)), capacity)
+        ),
+        loads=tuple(Load(bus=bus, mw=float(d)) for bus, d in zip(net.buses, demand) if d > 0),
+    )
+
+
+@pytest.mark.parametrize("network", ["network.json", "network_limit34.json"])
+def test_lp_matches_the_per_bus_assembly_on_the_5_bus_case(network, monkeypatch):
+    net = caseio.parse_network(CASES_5BUS / network)
+    assert_pinned_to_reference(caseio.parse_market(CASES_5BUS / "market.json", net), monkeypatch)
+
+
+@MARKET_SETTINGS
+@given(markets())
+def test_lp_matches_the_per_bus_assembly_on_random_networks(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_pinned_to_reference(case, monkeypatch)
+
+
+def test_lmps_are_subgradients_of_the_optimal_cost():
+    """C(d + eps e_k) - C(d) >= eps lmp_k >= C(d) - C(d - eps e_k), at every bus k.
+
+    Both bounds hold at degenerate optima too, where the LMP is one of many
+    subgradients. A side is skipped when its re-solve is infeasible or
+    would make a load negative.
+    """
+    eps, tol = 0.1, 1e-3
+    sides = Counter()
+
+    def cost_with(case, bus, delta):
+        loads = case.load_by_bus()
+        loads[bus] += delta
+        if loads[bus] < 0:
+            return None
+        try:
+            shifted = DispatchCase(
+                network=case.network,
+                generators=case.generators,
+                loads=tuple(Load(bus=b, mw=mw) for b, mw in loads.items()),
+            )
+            return solve_dc_opf(shifted).objective
+        except InfeasibleDispatch:
+            return None
+
+    @MARKET_SETTINGS
+    @given(markets())
+    def check(case):
+        base = solve_dc_opf(case)
+        both = False
+        for bus, lmp in base.lmp.items():
+            up, down = cost_with(case, bus, eps), cost_with(case, bus, -eps)
+            if up is not None:
+                assert up - base.objective >= eps * lmp - tol
+            if down is not None:
+                assert base.objective - down <= eps * lmp + tol
+            sides["checked"] += (up is not None) + (down is not None)
+            sides["skipped"] += (up is None) + (down is None)
+            both |= up is not None and down is not None
+        sides["examples"] += 1
+        sides["both sides at some bus"] += both
+        sides["congested"] += bool(base.binding_lines)
+
+    check()
+    assert sides["both sides at some bus"] > 0.75 * sides["examples"], sides
+    assert sides["skipped"] < 0.25 * sides["checked"], sides
+    assert sides["congested"] > 0, sides

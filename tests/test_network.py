@@ -188,10 +188,11 @@ def test_meter_orientation_flips_sign():
 
 
 def test_branch_index_lookup(net5):
-    assert net5.branch_index(3, 4) == (4, +1)
-    assert net5.branch_index(4, 3) == (4, -1)
+    resolve = net5.branch_resolver()
+    assert resolve(3, 4) == (4, +1)
+    assert resolve(4, 3) == (4, -1)
     with pytest.raises(UnknownBranch):
-        net5.branch_index(1, 5)
+        resolve(1, 5)
 
 
 def test_branch_index_takes_the_first_parallel_branch_either_way():
@@ -200,9 +201,10 @@ def test_branch_index_takes_the_first_parallel_branch_either_way():
         branches=(Branch(2, 1, 0.1), Branch(1, 2, 0.2), Branch(2, 3, 0.1), Branch(2, 3, 0.3)),
         slack=1,
     )
-    assert net.branch_index(1, 2) == (0, -1)
-    assert net.branch_index(2, 1) == (0, +1)
-    assert net.branch_index(2, 3) == (2, +1)
-    assert net.branch_index(3, 2) == (2, -1)
+    resolve = net.branch_resolver()
+    assert resolve(1, 2) == (0, -1)
+    assert resolve(2, 1) == (0, +1)
+    assert resolve(2, 3) == (2, +1)
+    assert resolve(3, 2) == (2, -1)
     with pytest.raises(UnknownBranch, match="no branch joins buses 1 and 3"):
-        net.branch_index(1, 3)
+        resolve(1, 3)
