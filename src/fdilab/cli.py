@@ -14,20 +14,21 @@ import sys
 from pathlib import Path
 
 from . import caseio
-from .attack import random_constrained_attack, targeted_attack
 from .detection import DetectionMethod, DetectorSpec
 from .errors import FdiLabError, InfeasibleError, ParseError, ValidationError
 from .market import solve_dc_opf
-from .network import build_h_matrix
 from .scenario import (
     FileSource,
-    NoAttack,
+    RandomAttackSpec,
     Scenario,
+    TargetedAttackSpec,
     _branch_names,
+    _build_attack_vector,
     _csv,
     _dispatch_lines,
     _dispatch_rows,
     _fmt,
+    _load_model,
     parse_scenario,
     run_monte_carlo,
     run_scenario,
@@ -40,9 +41,7 @@ def _pipeline_scenario(args, detectors) -> Scenario:
         network_path=Path(args.case),
         meters_path=Path(args.meters),
         measurements=FileSource(path=Path(args.measurements)),
-        attack=NoAttack(),
         detectors=detectors,
-        market=None,
     )
 
 
@@ -60,42 +59,29 @@ def _detect_report(args):
     return run_scenario(_pipeline_scenario(args, detectors))
 
 
-def _load_model(args):
-    net = caseio.parse_network(args.case)
-    meters = caseio.parse_meters(args.meters, net)
-    return net, meters, build_h_matrix(net, meters)
+def _random_spec(args) -> RandomAttackSpec:
+    return RandomAttackSpec(tuple(int(i) for i in args.support.split(",")), args.seed, args.magnitude)
 
 
-def _print_attack(atk, H) -> None:
+def _targeted_spec(args) -> TargetedAttackSpec:
+    pins = (pin.split("=", 1) for pin in args.pin)
+    return TargetedAttackSpec(tuple((int(bus), float(shift)) for bus, shift in pins))
+
+
+def _cmd_attack(args) -> int:
+    """Print the attack vector ``args.spec`` reads off argv; write it to ``--out`` if given."""
+    try:
+        spec = args.spec(args)
+    except ValueError as exc:
+        raise ValidationError(f"bad attack arguments, expected {args.expected}: {exc}") from exc
+    _, _, H, _ = _load_model(args.case, args.meters)
+    _, atk = _build_attack_vector(spec, H)
     out = ["[attack vector]", f"  support = {list(atk.support)}"]
     for k, bus in enumerate(H.state_buses):
         out.append(f"  c(bus {bus}) = {_fmt(atk.c[k])} rad")
     for i in range(len(atk.a)):
         out.append(f"  a[{i}] = {_fmt(atk.a[i])} pu")
     sys.stdout.write("\n".join(out) + "\n")
-
-
-def _cmd_attack_random(args) -> int:
-    _, _, H = _load_model(args)
-    support = tuple(int(s) for s in args.support.split(","))
-    atk = random_constrained_attack(H, support, seed=args.seed, magnitude=args.magnitude)
-    _print_attack(atk, H)
-    if args.out:
-        caseio.dump_attack(atk, args.out)
-    return 0
-
-
-def _cmd_attack_targeted(args) -> int:
-    _, _, H = _load_model(args)
-    pinned = {}
-    for spec in args.pin:
-        try:
-            bus_text, value_text = spec.split("=", 1)
-            pinned[H.state_index(int(bus_text))] = float(value_text)
-        except ValueError as exc:
-            raise ValidationError(f"bad --pin '{spec}', expected BUS=SHIFT_RAD") from exc
-    atk = targeted_attack(H, pinned)
-    _print_attack(atk, H)
     if args.out:
         caseio.dump_attack(atk, args.out)
     return 0
@@ -151,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", required=True, help="comma-separated controlled meter indices")
     p.add_argument("--magnitude", type=float, default=0.1, help="norm of the attack vector (pu)")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_attack_random)
+    p.set_defaults(func=_cmd_attack, spec=_random_spec, expected="--support I,J,...")
 
     p = attack_sub.add_parser("targeted", help="attack realizing pinned state shifts")
     _add_model_args(p, measurements=False)
@@ -162,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BUS=SHIFT_RAD",
         help="pin the angle shift at a bus (repeatable)",
     )
-    p.set_defaults(func=_cmd_attack_targeted)
+    p.set_defaults(func=_cmd_attack, spec=_targeted_spec, expected="--pin BUS=SHIFT_RAD")
 
     p = sub.add_parser("opf", help="DC optimal power flow with LMPs")
     p.add_argument("--case", required=True, help="network case file (JSON)")

@@ -17,8 +17,8 @@ information and is excluded from the LNR statistic.
 
 A ``Detector`` is one test made ready for one meter set: its threshold is
 computed once, and it judges a single estimate or a block of them from
-``WlsModel.fit``. ``chi_square_test``, ``lnr_test`` and ``run_detectors``
-all judge through it.
+``WlsModel.fit``. ``chi_square_test``, ``lnr_test``, ``verify_stealth`` and
+the scenario engine all judge through it.
 """
 
 from __future__ import annotations
@@ -192,11 +192,3 @@ def lnr_test(
     """
     return _lnr_detector(confidence, np.diag(omega), res.sigmas**2).report(res)
 
-
-def run_detectors(specs, result: EstimationResult, model: WlsModel) -> tuple[DetectionReport, ...]:
-    """Run each detector spec on one estimate made with ``model``.
-
-    LNR normalizes by the model's diag(Omega), built only when an LNR spec
-    is present and only once per model.
-    """
-    return tuple(Detector.for_model(spec, model).report(result) for spec in specs)

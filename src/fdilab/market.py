@@ -181,11 +181,13 @@ def perceived_case_from_attack(
     """Operator's falsified view of the dispatch case.
 
     ``flows_before``/``flows_after`` are fitted meter readings (per-unit)
-    from the clean and attacked estimates. Each meter's flow delta shifts
-    the apparent net injection of its branch endpoints (+ at the sending
+    from the clean and attacked estimates. Each metered branch's flow delta
+    shifts the apparent net injection of its endpoints (+ at the sending
     bus, - at the receiving bus); bus loads are adjusted by the opposite
     amount so the perceived case reproduces what the operator would
-    redispatch against.
+    redispatch against. A branch counts once, through its first meter:
+    fitted flows are H x_hat, so every meter of one branch reads the same
+    flow, and a reversed duplicate must not shift it twice.
     """
     before = np.asarray(flows_before, dtype=float).reshape(-1)
     after = np.asarray(flows_after, dtype=float).reshape(-1)
@@ -194,7 +196,11 @@ def perceived_case_from_attack(
 
     net = case.network
     delta_inj = dict.fromkeys(net.buses, 0.0)
+    counted = set()
     for meter, d_pu in zip(meters.meters, after - before):
+        if meter.branch in counted:
+            continue
+        counted.add(meter.branch)
         br = net.branches[meter.branch]
         d_mw = meter.orientation * d_pu * net.base_mva  # delta of the from->to flow
         delta_inj[br.from_bus] += d_mw

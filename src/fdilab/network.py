@@ -225,23 +225,22 @@ def build_network(case: dict) -> NetworkModel:
     """Construct a validated NetworkModel from a parsed case record.
 
     Expected keys: buses (list of ids), branches (list of {from, to, x_pu,
-    limit_mw?}), slack, base_mva (optional, default 100).
+    limit_mw?}), slack, base_mva (optional, default 100). A missing key or a
+    value of the wrong type raises the plain KeyError, TypeError or ValueError;
+    ``caseio.parse_network`` makes it a ParseError naming the file.
     """
-    try:
-        buses = tuple(int(b) for b in case["buses"])
-        branches = tuple(
-            Branch(
-                from_bus=int(rec["from"]),
-                to_bus=int(rec["to"]),
-                x_pu=float(rec["x_pu"]),
-                limit_mw=None if rec.get("limit_mw") is None else float(rec["limit_mw"]),
-            )
-            for rec in case["branches"]
+    buses = tuple(int(b) for b in case["buses"])
+    branches = tuple(
+        Branch(
+            from_bus=int(rec["from"]),
+            to_bus=int(rec["to"]),
+            x_pu=float(rec["x_pu"]),
+            limit_mw=None if rec.get("limit_mw") is None else float(rec["limit_mw"]),
         )
-        slack = int(case["slack"])
-        base_mva = float(case.get("base_mva", 100.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed case record: {exc}") from exc
+        for rec in case["branches"]
+    )
+    slack = int(case["slack"])
+    base_mva = float(case.get("base_mva", 100.0))
     return NetworkModel(buses=buses, branches=branches, slack=slack, base_mva=base_mva)
 
 

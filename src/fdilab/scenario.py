@@ -16,14 +16,14 @@ block of trials at a time, and aggregates detection rates.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
-from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec, run_detectors
+from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import DimensionMismatch, FdiLabError, ParseError, ValidationError
 from .estimation import (
     EstimationResult,
@@ -33,7 +33,7 @@ from .estimation import (
     wls_estimate,
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, NetworkModel, build_h_matrix
+from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -105,11 +105,6 @@ class SimulateSource:
 
 
 @dataclass(frozen=True)
-class NoAttack:
-    pass
-
-
-@dataclass(frozen=True)
 class RandomAttackSpec:
     support: tuple[int, ...]
     seed: int
@@ -141,9 +136,7 @@ class Scenario:
     network_path: Path
     meters_path: Path
     measurements: FileSource | SimulateSource
-    attack: NoAttack | RandomAttackSpec | TargetedAttackSpec | GrossErrorSpec = field(
-        default_factory=NoAttack
-    )
+    attack: RandomAttackSpec | TargetedAttackSpec | GrossErrorSpec | None = None
     detectors: tuple[DetectorSpec, ...] = (
         DetectorSpec(DetectionMethod.CHI_SQUARE),
         DetectorSpec(DetectionMethod.LNR),
@@ -170,24 +163,24 @@ def parse_scenario(path) -> Scenario:
         return p if p.is_absolute() else base / p
 
     for key in ("name", "network", "meters", "measurements"):
-        if key not in doc:
-            raise ParseError(path, "top level", f"missing required field '{key}'")
+        caseio._require(doc, key, path, "top level")
 
     meas = doc["measurements"]
     if "file" in meas:
         source = FileSource(path=resolve(meas["file"]))
     elif "simulate" in meas:
         sim = meas["simulate"]
-        if "x_true" not in sim or "seed" not in sim:
-            raise ParseError(path, "measurements.simulate", "needs 'x_true' and 'seed'")
-        source = SimulateSource(x_true=tuple(float(v) for v in sim["x_true"]), seed=int(sim["seed"]))
+        source = SimulateSource(
+            x_true=tuple(float(v) for v in caseio._require(sim, "x_true", path, "measurements.simulate")),
+            seed=int(caseio._require(sim, "seed", path, "measurements.simulate")),
+        )
     else:
         raise ParseError(path, "measurements", "expected 'file' or 'simulate'")
 
     attack_doc = doc.get("attack", {"type": "none"})
     kind = attack_doc.get("type", "none")
     if kind == "none":
-        attack = NoAttack()
+        attack = None
     elif kind == "random":
         attack = RandomAttackSpec(
             support=tuple(int(i) for i in attack_doc["support"]),
@@ -220,13 +213,10 @@ def parse_scenario(path) -> Scenario:
     market = None
     if "market" in doc:
         mk = doc["market"]
-        for key in ("file", "buy_bus", "sell_bus"):
-            if key not in mk:
-                raise ParseError(path, "market", f"missing required field '{key}'")
         market = MarketSpec(
-            market_path=resolve(mk["file"]),
-            buy_bus=int(mk["buy_bus"]),
-            sell_bus=int(mk["sell_bus"]),
+            market_path=resolve(caseio._require(mk, "file", path, "market")),
+            buy_bus=int(caseio._require(mk, "buy_bus", path, "market")),
+            sell_bus=int(caseio._require(mk, "sell_bus", path, "market")),
             quantity_mw=float(mk.get("quantity_mw", 1.0)),
         )
 
@@ -243,9 +233,23 @@ def parse_scenario(path) -> Scenario:
 
 # -- pipeline ------------------------------------------------------------------
 
+def _load_model(
+    network_path, meters_path
+) -> tuple[NetworkModel, MeterConfig, MeasurementMatrix, WeightModel]:
+    """Parse a network and its meters, then build H and the weights: the front of every pipeline."""
+    with _stage("parse"):
+        net = caseio.parse_network(network_path)
+        meters = caseio.parse_meters(meters_path, net)
+    with _stage("model"):
+        return net, meters, build_h_matrix(net, meters), WeightModel(meters.sigmas)
+
+
 def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None, AttackVector | None]:
-    """Return (perturbation added to z, AttackVector echo when a = Hc)."""
-    if isinstance(spec, NoAttack):
+    """Return (perturbation added to z, AttackVector echo when a = Hc); (None, None) without an attack.
+
+    This is the one place where a pinned bus becomes a state column.
+    """
+    if spec is None:
         return None, None
     if isinstance(spec, RandomAttackSpec):
         atk = random_constrained_attack(H, spec.support, seed=spec.seed, magnitude=spec.magnitude)
@@ -281,11 +285,9 @@ class ScenarioReport:
     detections: tuple[DetectionReport, ...]
     attack_vector: AttackVector | None      # stealth attacks only
     gross_error: GrossErrorSpec | None
+    market: MarketSpec | None = None
     market_before: DispatchResult | None = None
     market_after: DispatchResult | None = None
-    buy_bus: int | None = None
-    sell_bus: int | None = None
-    quantity_mw: float | None = None
     profit_per_h: float | None = None
 
     def csv_rows(self) -> list[tuple[str, str, str, str]]:
@@ -377,23 +379,17 @@ class ScenarioReport:
             out += _dispatch_lines(result, self.branch_names)
         if self.profit_per_h is not None:
             out.append(
-                f"[profit] buy bus {self.buy_bus} before, sell bus {self.sell_bus} after, "
-                f"{_fmt(self.quantity_mw)} MW -> {_fmt(self.profit_per_h)} $/h"
+                f"[profit] buy bus {self.market.buy_bus} before, sell bus {self.market.sell_bus} after, "
+                f"{_fmt(self.market.quantity_mw)} MW -> {_fmt(self.profit_per_h)} $/h"
             )
         return "\n".join(out) + "\n"
 
 
 def run_scenario(scn: Scenario) -> ScenarioReport:
     """Execute the full pipeline for one scenario."""
+    net, meters, H, weights = _load_model(scn.network_path, scn.meters_path)
     with _stage("parse"):
-        net = caseio.parse_network(scn.network_path)
-        meters = caseio.parse_meters(scn.meters_path, net)
-        market_case = (
-            caseio.parse_market(scn.market.market_path, net) if scn.market is not None else None
-        )
-    with _stage("model"):
-        H = build_h_matrix(net, meters)
-        weights = WeightModel(meters.sigmas)
+        market_case = caseio.parse_market(scn.market.market_path, net) if scn.market is not None else None
     with _stage("measurements"):
         if isinstance(scn.measurements, FileSource):
             z = caseio.parse_measurements(scn.measurements.path, expected_count=H.m)
@@ -407,29 +403,19 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
         observed = wls_estimate(H, z_observed, weights)
         clean = wls_estimate(H, z, weights) if perturbation is not None else None
     with _stage("detect"):
-        detections = run_detectors(scn.detectors, observed, WlsModel.of(H, weights))
-    del H, weights  # and with H its model, gain factor and diag(Omega): the market needs none
+        model = WlsModel.of(H, weights)
+        detections = tuple(Detector.for_model(spec, model).report(observed) for spec in scn.detectors)
+    del H, weights, model  # the model's gain factor and diag(Omega) too: the market needs none
 
-    market_before = market_after = None
-    profit = None
+    market_before = market_after = profit = None
     if scn.market is not None:
         with _stage("market"):
-            market_before = solve_dc_opf(market_case)
+            market_before = market_after = solve_dc_opf(market_case)
             if perturbation is not None:
-                fitted_before = clean.fitted
-                perceived = perceived_case_from_attack(
-                    market_case, meters, fitted_before, observed.fitted
-                )
+                perceived = perceived_case_from_attack(market_case, meters, clean.fitted, observed.fitted)
                 market_after = solve_dc_opf(perceived)
-            else:
-                market_after = market_before
-            profit = arbitrage_profit(
-                market_before,
-                market_after,
-                scn.market.buy_bus,
-                scn.market.sell_bus,
-                scn.market.quantity_mw,
-            )
+            mk = scn.market
+            profit = arbitrage_profit(market_before, market_after, mk.buy_bus, mk.sell_bus, mk.quantity_mw)
 
     return ScenarioReport(
         name=scn.name,
@@ -441,11 +427,9 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
         detections=detections,
         attack_vector=atk,
         gross_error=scn.attack if isinstance(scn.attack, GrossErrorSpec) else None,
+        market=scn.market,
         market_before=market_before,
         market_after=market_after,
-        buy_bus=scn.market.buy_bus if scn.market else None,
-        sell_bus=scn.market.sell_bus if scn.market else None,
-        quantity_mw=scn.market.quantity_mw if scn.market else None,
         profit_per_h=profit,
     )
 
@@ -522,13 +506,10 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     if not isinstance(scn.measurements, SimulateSource):
         raise ValidationError("monte carlo needs a scenario with simulated measurements")
 
-    with _stage("parse"):
-        net = caseio.parse_network(scn.network_path)
-        meters = caseio.parse_meters(scn.meters_path, net)
+    _, _, H, weights = _load_model(scn.network_path, scn.meters_path)
     with _stage("model"):
-        H = build_h_matrix(net, meters)
         # factor the gain, and work out diag(Omega) when an LNR detector needs it, in this stage
-        model = WlsModel.of(H, WeightModel(meters.sigmas))
+        model = WlsModel.of(H, weights)
         model.factor
         if any(spec.method is DetectionMethod.LNR for spec in scn.detectors):
             model.omega_diagonal

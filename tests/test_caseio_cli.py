@@ -325,6 +325,24 @@ def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [("random", "--support", "a,1"), ("targeted", "--pin", "3=abc")],
+    ids=["support a", "pin abc"],
+)
+def test_cli_malformed_attack_argument_exits_2(capsys, kind, flag, value):
+    code, out, err = run_cli(
+        capsys,
+        "attack", kind,
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        flag, value,
+    )
+    assert code == 2
+    assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_cli_targeted_non_finite_pin_exits_2(capsys):
     code, out, err = run_cli(
         capsys,
@@ -355,6 +373,8 @@ MALFORMED = {
     "sigma tiny": ("meters.json", lambda d: d["meters"][0].update(sigma="tiny")),
     "branch a": ("meters.json", lambda d: d["meters"][0].update(branch=["a", 2])),
     "values a": ("measurements.json", lambda d: d.update(values_pu=["a", *d["values_pu"][1:]])),
+    "network bus x": ("network_limit34.json", lambda d: d.update(buses=["x", *d["buses"][1:]])),
+    "branch x_pu abc": ("network_limit34.json", lambda d: d["branches"][0].update(x_pu="abc")),
 }
 
 

@@ -11,13 +11,13 @@ import pytest
 import fdilab
 from fdilab.detection import (
     DetectionMethod,
+    Detector,
     DetectorSpec,
     chi_square_quantile,
     chi_square_test,
     gaussian_quantile,
     lnr_test,
     residual_covariance,
-    run_detectors,
 )
 from fdilab.errors import (
     AllMetersCritical,
@@ -292,10 +292,10 @@ def test_chi_square_dimensions_must_match_result(h5, z5, w5):
 def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
     model = WlsModel(h5, w5)
     res = model.estimate(z5)
-    (chi,) = run_detectors([DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95)], res, model)
+    chi = Detector.for_model(DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95), model).report(res)
     assert "omega_diagonal" not in vars(model)
     assert chi == chi_square_test(res, 6, 4, 0.95)
-    both = run_detectors([DetectorSpec(m) for m in DetectionMethod], res, model)
+    both = [Detector.for_model(DetectorSpec(m), model).report(res) for m in DetectionMethod]
     # only the diagonal is built, by another route than the full Omega, so the
     # statistic agrees with lnr_test to round-off
     reference = lnr_test(res, residual_covariance(h5, w5))

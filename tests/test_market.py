@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import CASES_5BUS
 from fdilab import caseio
 from fdilab.attack import targeted_attack
 from fdilab.errors import InfeasibleDispatch, UnknownBus, ValidationError
-from fdilab.estimation import wls_estimate
+from fdilab.estimation import WeightModel, wls_estimate
 from fdilab.market import (
     DispatchCase,
     Generator,
@@ -19,7 +20,7 @@ from fdilab.market import (
     perceived_case_from_attack,
     solve_dc_opf,
 )
-from fdilab.network import Branch, NetworkModel
+from fdilab.network import Branch, MeterConfig, NetworkModel, build_h_matrix
 from test_observability import networks
 
 MARKET_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -147,6 +148,23 @@ def test_single_branch_delta_moves_injections(market5, meters5):
     for bus in (1, 2, 5):
         assert loads1[bus] == pytest.approx(loads0[bus], abs=1e-9)
     assert sum(loads1.values()) == pytest.approx(sum(loads0.values()), abs=1e-9)
+
+
+def test_reversed_duplicate_meter_leaves_perceived_loads_unchanged(net5_limited, meters5, z5):
+    # the profit attack, read once through the shipped meters and once with a
+    # second meter on branch 3-4 that reads it in the reverse direction
+    market = caseio.parse_market(CASES_5BUS / "market.json", net5_limited)
+    reversed_34 = dataclasses.replace(meters5.meters[4], orientation=-1)
+    meters = MeterConfig(meters=(*meters5.meters, reversed_34))
+    perceived = []
+    for config, z in ((meters5, z5), (meters, np.append(z5, -z5[4]))):
+        H, w = build_h_matrix(net5_limited, config), WeightModel(config.sigmas)
+        atk = targeted_attack(H, {H.state_index(3): 0.03})
+        clean, attacked = wls_estimate(H, z, w), wls_estimate(H, z + atk.a, w)
+        perceived.append(perceived_case_from_attack(market, config, clean.fitted, attacked.fitted).load_by_bus())
+    single, duplicated = perceived
+    assert (single[3], single[4]) == pytest.approx((80.0, 100.0), abs=1e-9)
+    assert duplicated == pytest.approx(single, abs=1e-9)
 
 
 def test_profit_scenario_congestion(net5_limited, meters5, h5, z5, w5):

@@ -15,7 +15,6 @@ from fdilab.network import build_h_matrix
 from fdilab.scenario import (
     DetectorSpec,
     GrossErrorSpec,
-    NoAttack,
     RandomAttackSpec,
     Scenario,
     SimulateSource,
@@ -27,7 +26,7 @@ from fdilab.scenario import (
 BOTH = (DetectorSpec(DetectionMethod.CHI_SQUARE), DetectorSpec(DetectionMethod.LNR))
 
 
-def simulated_scenario(attack=NoAttack(), seed=1):
+def simulated_scenario(attack=None, seed=1):
     return Scenario(
         name="synthetic",
         network_path=CASES_5BUS / "network.json",
@@ -206,14 +205,14 @@ STEALTH = RandomAttackSpec(support=(0, 2, 3), seed=7, magnitude=0.1)
 @pytest.mark.parametrize(
     "attack, detectors, block_trials",
     [
-        (NoAttack(), BOTH, None),
+        (None, BOTH, None),
         (GrossErrorSpec(meter=2, magnitude_pu=0.05), BOTH, None),
         (GrossErrorSpec(meter=4, magnitude_pu=0.5), BOTH, None),   # tied with meters 0 and 1
         (GrossErrorSpec(meter=3, magnitude_pu=0.05), BOTH, None),  # tied with meter 5, often missed
         (STEALTH, BOTH, None),
         (GrossErrorSpec(meter=2, magnitude_pu=0.05), CHI_ONLY, None),
         (GrossErrorSpec(meter=0, magnitude_pu=0.04), BOTH, 7),     # 300 trials in 43 blocks
-        (NoAttack(), BOTH, 64),
+        (None, BOTH, 64),
     ],
     ids=["clean", "gross", "gross-tied", "gross-tied-weak", "stealth", "chi-only", "blocks-of-7", "blocks-of-64"],
 )
