@@ -19,6 +19,9 @@ A ``Detector`` is one test made ready for one meter set: its threshold is
 computed once, and it judges a single estimate or a block of them from
 ``WlsModel.fit``. ``chi_square_test``, ``lnr_test``, ``verify_stealth`` and
 the scenario engine all judge through it.
+
+``scipy.special`` is imported by the first threshold
+(``chi_square_quantile`` or ``gaussian_quantile``), not by ``import fdilab``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .errors import AllMetersCritical, DegenerateFreedom, DimensionMismatch, ValidationError
 from .estimation import EstimationResult, WlsModel
@@ -65,6 +67,8 @@ class DetectorSpec:
 
 def chi_square_quantile(p: float, nu: int) -> float:
     """x such that the chi-square(nu) CDF at x equals p."""
+    from scipy import special
+
     _check_probability(p)
     if nu < 1:
         raise ValidationError(f"degrees of freedom {nu} must be >= 1")
@@ -73,6 +77,8 @@ def chi_square_quantile(p: float, nu: int) -> float:
 
 def gaussian_quantile(p: float) -> float:
     """Standard normal inverse CDF."""
+    from scipy import special
+
     _check_probability(p)
     return float(special.ndtri(p))
 

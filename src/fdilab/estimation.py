@@ -10,6 +10,10 @@ r = z - H x_hat. ``WlsModel`` holds one (H, sigmas) pair and factors its
 gain once for every estimate and Omega made from it; it estimates one z
 or a block of them with one solve. ``wls_estimate`` estimates through
 ``WlsModel.of``, the one model of a MeasurementMatrix and a WeightModel.
+
+``scipy.linalg`` is imported by the model's first factorisation, solve or
+diag(Omega), not by ``import fdilab``: building H and weights, and
+synthesizing an attack, need numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SingularGainMatrix, ValidationError
 from .network import MeasurementMatrix, _read_only
@@ -103,6 +106,8 @@ class WlsModel:
     @cached_property
     def factor(self):
         """Cholesky factor of H' R^-1 H; SingularGainMatrix when it is not invertible."""
+        import scipy.linalg
+
         Hw = self.H / self.sigmas[:, None]  # R^-1/2 H; fit forms it again by the same expression
         gain = Hw.T @ Hw
         try:
@@ -112,6 +117,8 @@ class WlsModel:
 
     def solve(self, rhs) -> np.ndarray:
         """(H' R^-1 H)^-1 rhs."""
+        import scipy.linalg
+
         return scipy.linalg.cho_solve(self.factor, rhs)
 
     def estimate(self, z) -> EstimationResult:
@@ -166,6 +173,8 @@ class WlsModel:
         column pairs of its nonzeros: g_aa, g_bb and g_ab for a branch-flow
         row on columns a < b. G^-1 is dropped; the m x m Omega is never formed.
         """
+        import scipy.linalg
+
         factor, lower = self.factor
         inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=False)
         rows, cols = np.nonzero(self.H)  # row-major, so each row's columns ascend

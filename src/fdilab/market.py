@@ -73,10 +73,15 @@ class DispatchCase:
             if l.bus not in buses:
                 raise UnknownBus(f"load references unknown bus {l.bus}")
         total_cap = sum(g.p_max for g in self.generators)
+        total_min = sum(g.p_min for g in self.generators)
         total_demand = sum(l.mw for l in self.loads)
         if total_cap < total_demand:
             raise InfeasibleDispatch(
                 f"total capacity {total_cap} MW < total demand {total_demand} MW"
+            )
+        if total_min > total_demand:
+            raise InfeasibleDispatch(
+                f"total minimum output {total_min} MW > total demand {total_demand} MW"
             )
 
     def load_by_bus(self) -> dict[BusId, float]:

@@ -255,7 +255,12 @@ def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None,
         atk = random_constrained_attack(H, spec.support, seed=spec.seed, magnitude=spec.magnitude)
         return atk.a, atk
     if isinstance(spec, TargetedAttackSpec):
-        pinned = {H.state_index(bus): shift for bus, shift in spec.pinned}
+        pinned = {}
+        for bus, shift in spec.pinned:
+            column = H.state_index(bus)
+            if column in pinned:
+                raise ValidationError(f"bus {bus} is pinned more than once")
+            pinned[column] = shift
         atk = targeted_attack(H, pinned)
         return atk.a, atk
     if isinstance(spec, GrossErrorSpec):

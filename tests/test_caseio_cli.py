@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import CASES_5BUS
 from fdilab import caseio
@@ -213,6 +214,27 @@ def test_cli_infeasible_exits_4(capsys, tmp_path):
     assert "InfeasibleDispatch" in err
 
 
+def test_cli_minimum_output_above_demand_exits_4_before_any_lp(capsys, tmp_path, monkeypatch):
+    solves = []
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: solves.append(a) or linprog(*a, **k))
+    market = _write(
+        tmp_path / "market.json",
+        {
+            "generators": [
+                {"bus": 1, "price": 10.0, "pmax": 250.0, "pmin": 80.0},
+                {"bus": 3, "price": 15.0, "pmax": 300.0, "pmin": 40.0},
+            ],
+            "loads": [{"bus": 2, "mw": 60.0}, {"bus": 4, "mw": 50.0}],
+        },
+    )
+    code, out, err = run_cli(capsys, "opf", "--case", CASES_5BUS / "network.json", "--market", market)
+    assert code == 4
+    assert "InfeasibleDispatch: total minimum output 120.0 MW > total demand 110.0 MW" in err
+    assert out == ""
+    assert solves == []
+
+
 def _write(path, doc):
     path.write_text(json.dumps(doc))
     return path
@@ -354,6 +376,20 @@ def test_cli_targeted_non_finite_pin_exits_2(capsys):
     assert code == 2
     assert "ValidationError" in err
     assert "nan" not in out
+
+
+def test_cli_targeted_repeated_pin_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "attack", "targeted",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--pin", "3=0.1",
+        "--pin", "3=0.2",
+    )
+    assert code == 2
+    assert err == "error: ValidationError: bus 3 is pinned more than once\n"
+    assert out == ""
 
 
 # -- malformed values ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from fdilab.attack import _null_space, attack_from_c, random_constrained_attack,
 from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
-from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, _unreached, build_h_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -226,3 +226,18 @@ def test_omega_diagonal_from_the_inverse_gain_matches_the_full_omega(case, seed)
     assert np.sum(model.omega_diagonal / sigmas**2) == pytest.approx(m - n, rel=1e-9, abs=1e-9)
     projector = full / sigmas**2
     np.testing.assert_allclose(projector @ projector, projector, rtol=0, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_critical_meters_are_those_whose_removal_cuts_a_bus_off_the_slack(case, seed):
+    # Clements, Krumpholz and Davis (1981): a meter is critical exactly when it
+    # is a bridge of the meter multigraph, reversed duplicates counted as parallel edges
+    net, meters = case
+    H = build_or_none(net, meters)
+    assume(H is not None)
+    sigmas = np.random.default_rng(seed).uniform(0.005, 0.05, H.m)
+    critical = WlsModel(H, WeightModel(sigmas)).omega_diagonal < CRITICALITY_FLOOR * sigmas**2
+    metered = [net.branches[meter.branch] for meter in meters.meters]
+    cut_off = [bool(_unreached(net, metered[:i] + metered[i + 1 :])) for i in range(H.m)]
+    assert critical.tolist() == cut_off

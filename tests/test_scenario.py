@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import CASES_5BUS, TABLE_XHAT
-from fdilab import caseio, detection, estimation, scenario
+from fdilab import caseio, detection, scenario
 from fdilab.attack import random_constrained_attack
 from fdilab.detection import DetectionMethod, chi_square_test, lnr_test, residual_covariance
 from fdilab.errors import DimensionMismatch, ValidationError
@@ -280,15 +281,19 @@ def test_monte_carlo_computes_each_threshold_once(monkeypatch):
 
 @pytest.fixture
 def factorisations(monkeypatch):
-    """The shape of each gain Cholesky-factored through fdilab.estimation, in call order."""
+    """The shape of each gain Cholesky-factored through fdilab.estimation, in call order.
+
+    The model imports scipy.linalg at its first factorisation and looks
+    cho_factor up on it at each call, so the patch goes on the module itself.
+    """
     calls = []
-    original = estimation.scipy.linalg.cho_factor
+    original = scipy.linalg.cho_factor
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(estimation.scipy.linalg, "cho_factor", counting)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
     return calls
 
 
