@@ -38,6 +38,7 @@ import numpy as np
 from .detection import DetectionMethod, Detector, DetectorSpec
 from .errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from .estimation import WlsModel, _h_values
+from .network import _components, _flow_edges
 
 # |a_i| at or below this is treated as structurally zero when computing support.
 SUPPORT_ZERO_THRESHOLD = 1e-12
@@ -99,12 +100,10 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
         )
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(16):
-        c = basis @ rng.standard_normal(basis.shape[1])
-        norm_a = np.linalg.norm(Hv @ c)
-        if norm_a > 1e-12:
-            break
-    else:  # pragma: no cover - probability zero with a continuous draw
+    # One draw decides: H B g vanishes for every g when H B = 0, and for almost no g otherwise.
+    c = basis @ rng.standard_normal(basis.shape[1])
+    norm_a = np.linalg.norm(Hv @ c)
+    if norm_a <= 1e-12:
         raise InfeasibleSupport("random draws produced only degenerate attacks")
     scale = magnitude / norm_a
     atk = _finalize(Hv, c * scale)
@@ -115,51 +114,12 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
 
 
 def _null_space(Hv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {c : H[rows] c = 0}, read off the meter graph.
-
-    ``rows`` is a boolean mask over the rows of H. Each selected row must
-    be a branch-flow row: two nonzeros of opposite value join their two
-    state columns, one nonzero joins its column to the slack, and an
-    all-zero row constrains nothing. The basis has one column per
-    component of that graph without the slack, ordered by the component's
-    lowest state index: its indicator vector scaled to unit norm.
-    """
+    """Orthonormal basis of {c : H[rows] c = 0}, read off the meter graph of the branch-flow
+    ``rows`` (``network._flow_edges``): for each component without the slack, in the order of
+    its lowest state index, its indicator vector scaled to unit norm."""
     n = Hv.shape[1]
-    row, col = np.nonzero(Hv)  # row-major: the entries of one row are adjacent
-    keep = rows[row]
-    row, col = row[keep], col[keep]
-    count = np.bincount(row, minlength=Hv.shape[0])
-    if count.max(initial=0) > 2:
-        worst = int(np.argmax(count))
-        raise ValidationError(
-            f"row {worst} of H has {count[worst]} nonzeros; a branch-flow meter reads at most two states"
-        )
-    pair = np.flatnonzero(row[1:] == row[:-1])  # first entry of each two-entry row
-    first, second = Hv[row[pair], col[pair]], Hv[row[pair], col[pair + 1]]
-    if (first != -second).any():
-        bad = int(row[pair[np.argmax(first != -second)]])
-        raise ValidationError(
-            f"row {bad} of H is not a branch flow: its two nonzeros {Hv[bad][Hv[bad] != 0].tolist()} "
-            "are not opposite"
-        )
-
-    parent = list(range(n + 1))  # node n is the slack
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    grounded = col[count[row] == 1]
-    left = np.concatenate((col[pair], grounded)).tolist()
-    right = np.concatenate((col[pair + 1], np.full(len(grounded), n))).tolist()
-    for i, j in zip(left, right):
-        ri, rj = find(i), find(j)
-        if ri != rj:  # the lower index becomes the root, so a root is its component's minimum
-            parent[max(ri, rj)] = min(ri, rj)
-    label = np.array([find(i) for i in range(n)])
-    free = np.flatnonzero(label != find(n))
+    label = np.array(_components(n + 1, _flow_edges(Hv, rows)))
+    free = np.flatnonzero(label[:n] != label[n])
     roots = free[label[free] == free]
     column = np.searchsorted(roots, label[free])
     basis = np.zeros((n, len(roots)))

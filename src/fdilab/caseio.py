@@ -32,7 +32,8 @@ from .network import Meter, MeterConfig, NetworkModel, build_network
 
 
 def load_json(path) -> dict:
-    """Read a JSON document; NaN, Infinity and overflowing numbers are ParseErrors."""
+    """Read a JSON document; NaN, Infinity, overflowing numbers and a key repeated
+    in one object are ParseErrors."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -47,8 +48,15 @@ def load_json(path) -> dict:
             raise ParseError(path, "-", f"non-finite number {token}")
         return value
 
+    def unique(pairs: list) -> dict:
+        record = dict(pairs)
+        if len(record) < len(pairs):
+            repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+            raise ParseError(path, "-", f"duplicate key '{repeated}'")
+        return record
+
     try:
-        return json.loads(text, parse_float=finite, parse_constant=finite)
+        return json.loads(text, parse_float=finite, parse_constant=finite, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
 

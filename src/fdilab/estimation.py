@@ -37,9 +37,7 @@ class WeightModel:
         sig = np.atleast_1d(_read_only(self.sigmas))
         if sig.ndim != 1:
             raise ValidationError("sigmas must be a 1-D vector")
-        if not np.all(np.isfinite(sig)) or np.any(sig <= 0):
-            raise ValidationError("all sigmas must be finite and > 0")
-        object.__setattr__(self, "sigmas", sig)
+        object.__setattr__(self, "sigmas", _sigma_values(sig, len(sig)))
 
     def __len__(self) -> int:
         return len(self.sigmas)
@@ -66,10 +64,8 @@ def _sigma_values(w, m: int, allow_zero: bool = False) -> np.ndarray:
     sig = w.sigmas if isinstance(w, WeightModel) else np.atleast_1d(np.asarray(w, dtype=float))
     if sig.shape != (m,):
         raise DimensionMismatch(f"expected {m} sigmas, got shape {sig.shape}")
-    if not allow_zero and np.any(sig <= 0):
-        raise ValidationError("all sigmas must be > 0")
-    if np.any(sig < 0):
-        raise ValidationError("sigmas must be >= 0")
+    if not (np.all(np.isfinite(sig)) and np.all(sig >= 0 if allow_zero else sig > 0)):
+        raise ValidationError(f"all sigmas must be finite and {'>=' if allow_zero else '>'} 0")
     return sig
 
 

@@ -8,15 +8,15 @@ of b buses has n = b - 1 state variables.
 ``build_h_matrix`` assembles the m x n measurement matrix H that maps the
 state vector onto the m metered branch flows, z = H x + e. Whether H has
 full column rank is a property of the metered graph alone (Krumpholz,
-Clements and Davis, 1980), so one walk from the slack decides both the
-connectivity of the network and the observability of a meter placement.
+Clements and Davis, 1980), so one component walk decides the connectivity
+of the network, the observability of a placement and the attack null space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,28 +71,29 @@ class NetworkModel:
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "branches", tuple(self.branches))
-        seen = set()
+        node: dict[BusId, int] = {}  # each bus's node in the graph walk
         for b in self.buses:
             if not isinstance(b, int) or b <= 0:
                 raise ValidationError(f"bus id {b!r} must be a positive integer")
-            if b in seen:
+            if b in node:
                 raise DuplicateBus(f"bus id {b} appears more than once")
-            seen.add(b)
-        if self.slack not in seen:
+            node[b] = len(node)
+        if self.slack not in node:
             raise ValidationError(f"slack bus {self.slack} is not in the bus list")
         if not self.base_mva > 0:
             raise ValidationError(f"base_mva {self.base_mva} must be > 0")
-        for br in self.branches:
-            for end in (br.from_bus, br.to_bus):
-                if end not in seen:
-                    raise ValidationError(
-                        f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}"
-                    )
-        self._check_connected()
+        try:
+            edges = [(node[br.from_bus], node[br.to_bus]) for br in self.branches]
+        except KeyError as exc:
+            bus = exc.args[0]  # the first branch with this bus is the one that raised
+            br = next(br for br in self.branches if bus in (br.from_bus, br.to_bus))
+            raise ValidationError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {bus}") from None
+        self._check_connected(node, edges)
 
-    def _check_connected(self):
-        missing = _unreached(self, self.branches)
-        if missing:
+    def _check_connected(self, node: dict[BusId, int], edges: list[tuple[int, int]]):
+        label = _components(len(node), edges)
+        if any(label):  # not every node is in node 0's component
+            missing = sorted(b for b, k in zip(node, label) if k != label[node[self.slack]])
             raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {self.slack}")
 
     @property
@@ -131,20 +132,24 @@ def _pair(a: BusId, b: BusId) -> tuple[BusId, BusId]:
     return (a, b) if a <= b else (b, a)
 
 
-def _unreached(net: NetworkModel, branches) -> list[BusId]:
-    """Buses of ``net`` that no path over ``branches`` joins to the slack, sorted."""
-    adjacency: dict[BusId, list[BusId]] = {b: [] for b in net.buses}
-    for br in branches:
-        adjacency[br.from_bus].append(br.to_bus)
-        adjacency[br.to_bus].append(br.from_bus)
-    reached = {net.slack}
-    stack = [net.slack]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    return sorted(set(net.buses) - reached)
+def _components(size: int, edges) -> list[int]:
+    """Label each node 0..size-1 of the graph of ``edges``, (i, j) node pairs,
+    with the lowest node of its component: a walk from each unlabelled node in turn."""
+    adjacency: list[list[int]] = [[] for _ in range(size)]
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    label = [-1] * size
+    for root in range(size):
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            for node in stack:  # grows as the walk reaches new nodes
+                for nxt in adjacency[node]:
+                    if label[nxt] < 0:
+                        label[nxt] = root
+                        stack.append(nxt)
+    return label
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,22 +261,52 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     and fails where its gain is factored, as SingularGainMatrix.
     """
     state = net.state_buses
-    col = {b: k for k, b in enumerate(state)}
-    H = np.zeros((len(meters), len(state)))
+    n = len(state)
+    col = {b: k for k, b in enumerate((*state, net.slack))}  # the slack, node n, has no column of H
+    H = np.zeros((len(meters), n))
+    edges = []
     for row, meter in enumerate(meters.meters):
         if not 0 <= meter.branch < len(net.branches):
             raise UnknownBranch(f"meter {row} references branch index {meter.branch}")
         br = net.branches[meter.branch]
         w = meter.orientation / br.x_pu
-        if br.from_bus != net.slack:
-            H[row, col[br.from_bus]] += w
-        if br.to_bus != net.slack:
-            H[row, col[br.to_bus]] -= w
+        i, j = col[br.from_bus], col[br.to_bus]
+        if i < n:
+            H[row, i] += w
+        if j < n:
+            H[row, j] -= w
+        edges.append((i, j))
     H.flags.writeable = False  # handed over to the MeasurementMatrix without a copy
-    unobserved = _unreached(net, (net.branches[m.branch] for m in meters.meters))
-    if unobserved:
+    label = _components(n + 1, edges)
+    if any(label):  # not every node is in column 0's component
+        unobserved = sorted(state[k] for k in range(n) if label[k] != label[n])
         raise UnobservableConfiguration(
-            f"rank(H) < {len(state)}: buses {unobserved} are not joined to slack bus "
+            f"rank(H) < {n}: buses {unobserved} are not joined to slack bus "
             f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
     return MeasurementMatrix(values=H, state_buses=state)
+
+
+def _flow_edges(Hv: np.ndarray, rows: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The meter graph of the rows of H that the boolean mask ``rows`` selects, node n
+    being the slack: a row's two opposite nonzeros join their columns, a lone one joins
+    its column to the slack, and an all-zero row adds no edge. Other rows are errors."""
+    row, col = np.nonzero(Hv)  # row-major: the entries of one row are adjacent
+    keep = rows[row]
+    row, col = row[keep], col[keep]
+    count = np.bincount(row, minlength=Hv.shape[0])
+    if count.max(initial=0) > 2:
+        worst = int(np.argmax(count))
+        raise ValidationError(
+            f"row {worst} of H has {count[worst]} nonzeros; a branch-flow meter reads at most two states"
+        )
+    pair = np.flatnonzero(row[1:] == row[:-1])  # first entry of each two-entry row
+    first, second = Hv[row[pair], col[pair]], Hv[row[pair], col[pair + 1]]
+    if (first != -second).any():
+        bad = int(row[pair[np.argmax(first != -second)]])
+        raise ValidationError(
+            f"row {bad} of H is not a branch flow: its two nonzeros {Hv[bad][Hv[bad] != 0].tolist()} "
+            "are not opposite"
+        )
+    grounded = col[count[row] == 1].tolist()
+    return zip(col[pair].tolist() + grounded, col[pair + 1].tolist() + [Hv.shape[1]] * len(grounded))

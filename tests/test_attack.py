@@ -89,6 +89,18 @@ def test_null_space_is_exact_whatever_the_reactances():
         assert np.linalg.norm(atk.a) == pytest.approx(0.1, rel=1e-12)
 
 
+def test_degenerate_draw_is_decided_by_one_draw():
+    # meters 1 and 2 ground state 0, so the null space is e_1, a column H never
+    # reads: every draw gives a = 0
+    H = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    rng = np.random.default_rng(3)
+    with pytest.raises(InfeasibleSupport, match="^random draws produced only degenerate attacks$"):
+        random_constrained_attack(H, [0], seed=rng)
+    replay = np.random.default_rng(3)
+    replay.standard_normal(1)
+    assert rng.standard_normal() == replay.standard_normal()
+
+
 @pytest.mark.parametrize(
     "H, message",
     [

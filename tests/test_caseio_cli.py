@@ -298,6 +298,26 @@ def test_load_json_rejects_non_finite_numbers(tmp_path, token):
         caseio.load_json(p)
 
 
+def test_load_json_rejects_a_repeated_key(tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text('{"meters": [{"branch": [1, 2], "sigma": 0.01, "sigma": 0.02}]}')
+    with pytest.raises(ParseError, match=f"^{p}: -: duplicate key 'sigma'$"):
+        caseio.load_json(p)
+
+
+def test_cli_repeated_pinned_key_exits_2(capsys, tmp_path):
+    for source in CASES_5BUS.glob("*.json"):
+        (tmp_path / source.name).write_text(source.read_text())
+    path = tmp_path / "profit.json"
+    text = path.read_text()
+    path.write_text(text.replace('"pinned": {"3": 0.03}', '"pinned": {"3": 0.05, "3": 0.03}'))
+    assert path.read_text() != text
+    code, out, err = run_cli(capsys, "scenario", "run", path)
+    assert code == 2
+    assert err == f"error: ParseError: {path}: -: duplicate key '3'\n"
+    assert out == ""
+
+
 def _scenario_copy(tmp_path, name, edit):
     doc = json.loads((CASES_5BUS / f"{name}.json").read_text())
     edit(doc)

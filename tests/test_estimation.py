@@ -75,6 +75,16 @@ def test_weight_model_validation():
         WeightModel(np.array([0.01, -0.01]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_plain_sigma_rejected(h5, z5, bad):
+    sigmas = np.full(6, 0.01)
+    sigmas[0] = bad
+    with pytest.raises(ValidationError, match="^all sigmas must be finite and > 0$"):
+        wls_estimate(h5, z5, sigmas)
+    with pytest.raises(ValidationError, match="^all sigmas must be finite and >= 0$"):
+        simulate_measurements(h5, np.zeros(4), sigmas, seed=1)
+
+
 def test_simulate_noiseless_limit(h5):
     x = np.array([0.01, -0.02, 0.03, 0.0])
     z = simulate_measurements(h5, x, np.zeros(6), seed=123)

@@ -57,6 +57,25 @@ def test_isolated_bus_rejected():
         build_network(case)
 
 
+def test_cut_off_buses_are_named_sorted_wherever_the_slack_sits():
+    # bus 7 is listed first, so it is the first node of the walk, and it is cut off
+    branches = (Branch(9, 3, 0.1), Branch(3, 1, 0.1), Branch(4, 7, 0.1))
+    with pytest.raises(DisconnectedGraph) as info:
+        NetworkModel(buses=(7, 3, 9, 1, 4), branches=branches, slack=9)
+    assert str(info.value) == "buses [4, 7] are not connected to slack bus 9"
+    net = NetworkModel(buses=(7, 3, 9, 1, 4), branches=(*branches, Branch(1, 4, 0.1)), slack=9)
+    with pytest.raises(UnobservableConfiguration) as info:
+        build_h_matrix(net, MeterConfig((Meter(branch=2), Meter(branch=0), Meter(branch=1))))
+    assert str(info.value) == (
+        "rank(H) < 4: buses [4, 7] are not joined to slack bus 9 by metered branches, "
+        "so the placement does not observe the full state"
+    )
+    for ends, unknown in (((8, 7), 8), ((7, 8), 8), ((5, 8), 5)):
+        with pytest.raises(ValidationError) as info:
+            NetworkModel(buses=(7, 3, 9), branches=(Branch(9, 3, 0.1), Branch(*ends, 0.1)), slack=9)
+        assert str(info.value) == f"branch {ends[0]}-{ends[1]} references unknown bus {unknown}"
+
+
 def test_duplicate_bus_rejected():
     with pytest.raises(DuplicateBus):
         build_network({"buses": [1, 2, 2], "branches": [{"from": 1, "to": 2, "x_pu": 1.0}], "slack": 1})

@@ -23,7 +23,7 @@ from fdilab.attack import _null_space, attack_from_c, random_constrained_attack,
 from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
-from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, _unreached, build_h_matrix
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -238,6 +238,8 @@ def test_critical_meters_are_those_whose_removal_cuts_a_bus_off_the_slack(case, 
     assume(H is not None)
     sigmas = np.random.default_rng(seed).uniform(0.005, 0.05, H.m)
     critical = WlsModel(H, WeightModel(sigmas)).omega_diagonal < CRITICALITY_FLOOR * sigmas**2
+    node = {b: k for k, b in enumerate(net.buses)}
     metered = [net.branches[meter.branch] for meter in meters.meters]
-    cut_off = [bool(_unreached(net, metered[:i] + metered[i + 1 :])) for i in range(H.m)]
+    ends = [(node[br.from_bus], node[br.to_bus]) for br in metered]
+    cut_off = [len(set(_components(len(node), ends[:i] + ends[i + 1 :]))) > 1 for i in range(H.m)]
     assert critical.tolist() == cut_off
