@@ -19,7 +19,7 @@ Construction routes:
   forces c_i = c_j, or c_i = 0 when j is the slack, so c is feasible
   exactly when it is constant on each component of the graph of
   uncontrolled metered branches and zero on the slack's component. The
-  basis is read off that graph, with no factorisation of H.
+  basis is read off that graph as ``build_h_matrix`` records it, not off H.
 * ``targeted_attack``: pin chosen entries of c (e.g. to move a specific
   perceived flow by a chosen amount) and zero-fill the rest, the
   minimum-norm completion.
@@ -31,6 +31,7 @@ and identical detector verdicts before and after the injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,7 +39,7 @@ import numpy as np
 from .detection import DetectionMethod, Detector, DetectorSpec
 from .errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from .estimation import WlsModel, _h_values
-from .network import _components, _flow_edges
+from .network import MeasurementMatrix, _components
 
 # |a_i| at or below this is treated as structurally zero when computing support.
 SUPPORT_ZERO_THRESHOLD = 1e-12
@@ -53,8 +54,12 @@ class AttackVector:
     support: tuple[int, ...]
 
 
-def _finalize(Hv: np.ndarray, c: np.ndarray) -> AttackVector:
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite c or a is an error below, not a warning
+def _finalize(Hv: np.ndarray, c: np.ndarray, scale: float = 1.0) -> AttackVector:
+    c = c * scale
     a = Hv @ c
+    if not (np.isfinite(c).all() and np.isfinite(a).all()):
+        raise ValidationError("state shift c and attack a = Hc must be finite")
     a[np.abs(a) <= SUPPORT_ZERO_THRESHOLD] = 0.0
     support = tuple(int(i) for i in np.flatnonzero(a))
     return AttackVector(a=a, c=c, support=support)
@@ -66,34 +71,35 @@ def attack_from_c(H, c) -> AttackVector:
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.shape[0] != Hv.shape[1]:
         raise DimensionMismatch(f"c has {c.shape[0]} entries, H has {Hv.shape[1]} columns")
-    return _finalize(Hv, c.copy())
+    return _finalize(Hv, c)
 
 
 def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude: float = 0.1) -> AttackVector:
-    """Random stealth attack confined to the ``controlled`` meter set.
+    """Random stealth attack confined to the ``controlled`` meter set of H.
 
-    Draws c = B g, where B is the graph null-space basis of the
-    uncontrolled rows of H (see ``_null_space``) and g is standard normal
-    from ``seed``, and scales it so that ||a|| = magnitude. B is
-    orthonormal, so c is an isotropic Gaussian on that null space; B
-    depends only on which meters are controlled and on the meter graph,
-    so the draw is fixed by topology and seed. Raises InfeasibleSupport
-    when the null space is trivial, and ValidationError when an
-    uncontrolled row of H is not a branch-flow row.
+    Draws c = B g, where B is the null-space basis of the uncontrolled
+    meters (see ``_null_space``) and g is standard normal from ``seed``,
+    and scales it so that ||a|| = magnitude. B is orthonormal, so c is an
+    isotropic Gaussian on that null space; B depends only on which meters
+    are controlled and on the meter graph, so the draw is fixed by topology
+    and seed. Raises InfeasibleSupport when the null space is trivial, and
+    ValidationError when H does not come from ``build_h_matrix``, which
+    records that graph, or the magnitude is not finite and > 0.
     """
-    Hv = _h_values(H)
-    m = Hv.shape[0]
+    if not isinstance(H, MeasurementMatrix) or H._edges is None:
+        raise ValidationError("H carries no meter graph; random attacks need an H from build_h_matrix")
+    m = H.m
     controlled = sorted(set(int(i) for i in controlled))
     if not controlled:
         raise ValidationError("controlled meter set is empty")
     if controlled[0] < 0 or controlled[-1] >= m:
         raise DimensionMismatch(f"controlled meter indices {controlled} out of range 0..{m - 1}")
-    if not magnitude > 0:
-        raise ValidationError(f"attack magnitude {magnitude} must be > 0")
+    if not (magnitude > 0 and np.isfinite(magnitude)):
+        raise ValidationError(f"attack magnitude {magnitude} must be finite and > 0")
 
     uncontrolled = np.ones(m, dtype=bool)
     uncontrolled[controlled] = False
-    basis = _null_space(Hv, uncontrolled)
+    basis = _null_space(H.n, H._edges, uncontrolled)
     if basis.shape[1] == 0:
         raise InfeasibleSupport(
             f"no nonzero state shift keeps meters {np.flatnonzero(uncontrolled).tolist()} untouched"
@@ -102,23 +108,21 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     # One draw decides: H B g vanishes for every g when H B = 0, and for almost no g otherwise.
     c = basis @ rng.standard_normal(basis.shape[1])
-    norm_a = np.linalg.norm(Hv @ c)
+    norm_a = float(np.linalg.norm(H.values @ c))  # a float, so a scale that overflows is inf, not a warning
     if norm_a <= 1e-12:
         raise InfeasibleSupport("random draws produced only degenerate attacks")
-    scale = magnitude / norm_a
-    atk = _finalize(Hv, c * scale)
+    atk = _finalize(H.values, c, magnitude / norm_a)
     stray = [i for i in atk.support if uncontrolled[i]]
     if stray:  # pragma: no cover - the null-space construction rules this out
         raise InfeasibleSupport(f"construction leaked onto uncontrolled meters {stray}")
     return atk
 
 
-def _null_space(Hv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {c : H[rows] c = 0}, read off the meter graph of the branch-flow
-    ``rows`` (``network._flow_edges``): for each component without the slack, in the order of
-    its lowest state index, its indicator vector scaled to unit norm."""
-    n = Hv.shape[1]
-    label = np.array(_components(n + 1, _flow_edges(Hv, rows)))
+def _null_space(n: int, edges, rows) -> np.ndarray:
+    """Orthonormal basis of {c : H[rows] c = 0}, n being H's states and ``edges`` its meter graph
+    from ``build_h_matrix``: for each component of the ``rows`` meters' graph without the slack,
+    in the order of its lowest state index, its indicator vector scaled to unit norm."""
+    label = np.array(_components(n + 1, compress(edges, rows)))
     free = np.flatnonzero(label[:n] != label[n])
     roots = free[label[free] == free]
     column = np.searchsorted(roots, label[free])
@@ -143,8 +147,6 @@ def targeted_attack(H, pinned: Mapping[int, float]) -> AttackVector:
         if not 0 <= idx < n:
             raise DimensionMismatch(f"pinned state index {idx} out of range 0..{n - 1}")
         c[idx] = float(value)
-    if not np.all(np.isfinite(c)):
-        raise ValidationError(f"pinned state shifts must be finite, got {dict(pinned)}")
     return _finalize(Hv, c)
 
 

@@ -32,8 +32,8 @@ from .network import Meter, MeterConfig, NetworkModel, build_network
 
 
 def load_json(path) -> dict:
-    """Read a JSON document; NaN, Infinity, overflowing numbers and a key repeated
-    in one object are ParseErrors."""
+    """Read a JSON document; NaN, Infinity, numbers (integers too) that overflow a
+    float and a key repeated in one object are ParseErrors."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -48,6 +48,10 @@ def load_json(path) -> dict:
             raise ParseError(path, "-", f"non-finite number {token}")
         return value
 
+    def integer(token: str) -> int:
+        finite(token)
+        return int(token)
+
     def unique(pairs: list) -> dict:
         record = dict(pairs)
         if len(record) < len(pairs):
@@ -55,8 +59,14 @@ def load_json(path) -> dict:
             raise ParseError(path, "-", f"duplicate key '{repeated}'")
         return record
 
+    # Only an integer of over 308 digits overflows a float, and json's own parser takes
+    # the shorter ones far faster than a hook per integer: hook only a text with such a run.
+    long_digit_run = "1" * 309 in text.translate(str.maketrans("0123456789", "1" * 10))
     try:
-        return json.loads(text, parse_float=finite, parse_constant=finite, object_pairs_hook=unique)
+        return json.loads(
+            text, parse_float=finite, parse_int=integer if long_digit_run else None, parse_constant=finite,
+            object_pairs_hook=unique,
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
 

@@ -39,9 +39,6 @@ class WeightModel:
             raise ValidationError("sigmas must be a 1-D vector")
         object.__setattr__(self, "sigmas", _sigma_values(sig, len(sig)))
 
-    def __len__(self) -> int:
-        return len(self.sigmas)
-
 
 @dataclass(frozen=True)
 class EstimationResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -201,11 +201,13 @@ def _read_only(values) -> np.ndarray:
 class MeasurementMatrix:
     """m x n matrix mapping non-slack bus angles to metered branch flows.
 
-    ``values`` is read-only; ``_model`` is the slot of ``WlsModel.of``.
+    ``values`` is read-only; ``_model`` is the slot of ``WlsModel.of``; ``_edges`` is
+    the meter graph that ``build_h_matrix`` records, None on a hand-built matrix.
     """
 
     values: np.ndarray
     state_buses: tuple[BusId, ...] = field(default=())
+    _edges: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
     _model: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -258,7 +260,8 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     holds exactly when some bus is not joined to the slack by metered
     branches: a walk over them decides it, and no factorisation of H is
     made. A placement that is observable but badly conditioned passes here
-    and fails where its gain is factored, as SingularGainMatrix.
+    and fails where its gain is factored, as SingularGainMatrix. H keeps the
+    walked graph, one (column, column) pair per meter, the slack being column n.
     """
     state = net.state_buses
     n = len(state)
@@ -284,29 +287,4 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
             f"rank(H) < {n}: buses {unobserved} are not joined to slack bus "
             f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
-    return MeasurementMatrix(values=H, state_buses=state)
-
-
-def _flow_edges(Hv: np.ndarray, rows: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The meter graph of the rows of H that the boolean mask ``rows`` selects, node n
-    being the slack: a row's two opposite nonzeros join their columns, a lone one joins
-    its column to the slack, and an all-zero row adds no edge. Other rows are errors."""
-    row, col = np.nonzero(Hv)  # row-major: the entries of one row are adjacent
-    keep = rows[row]
-    row, col = row[keep], col[keep]
-    count = np.bincount(row, minlength=Hv.shape[0])
-    if count.max(initial=0) > 2:
-        worst = int(np.argmax(count))
-        raise ValidationError(
-            f"row {worst} of H has {count[worst]} nonzeros; a branch-flow meter reads at most two states"
-        )
-    pair = np.flatnonzero(row[1:] == row[:-1])  # first entry of each two-entry row
-    first, second = Hv[row[pair], col[pair]], Hv[row[pair], col[pair + 1]]
-    if (first != -second).any():
-        bad = int(row[pair[np.argmax(first != -second)]])
-        raise ValidationError(
-            f"row {bad} of H is not a branch flow: its two nonzeros {Hv[bad][Hv[bad] != 0].tolist()} "
-            "are not opposite"
-        )
-    grounded = col[count[row] == 1].tolist()
-    return zip(col[pair].tolist() + grounded, col[pair + 1].tolist() + [Hv.shape[1]] * len(grounded))
+    return MeasurementMatrix(values=H, state_buses=state, _edges=tuple(edges))

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from fdilab.attack import (
+    AttackVector,
     attack_from_c,
     random_constrained_attack,
     targeted_attack,
     verify_stealth,
 )
 from fdilab.errors import DimensionMismatch, InfeasibleSupport, ValidationError
-from fdilab.estimation import wls_estimate
-from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
+from fdilab.estimation import WlsModel, wls_estimate
+from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 
 # -- direct construction ----------------------------------------------------------
@@ -90,27 +91,49 @@ def test_null_space_is_exact_whatever_the_reactances():
 
 
 def test_degenerate_draw_is_decided_by_one_draw():
-    # meters 1 and 2 ground state 0, so the null space is e_1, a column H never
-    # reads: every draw gives a = 0
-    H = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    # both meters read a branch of reactance 1e300, so |a| = |c| / 1e300 is
+    # below the degeneracy floor for every draw of c
+    net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1e300),), slack=1)
+    H = build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=0, orientation=-1))))
     rng = np.random.default_rng(3)
     with pytest.raises(InfeasibleSupport, match="^random draws produced only degenerate attacks$"):
-        random_constrained_attack(H, [0], seed=rng)
+        random_constrained_attack(H, [0, 1], seed=rng)
     replay = np.random.default_rng(3)
     replay.standard_normal(1)
     assert rng.standard_normal() == replay.standard_normal()
 
 
 @pytest.mark.parametrize(
-    "H, message",
-    [
-        (np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]), "row 1 of H has 3 nonzeros"),
-        (np.array([[1.0, -1.0], [1.0, 2.0]]), "row 1 of H is not a branch flow"),
-    ],
+    "values",
+    [[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, -1.0], [1.0, 2.0]]],
+    ids=["three-nonzeros", "not-opposite"],
 )
-def test_random_attack_rejects_rows_outside_the_branch_flow_model(H, message):
+@pytest.mark.parametrize("wrap", [np.array, MeasurementMatrix], ids=["array", "hand-built"])
+def test_random_attack_needs_the_recorded_meter_graph(values, wrap):
+    # neither a plain array nor a hand-built MeasurementMatrix carries a meter graph,
+    # whatever its rows
+    message = "^H carries no meter graph; random attacks need an H from build_h_matrix$"
     with pytest.raises(ValidationError, match=message):
-        random_constrained_attack(H, [0], seed=0)
+        random_constrained_attack(wrap(np.array(values)), [0], seed=0)
+
+
+@pytest.mark.parametrize("magnitude", [float("inf"), float("nan")])
+def test_random_attack_magnitude_must_be_finite(h5, magnitude):
+    with pytest.raises(ValidationError, match="^attack magnitude (inf|nan) must be finite and > 0$"):
+        random_constrained_attack(h5, [0, 2, 3], seed=0, magnitude=magnitude)
+
+
+def test_random_attack_whose_scale_overflows_is_rejected():
+    # ||H c|| is about 1e-10, so scaling it to 1e308 overflows c
+    net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1e10),), slack=1)
+    H = build_h_matrix(net, MeterConfig((Meter(branch=0),)))
+    with pytest.raises(ValidationError, match="^state shift c and attack a = Hc must be finite$"):
+        random_constrained_attack(H, [0], seed=0, magnitude=1e308)
+
+
+def test_non_finite_state_shift_is_rejected(h5):
+    with pytest.raises(ValidationError, match="^state shift c and attack a = Hc must be finite$"):
+        attack_from_c(h5, [np.nan, 0.0, 0.0, 0.0])
 
 
 # -- targeted attacks ---------------------------------------------------------------
@@ -165,15 +188,37 @@ def test_stealth_sweep_small(h5, w5):
 
 
 def test_gross_error_is_not_stealthy(h5, z5, w5):
-    from fdilab.attack import AttackVector
-
     spike = np.zeros(6)
     spike[2] = 0.5  # 50 sigma
     atk = AttackVector(a=spike, c=np.zeros(4), support=(2,))
     assert not verify_stealth(z5, atk, h5, w5)
 
 
+def test_equal_residual_norms_with_different_lnr_verdicts_are_not_stealthy(h5, w5):
+    # Both residuals have weighted norm sqrt(7), under the chi-square threshold
+    # sqrt(9.21), so the norm check passes. Spread over meters 0 and 3, the clean
+    # one has normalized residuals of at most 2.07; along meter 3's own residual
+    # direction, the attacked one reads sqrt(7) there, over the LNR threshold 2.576.
+    omega = WlsModel(h5, w5).omega
+    spread = omega[:, 0] / np.sqrt(omega[0, 0]) + omega[:, 3] / np.sqrt(omega[3, 3])
+    clean, attacked = (np.sqrt(7) * 0.01 * r / np.linalg.norm(r) for r in (spread, omega[:, 3]))
+    atk = AttackVector(a=attacked - clean, c=np.zeros(4), support=tuple(range(6)))
+    assert not verify_stealth(clean, atk, h5, w5)
+
+
+def test_stealth_check_needs_one_meter_count(h5, z5, w5):
+    atk = attack_from_c(h5, np.zeros(4))
+    with pytest.raises(DimensionMismatch, match="^z, attack and H disagree on meter count$"):
+        verify_stealth(z5[:5], atk, h5, w5)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_targeted_rejects_non_finite_pin(h5, bad):
     with pytest.raises(ValidationError, match="finite"):
         targeted_attack(h5, {2: bad})
+
+
+def test_targeted_rejects_a_pin_whose_attack_overflows(h5):
+    # c is finite, but the perceived flow on meter 4 is 1e308 / 0.05
+    with pytest.raises(ValidationError, match="^state shift c and attack a = Hc must be finite$"):
+        targeted_attack(h5, {h5.state_index(3): 1e308})

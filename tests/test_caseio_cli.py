@@ -357,6 +357,38 @@ def test_cli_non_finite_scenario_exits_2(capsys, tmp_path, command, name, edit):
     assert out == ""
 
 
+HUGE = "1" + "0" * 400  # an integer that int() takes and float() overflows
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [("measurements.json", "0.19", HUGE), ("network.json", '"x_pu": 0.03', f'"x_pu": {HUGE}')],
+    ids=["measurement value", "x_pu"],
+)
+def test_cli_integer_that_overflows_a_float_exits_2(capsys, tmp_path, name, old, new):
+    for source in ("network.json", "meters.json", "measurements.json"):
+        (tmp_path / source).write_text((CASES_5BUS / source).read_text())
+    path = tmp_path / name
+    path.write_text(path.read_text().replace(old, new, 1))
+    assert HUGE in path.read_text()
+    code, out, err = run_cli(
+        capsys,
+        "estimate",
+        "--case", tmp_path / "network.json",
+        "--meters", tmp_path / "meters.json",
+        "--measurements", tmp_path / "measurements.json",
+    )
+    assert code == 2
+    assert err.endswith(f"ParseError: {path}: -: non-finite number {HUGE}\n") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_load_json_keeps_a_long_integer_that_a_float_holds(tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text(f'{{"values_pu": [{10**308}, -{10**307}]}}')  # 309 and 308 digits
+    assert caseio.load_json(p) == {"values_pu": [10**308, -(10**307)]}
+
+
 def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
     doc = json.loads((CASES_5BUS / "market.json").read_text())
     doc["generators"][0]["price"] = float("nan")
@@ -409,6 +441,87 @@ def test_cli_targeted_repeated_pin_exits_2(capsys):
     )
     assert code == 2
     assert err == "error: ValidationError: bus 3 is pinned more than once\n"
+    assert out == ""
+
+
+def test_cli_targeted_pin_whose_attack_overflows_exits_2(capsys, tmp_path):
+    # c is finite, but a[4] = 1e308 / 0.05 is not; no echo file is written
+    echo = tmp_path / "echo.json"
+    code, out, err = run_cli(
+        capsys,
+        "attack", "targeted",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--pin", "3=1e308",
+        "--out", echo,
+    )
+    assert code == 2
+    assert err == "error: ValidationError: state shift c and attack a = Hc must be finite\n"
+    assert out == ""
+    assert not echo.exists()
+
+
+def test_cli_targeted_pin_on_the_slack_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "attack", "targeted",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--pin", "1=0.1",
+    )
+    assert code == 2
+    assert err == "error: ValidationError: bus 1 has no state column (slack or unknown)\n"
+    assert out == ""
+
+
+def test_cli_random_infinite_magnitude_exits_2_with_one_stderr_line():
+    # a fresh interpreter, so a RuntimeWarning would reach stderr rather than fail the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdilab", "attack", "random",
+         "--case", str(CASES_5BUS / "network.json"),
+         "--meters", str(CASES_5BUS / "meters.json"),
+         "--support", "0,2,3", "--magnitude", "inf"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: ValidationError: attack magnitude inf must be finite and > 0\n"
+    assert proc.stdout == ""
+
+
+def test_cli_measurement_file_of_the_wrong_length_exits_2(capsys, tmp_path):
+    z = _write(tmp_path / "z.json", {"values_pu": [0.91, -0.16, 0.19, 0.21, 0.89]})
+    code, out, err = run_cli(
+        capsys,
+        "estimate",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--measurements", z,
+    )
+    assert code == 2
+    assert err == f"error: stage=measurements ValidationError: {z}: expected 6 measurement values, got 5\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(attack={"type": "spoof"}),
+         "ParseError: {path}: attack.type: unknown attack type 'spoof'"),
+        (lambda d: d["detectors"][0].update(method="psychic"),
+         "ParseError: {path}: detectors[0]: unknown method 'psychic'"),
+        (lambda d: d.update(measurements={"recorded": "z.json"}),
+         "ParseError: {path}: measurements: expected 'file' or 'simulate'"),
+        (lambda d: d.update(attack={"type": "gross_error", "meter": 99, "magnitude_pu": 0.5}),
+         "stage=attack ValidationError: gross error meter 99 out of range 0..5"),
+    ],
+    ids=["attack type", "detector method", "measurement source", "gross meter"],
+)
+def test_cli_scenario_outside_the_format_exits_2(capsys, tmp_path, edit, message):
+    path = _scenario_copy(tmp_path, "case1", edit)
+    code, out, err = run_cli(capsys, "scenario", "run", path)
+    assert code == 2
+    assert err == f"error: {message.format(path=path)}\n"
     assert out == ""
 
 

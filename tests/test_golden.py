@@ -137,3 +137,30 @@ def test_grid_reports_keep_their_bytes(kind, grid_scenarios):
     report = run_scenario(parse_scenario(grid_scenarios[kind]))
     digest = hashlib.sha256((report.to_text() + report.to_csv()).encode()).hexdigest()
     assert digest == GRID_REPORT_SHA256[kind]
+
+
+# sha256 of the text and the CSV report of a Monte Carlo run with a gross error,
+# which adds the identification lines, captured before random attacks read the
+# meter graph that build_h_matrix records.
+MC_GROSS_SHA256 = (
+    "012e7e5ec0282824a5bcf12e8dae82aab0d647d676507bdc017b49fc7db44688",
+    "06194f79a47bb7edb15037c838907e9e004692ef4e486bb94cf570f542285289",
+)
+
+
+def test_gross_error_monte_carlo_report_keeps_its_bytes(tmp_path, capsys):
+    doc = json.loads((CASES_5BUS / "mc_clean.json").read_text())
+    doc.update(
+        network=str(CASES_5BUS / "network.json"),
+        meters=str(CASES_5BUS / "meters.json"),
+        attack={"type": "gross_error", "meter": 2, "magnitude_pu": 0.05},
+    )
+    path, out = tmp_path / "mc_gross.json", tmp_path / "mc_gross.csv"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["montecarlo", str(path), "--trials", "500", "--seed", "3", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "  identification: 256/500 = 0.512000\n" in text
+    assert "montecarlo,identification_accuracy,,0.512000\n" in out.read_text()
+    digests = tuple(hashlib.sha256(report).hexdigest() for report in (text.encode(), out.read_bytes()))
+    assert digests == MC_GROSS_SHA256

@@ -87,6 +87,12 @@ def reference_h(net, meters):
     return H
 
 
+def reference_edges(net, meters):
+    """The meter graph, from the branch ends: one (column, column) pair per meter, the slack as column n."""
+    col = {b: k for k, b in enumerate((*net.state_buses, net.slack))}
+    return [(col[net.branches[m.branch].from_bus], col[net.branches[m.branch].to_bus]) for m in meters.meters]
+
+
 def build_or_none(net, meters):
     try:
         return build_h_matrix(net, meters)
@@ -104,6 +110,7 @@ def test_graph_walk_verdict_equals_full_rank(case):
     if H is not None:
         assert np.array_equal(H.values, expected)
         assert H.state_buses == net.state_buses
+        assert H._edges == tuple(reference_edges(net, meters))
 
 
 @PROPERTY_SETTINGS
@@ -146,7 +153,7 @@ def test_graph_null_space_spans_the_svd_null_space(case, seed):
     H = reference_h(net, meters)
     rng = np.random.default_rng(seed)
     uncontrolled = rng.random(len(meters)) < rng.random()
-    basis = _null_space(H, uncontrolled)
+    basis = _null_space(net.n_states, reference_edges(net, meters), uncontrolled)
     if uncontrolled.any():
         expected = scipy.linalg.null_space(H[uncontrolled], rcond=1e-10)
     else:
