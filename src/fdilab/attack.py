@@ -31,14 +31,13 @@ and identical detector verdicts before and after the injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .detection import DetectionMethod, Detector, DetectorSpec
 from .errors import DimensionMismatch, InfeasibleSupport, ValidationError
-from .estimation import WlsModel, _h_values
+from .estimation import WeightModel, WlsModel, _rng
 from .network import MeasurementMatrix, _components
 
 # |a_i| at or below this is treated as structurally zero when computing support.
@@ -65,29 +64,28 @@ def _finalize(Hv: np.ndarray, c: np.ndarray, scale: float = 1.0) -> AttackVector
     return AttackVector(a=a, c=c, support=support)
 
 
-def attack_from_c(H, c) -> AttackVector:
+def attack_from_c(H: MeasurementMatrix, c) -> AttackVector:
     """Attack vector a = H c for a given state shift c."""
-    Hv = _h_values(H)
     c = np.asarray(c, dtype=float).reshape(-1)
-    if c.shape[0] != Hv.shape[1]:
-        raise DimensionMismatch(f"c has {c.shape[0]} entries, H has {Hv.shape[1]} columns")
-    return _finalize(Hv, c)
+    if c.shape[0] != H.n:
+        raise DimensionMismatch(f"c has {c.shape[0]} entries, H has {H.n} columns")
+    return _finalize(H.values, c)
 
 
-def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude: float = 0.1) -> AttackVector:
+def random_constrained_attack(
+    H: MeasurementMatrix, controlled: Iterable[int], seed=None, magnitude: float = 0.1
+) -> AttackVector:
     """Random stealth attack confined to the ``controlled`` meter set of H.
 
     Draws c = B g, where B is the null-space basis of the uncontrolled
     meters (see ``_null_space``) and g is standard normal from ``seed``,
     and scales it so that ||a|| = magnitude. B is orthonormal, so c is an
     isotropic Gaussian on that null space; B depends only on which meters
-    are controlled and on the meter graph, so the draw is fixed by topology
-    and seed. Raises InfeasibleSupport when the null space is trivial, and
-    ValidationError when H does not come from ``build_h_matrix``, which
-    records that graph, or the magnitude is not finite and > 0.
+    are controlled and on the meter graph ``H.edges``, so the draw is fixed
+    by topology and seed. Raises InfeasibleSupport when the null space is
+    trivial, and ValidationError when the magnitude is not finite and > 0
+    or the seed is negative.
     """
-    if not isinstance(H, MeasurementMatrix) or H._edges is None:
-        raise ValidationError("H carries no meter graph; random attacks need an H from build_h_matrix")
     m = H.m
     controlled = sorted(set(int(i) for i in controlled))
     if not controlled:
@@ -99,15 +97,14 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
 
     uncontrolled = np.ones(m, dtype=bool)
     uncontrolled[controlled] = False
-    basis = _null_space(H.n, H._edges, uncontrolled)
+    basis = _null_space(H.n, H.edges, uncontrolled)
     if basis.shape[1] == 0:
         raise InfeasibleSupport(
             f"no nonzero state shift keeps meters {np.flatnonzero(uncontrolled).tolist()} untouched"
         )
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     # One draw decides: H B g vanishes for every g when H B = 0, and for almost no g otherwise.
-    c = basis @ rng.standard_normal(basis.shape[1])
+    c = basis @ _rng(seed).standard_normal(basis.shape[1])
     norm_a = float(np.linalg.norm(H.values @ c))  # a float, so a scale that overflows is inf, not a warning
     if norm_a <= 1e-12:
         raise InfeasibleSupport("random draws produced only degenerate attacks")
@@ -118,11 +115,11 @@ def random_constrained_attack(H, controlled: Iterable[int], seed=None, magnitude
     return atk
 
 
-def _null_space(n: int, edges, rows) -> np.ndarray:
-    """Orthonormal basis of {c : H[rows] c = 0}, n being H's states and ``edges`` its meter graph
-    from ``build_h_matrix``: for each component of the ``rows`` meters' graph without the slack,
-    in the order of its lowest state index, its indicator vector scaled to unit norm."""
-    label = np.array(_components(n + 1, compress(edges, rows)))
+def _null_space(n: int, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {c : H[rows] c = 0}, n being H's states, ``edges`` its meter graph
+    ``H.edges`` and ``rows`` a boolean mask: for each component of the ``rows`` meters' graph
+    without the slack, in the order of its lowest state index, its indicator vector at unit norm."""
+    label = np.array(_components(n + 1, edges[rows].tolist()))
     free = np.flatnonzero(label[:n] != label[n])
     roots = free[label[free] == free]
     column = np.searchsorted(roots, label[free])
@@ -131,14 +128,13 @@ def _null_space(n: int, edges, rows) -> np.ndarray:
     return basis
 
 
-def targeted_attack(H, pinned: Mapping[int, float]) -> AttackVector:
+def targeted_attack(H: MeasurementMatrix, pinned: Mapping[int, float]) -> AttackVector:
     """Attack whose state shift agrees exactly with the pinned entries.
 
     ``pinned`` maps state indices (columns of H) to chosen shift values;
     unpinned entries are zero, the minimum-norm completion.
     """
-    Hv = _h_values(H)
-    n = Hv.shape[1]
+    n = H.n
     if not pinned:
         raise ValidationError("targeted attack needs at least one pinned entry")
     c = np.zeros(n)
@@ -147,10 +143,12 @@ def targeted_attack(H, pinned: Mapping[int, float]) -> AttackVector:
         if not 0 <= idx < n:
             raise DimensionMismatch(f"pinned state index {idx} out of range 0..{n - 1}")
         c[idx] = float(value)
-    return _finalize(Hv, c)
+    return _finalize(H.values, c)
 
 
-def verify_stealth(z, atk: AttackVector, H, w, confidence: float = 0.99) -> bool:
+def verify_stealth(
+    z, atk: AttackVector, H: MeasurementMatrix, w: WeightModel, confidence: float = 0.99
+) -> bool:
     """True iff the attack is invisible to both detectors on this data.
 
     Estimates on z and on z + a as one block, then requires (i) equal

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownBranch, ValidationError
 from .market import DispatchCase, Generator, Load
-from .network import Meter, MeterConfig, NetworkModel, build_network
+from .network import Meter, MeterConfig, NetworkModel, _integer, build_network
 
 
 def load_json(path) -> dict:
@@ -114,7 +114,7 @@ def parse_meters(path, net: NetworkModel) -> MeterConfig:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ParseError(path, f"meters[{i}].branch", "expected a [from, to] bus pair")
         try:
-            index, orientation = resolve(int(pair[0]), int(pair[1]))
+            index, orientation = resolve(_integer(pair[0]), _integer(pair[1]))
         except UnknownBranch as exc:
             raise ValidationError(f"meters[{i}]: {exc}") from exc
         meters.append(Meter(branch=index, orientation=orientation, sigma=float(rec.get("sigma", 0.01))))
@@ -144,7 +144,7 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
     for i, rec in enumerate(gen_records):
         generators.append(
             Generator(
-                bus=int(_require(rec, "bus", path, f"generators[{i}]")),
+                bus=_integer(_require(rec, "bus", path, f"generators[{i}]")),
                 price=float(_require(rec, "price", path, f"generators[{i}]")),
                 p_max=float(_require(rec, "pmax", path, f"generators[{i}]")),
                 p_min=float(rec.get("pmin", 0.0)),
@@ -154,11 +154,19 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
     for i, rec in enumerate(load_records):
         loads.append(
             Load(
-                bus=int(_require(rec, "bus", path, f"loads[{i}]")),
+                bus=_integer(_require(rec, "bus", path, f"loads[{i}]")),
                 mw=float(_require(rec, "mw", path, f"loads[{i}]")),
             )
         )
     return DispatchCase(network=net, generators=tuple(generators), loads=tuple(loads))
+
+
+def _write_text(path, text: str) -> None:
+    """Write a file; a path that cannot be written is a ValidationError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def dump_attack(atk, path) -> None:
@@ -167,4 +175,4 @@ def dump_attack(atk, path) -> None:
         "a": [float(v) for v in atk.a],
         "support": list(atk.support),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")

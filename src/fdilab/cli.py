@@ -50,7 +50,7 @@ def _cmd_report(args) -> int:
     report = args.report(args)
     sys.stdout.write(report.to_text())
     if args.out:
-        Path(args.out).write_text(report.to_csv())
+        caseio._write_text(args.out, report.to_csv())
     return 0
 
 
@@ -100,7 +100,7 @@ def _cmd_opf(args) -> int:
     out += _dispatch_lines(result, names)
     sys.stdout.write("\n".join(out) + "\n")
     if args.out:
-        Path(args.out).write_text(_csv(_dispatch_rows("dispatch", result, names)))
+        caseio._write_text(args.out, _csv(_dispatch_rows("dispatch", result, names)))
     return 0
 
 

@@ -80,17 +80,14 @@ class NetworkModel:
             node[b] = len(node)
         if self.slack not in node:
             raise ValidationError(f"slack bus {self.slack} is not in the bus list")
-        if not self.base_mva > 0:
-            raise ValidationError(f"base_mva {self.base_mva} must be > 0")
+        if not (self.base_mva > 0 and all(math.isfinite(self.base_mva / br.x_pu) for br in self.branches)):
+            raise ValidationError(f"base_mva {self.base_mva} must be > 0, and finite over every reactance")
         try:
             edges = [(node[br.from_bus], node[br.to_bus]) for br in self.branches]
         except KeyError as exc:
             bus = exc.args[0]  # the first branch with this bus is the one that raised
             br = next(br for br in self.branches if bus in (br.from_bus, br.to_bus))
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {bus}") from None
-        self._check_connected(node, edges)
-
-    def _check_connected(self, node: dict[BusId, int], edges: list[tuple[int, int]]):
         label = _components(len(node), edges)
         if any(label):  # not every node is in node 0's component
             missing = sorted(b for b, k in zip(node, label) if k != label[node[self.slack]])
@@ -187,31 +184,32 @@ class MeterConfig:
         return len(self.meters)
 
 
-def _read_only(values) -> np.ndarray:
-    """``values`` as a read-only float array: a copy, so a caller's array is never
-    frozen, unless it already is a read-only float array that owns its memory."""
-    owned = isinstance(values, np.ndarray) and values.dtype == float and values.base is None
+def _read_only(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: a copy, so a caller's array is
+    never frozen, unless it already is a read-only such array that owns its memory."""
+    owned = isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
     if not owned or values.flags.writeable:
-        values = np.array(values, dtype=float)
+        values = np.array(values, dtype=dtype)
         values.flags.writeable = False
     return values
 
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """m x n matrix mapping non-slack bus angles to metered branch flows.
+    """m x n matrix mapping non-slack bus angles to metered branch flows, from ``build_h_matrix``.
 
-    ``values`` is read-only; ``_model`` is the slot of ``WlsModel.of``; ``_edges`` is
-    the meter graph that ``build_h_matrix`` records, None on a hand-built matrix.
-    """
+    Row i holds +-1/x at the columns of ``edges[i]``, lower first, bar the slack's, column n.
+    ``values`` and ``edges``, the (m, 2) int meter graph, are read-only; ``_model`` is the
+    slot of ``WlsModel.of``."""
 
     values: np.ndarray
-    state_buses: tuple[BusId, ...] = field(default=())
-    _edges: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
+    state_buses: tuple[BusId, ...]
+    edges: np.ndarray = field(repr=False, compare=False)
     _model: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _read_only(self.values))
+        object.__setattr__(self, "edges", _read_only(self.edges, int))
 
     @property
     def m(self) -> int:
@@ -228,6 +226,13 @@ class MeasurementMatrix:
             raise ValidationError(f"bus {bus} has no state column (slack or unknown)") from None
 
 
+def _integer(value) -> int:
+    """``int(value)``, but a ValueError for a number with a fractional part, not its truncation."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not an integer")
+    return int(value)
+
+
 def build_network(case: dict) -> NetworkModel:
     """Construct a validated NetworkModel from a parsed case record.
 
@@ -236,17 +241,17 @@ def build_network(case: dict) -> NetworkModel:
     value of the wrong type raises the plain KeyError, TypeError or ValueError;
     ``caseio.parse_network`` makes it a ParseError naming the file.
     """
-    buses = tuple(int(b) for b in case["buses"])
+    buses = tuple(_integer(b) for b in case["buses"])
     branches = tuple(
         Branch(
-            from_bus=int(rec["from"]),
-            to_bus=int(rec["to"]),
+            from_bus=_integer(rec["from"]),
+            to_bus=_integer(rec["to"]),
             x_pu=float(rec["x_pu"]),
             limit_mw=None if rec.get("limit_mw") is None else float(rec["limit_mw"]),
         )
         for rec in case["branches"]
     )
-    slack = int(case["slack"])
+    slack = _integer(case["slack"])
     base_mva = float(case.get("base_mva", 100.0))
     return NetworkModel(buses=buses, branches=branches, slack=slack, base_mva=base_mva)
 
@@ -261,7 +266,7 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     branches: a walk over them decides it, and no factorisation of H is
     made. A placement that is observable but badly conditioned passes here
     and fails where its gain is factored, as SingularGainMatrix. H keeps the
-    walked graph, one (column, column) pair per meter, the slack being column n.
+    walked graph as ``edges``, one column pair per meter, the slack being column n.
     """
     state = net.state_buses
     n = len(state)
@@ -278,7 +283,7 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
             H[row, i] += w
         if j < n:
             H[row, j] -= w
-        edges.append((i, j))
+        edges.append((i, j) if i < j else (j, i))
     H.flags.writeable = False  # handed over to the MeasurementMatrix without a copy
     label = _components(n + 1, edges)
     if any(label):  # not every node is in column 0's component
@@ -287,4 +292,4 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
             f"rank(H) < {n}: buses {unobserved} are not joined to slack bus "
             f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
-    return MeasurementMatrix(values=H, state_buses=state, _edges=tuple(edges))
+    return MeasurementMatrix(values=H, state_buses=state, edges=edges)

@@ -33,7 +33,7 @@ from .estimation import (
     wls_estimate,
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
+from .network import MeasurementMatrix, MeterConfig, NetworkModel, _integer, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -172,7 +172,7 @@ def parse_scenario(path) -> Scenario:
         sim = meas["simulate"]
         source = SimulateSource(
             x_true=tuple(float(v) for v in caseio._require(sim, "x_true", path, "measurements.simulate")),
-            seed=int(caseio._require(sim, "seed", path, "measurements.simulate")),
+            seed=_integer(caseio._require(sim, "seed", path, "measurements.simulate")),
         )
     else:
         raise ParseError(path, "measurements", "expected 'file' or 'simulate'")
@@ -183,8 +183,8 @@ def parse_scenario(path) -> Scenario:
         attack = None
     elif kind == "random":
         attack = RandomAttackSpec(
-            support=tuple(int(i) for i in attack_doc["support"]),
-            seed=int(attack_doc["seed"]),
+            support=tuple(_integer(i) for i in attack_doc["support"]),
+            seed=_integer(attack_doc["seed"]),
             magnitude=float(attack_doc.get("magnitude", 0.1)),
         )
     elif kind == "targeted":
@@ -196,7 +196,7 @@ def parse_scenario(path) -> Scenario:
         )
     elif kind == "gross_error":
         attack = GrossErrorSpec(
-            meter=int(attack_doc["meter"]), magnitude_pu=float(attack_doc["magnitude_pu"])
+            meter=_integer(attack_doc["meter"]), magnitude_pu=float(attack_doc["magnitude_pu"])
         )
     else:
         raise ParseError(path, "attack.type", f"unknown attack type '{kind}'")
@@ -215,8 +215,8 @@ def parse_scenario(path) -> Scenario:
         mk = doc["market"]
         market = MarketSpec(
             market_path=resolve(caseio._require(mk, "file", path, "market")),
-            buy_bus=int(caseio._require(mk, "buy_bus", path, "market")),
-            sell_bus=int(caseio._require(mk, "sell_bus", path, "market")),
+            buy_bus=_integer(caseio._require(mk, "buy_bus", path, "market")),
+            sell_bus=_integer(caseio._require(mk, "sell_bus", path, "market")),
             quantity_mw=float(mk.get("quantity_mw", 1.0)),
         )
 

@@ -5,7 +5,7 @@ import pytest
 
 from fdilab import caseio
 from fdilab.estimation import WeightModel
-from fdilab.network import build_h_matrix
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 CASES_5BUS = Path(__file__).resolve().parents[1] / "cases" / "5bus"
 
@@ -46,6 +46,16 @@ def z5():
 @pytest.fixture(scope="session")
 def w5(meters5):
     return WeightModel(meters5.sigmas)
+
+
+@pytest.fixture(scope="session")
+def one_state():
+    """``one_state(k)``: H of buses 1 (slack) and 2 on one branch with x_pu = 1, metered k times.
+
+    Every row is [-1], the one-state system that hand-written H used to stand for.
+    """
+    net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1.0),), slack=1)
+    return lambda k=1: build_h_matrix(net, MeterConfig(tuple(Meter(branch=0) for _ in range(k))))
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from fdilab.attack import (
 )
 from fdilab.errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from fdilab.estimation import WlsModel, wls_estimate
-from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, build_h_matrix
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 
 # -- direct construction ----------------------------------------------------------
@@ -101,20 +101,6 @@ def test_degenerate_draw_is_decided_by_one_draw():
     replay = np.random.default_rng(3)
     replay.standard_normal(1)
     assert rng.standard_normal() == replay.standard_normal()
-
-
-@pytest.mark.parametrize(
-    "values",
-    [[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, -1.0], [1.0, 2.0]]],
-    ids=["three-nonzeros", "not-opposite"],
-)
-@pytest.mark.parametrize("wrap", [np.array, MeasurementMatrix], ids=["array", "hand-built"])
-def test_random_attack_needs_the_recorded_meter_graph(values, wrap):
-    # neither a plain array nor a hand-built MeasurementMatrix carries a meter graph,
-    # whatever its rows
-    message = "^H carries no meter graph; random attacks need an H from build_h_matrix$"
-    with pytest.raises(ValidationError, match=message):
-        random_constrained_attack(wrap(np.array(values)), [0], seed=0)
 
 
 @pytest.mark.parametrize("magnitude", [float("inf"), float("nan")])

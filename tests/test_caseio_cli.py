@@ -400,17 +400,18 @@ def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, flag, value",
-    [("random", "--support", "a,1"), ("targeted", "--pin", "3=abc")],
-    ids=["support a", "pin abc"],
+    "kind, flags",
+    [("random", ["--support", "a,1"]), ("targeted", ["--pin", "3=abc"]),
+     ("random", ["--support", "0,2,3", "--seed", "-1"])],
+    ids=["support a", "pin abc", "seed -1"],
 )
-def test_cli_malformed_attack_argument_exits_2(capsys, kind, flag, value):
+def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags):
     code, out, err = run_cli(
         capsys,
         "attack", kind,
         "--case", CASES_5BUS / "network.json",
         "--meters", CASES_5BUS / "meters.json",
-        flag, value,
+        *flags,
     )
     assert code == 2
     assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
@@ -514,8 +515,13 @@ def test_cli_measurement_file_of_the_wrong_length_exits_2(capsys, tmp_path):
          "ParseError: {path}: measurements: expected 'file' or 'simulate'"),
         (lambda d: d.update(attack={"type": "gross_error", "meter": 99, "magnitude_pu": 0.5}),
          "stage=attack ValidationError: gross error meter 99 out of range 0..5"),
+        (lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": -1}),
+         "stage=attack ValidationError: seed -1 must be a non-negative integer"),
+        (lambda d: d.update(measurements={"simulate": {"x_true": [0, 0, 0, 0], "seed": -3}}),
+         "stage=measurements ValidationError: seed -3 must be a non-negative integer"),
     ],
-    ids=["attack type", "detector method", "measurement source", "gross meter"],
+    ids=["attack type", "detector method", "measurement source", "gross meter", "attack seed -1",
+         "simulate seed -3"],
 )
 def test_cli_scenario_outside_the_format_exits_2(capsys, tmp_path, edit, message):
     path = _scenario_copy(tmp_path, "case1", edit)
@@ -544,6 +550,28 @@ MALFORMED = {
     "values a": ("measurements.json", lambda d: d.update(values_pu=["a", *d["values_pu"][1:]])),
     "network bus x": ("network_limit34.json", lambda d: d.update(buses=["x", *d["buses"][1:]])),
     "branch x_pu abc": ("network_limit34.json", lambda d: d["branches"][0].update(x_pu="abc")),
+    # a number with a fractional part where an integer belongs is not truncated
+    "network bus 2.5": ("network_limit34.json", lambda d: d.update(buses=[1, 2.5, 3, 4, 5])),
+    "slack 1.5": ("network_limit34.json", lambda d: d.update(slack=1.5)),
+    "branch from 1.5": ("network_limit34.json", lambda d: d["branches"][0].update({"from": 1.5})),
+    "branch to 2.6": ("network_limit34.json", lambda d: d["branches"][0].update(to=2.6)),
+    "meter pair 2.6": ("meters.json", lambda d: d["meters"][0].update(branch=[1, 2.6])),
+    "generator bus 1.5": ("market.json", lambda d: d["generators"][0].update(bus=1.5)),
+    "load bus 2.5": ("market.json", lambda d: d["loads"][1].update(bus=2.5)),
+    "support 3.7": (
+        "profit.json", lambda d: d.update(attack={"type": "random", "support": [0, 2, 3.7], "seed": 1})
+    ),
+    "attack seed 1.5": (
+        "profit.json", lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": 1.5})
+    ),
+    "simulate seed 0.5": (
+        "profit.json", lambda d: d.update(measurements={"simulate": {"x_true": [0, 0, 0, 0], "seed": 0.5}})
+    ),
+    "gross meter 2.5": (
+        "profit.json", lambda d: d.update(attack={"type": "gross_error", "meter": 2.5, "magnitude_pu": 0.5})
+    ),
+    "buy bus 1.5": ("profit.json", lambda d: d["market"].update(buy_bus=1.5)),
+    "sell bus 4.5": ("profit.json", lambda d: d["market"].update(sell_bus=4.5)),
 }
 
 
@@ -559,6 +587,55 @@ def test_cli_malformed_value_exits_2_naming_the_file(capsys, tmp_path, name, edi
     assert code == 2
     assert f"ParseError: {path}: " in err
     assert out == ""
+
+
+# file of the 5-bus case -> (edit that keeps every value finite, exit code, stderr after "error: ");
+# each overflows a float further on, and fails in one line with no RuntimeWarning
+OVERFLOWING = {
+    "sigma 1e-320": (
+        "meters.json", lambda d: d["meters"][2].update(sigma=1e-320), 3,
+        "stage=estimate SingularGainMatrix: gain matrix is singular: array must not contain infs or NaNs",
+    ),
+    "x_pu 1e-300": (
+        "network_limit34.json", lambda d: d["branches"][0].update(x_pu=1e-300), 3,
+        "stage=estimate SingularGainMatrix: gain matrix is singular: array must not contain infs or NaNs",
+    ),
+    "gross error 1e308": (
+        "profit.json", lambda d: d.update(attack={"type": "gross_error", "meter": 2, "magnitude_pu": 1e308}),
+        3,
+        "stage=estimate NumericalError: the weighted measurements or residuals overflow a float",
+    ),
+    "base_mva 1e308": (
+        "network_limit34.json", lambda d: d.update(base_mva=1e308), 2,
+        "stage=parse ValidationError: base_mva 1e+308 must be > 0, and finite over every reactance",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, edit, code, message", OVERFLOWING.values(), ids=list(OVERFLOWING))
+def test_cli_value_that_overflows_later_fails_in_one_line(capsys, tmp_path, name, edit, code, message):
+    for source in CASES_5BUS.glob("*.json"):
+        (tmp_path / source.name).write_text(source.read_text())
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    _write(path, doc)
+    result = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
+    assert result == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scenario", "run", CASES_5BUS / "profit.json"],
+     ["attack", "random", "--case", CASES_5BUS / "network.json", "--meters", CASES_5BUS / "meters.json",
+      "--support", "0,2,3"]],
+    ids=["report CSV", "attack echo"],
+)
+def test_cli_out_that_cannot_be_written_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", out)
+    assert code == 2
+    assert err == f"error: ValidationError: cannot write {out}: No such file or directory\n"
 
 
 def test_readers_pass_domain_errors_through(tmp_path, net5):

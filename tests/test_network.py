@@ -10,7 +10,7 @@ from fdilab.errors import (
     UnobservableConfiguration,
     ValidationError,
 )
-from fdilab.estimation import wls_estimate
+from fdilab.estimation import WeightModel, wls_estimate
 from fdilab.network import (
     Branch,
     Meter,
@@ -195,7 +195,7 @@ def test_ill_conditioned_placement_fails_where_the_gain_is_factored():
     meters = MeterConfig(tuple(Meter(branch=i) for i in (0, 1, 2, 0)))
     H = build_h_matrix(net, meters)
     with pytest.raises(NumericalError):
-        wls_estimate(H, np.zeros(4), meters.sigmas)
+        wls_estimate(H, np.zeros(4), WeightModel(meters.sigmas))
 
 
 def test_meter_orientation_flips_sign():

@@ -19,11 +19,14 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import CASES_5BUS
+from fdilab import caseio
 from fdilab.attack import _null_space, attack_from_c, random_constrained_attack, verify_stealth
 from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
+from test_golden import write_grid_scenarios
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -88,9 +91,11 @@ def reference_h(net, meters):
 
 
 def reference_edges(net, meters):
-    """The meter graph, from the branch ends: one (column, column) pair per meter, the slack as column n."""
+    """The meter graph, from the branch ends: one (column, column) pair per meter, lower first,
+    the slack as column n."""
     col = {b: k for k, b in enumerate((*net.state_buses, net.slack))}
-    return [(col[net.branches[m.branch].from_bus], col[net.branches[m.branch].to_bus]) for m in meters.meters]
+    ends = [(col[net.branches[m.branch].from_bus], col[net.branches[m.branch].to_bus]) for m in meters.meters]
+    return np.sort(ends, axis=1)
 
 
 def build_or_none(net, meters):
@@ -110,7 +115,8 @@ def test_graph_walk_verdict_equals_full_rank(case):
     if H is not None:
         assert np.array_equal(H.values, expected)
         assert H.state_buses == net.state_buses
-        assert H._edges == tuple(reference_edges(net, meters))
+        assert np.array_equal(H.edges, reference_edges(net, meters))
+        assert H.edges.dtype == int and not H.edges.flags.writeable
 
 
 @PROPERTY_SETTINGS
@@ -216,6 +222,34 @@ def test_stealth_attack_leaves_residual_and_verdicts_and_shifts_the_state_by_c(c
     assert verify_stealth(z, atk, H, w)
 
 
+def scan_omega_diagonal(model):
+    """diag(Omega) as the nonzero scan of the dense H that the edge list replaced worked it out:
+    each row's nonzeros, then each pair of them, read off G^-1 and summed in that order."""
+    factor, lower = model.factor
+    inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=False)
+    rows, cols = np.nonzero(model.H)
+    values = model.H[rows, cols]
+    quad = np.bincount(rows, values**2 * inverse[cols, cols], model.m)
+    for d in range(1, np.bincount(rows).max()):
+        p = np.flatnonzero(rows[d:] == rows[:-d])
+        a, b = cols[p], cols[p + d]
+        g = inverse[b, a] if lower else inverse[a, b]
+        quad += np.bincount(rows[p], 2 * values[p] * values[p + d] * g, model.m)
+    return model.sigmas**2 - quad
+
+
+@pytest.mark.parametrize("grid", ["5bus", "grid30"])
+def test_omega_diagonal_equals_the_nonzero_scan_bit_for_bit(grid, tmp_path):
+    directory = CASES_5BUS
+    if grid == "grid30":
+        write_grid_scenarios(tmp_path)
+        directory = tmp_path
+    net = caseio.parse_network(directory / "network.json")
+    meters = caseio.parse_meters(directory / "meters.json", net)
+    model = WlsModel(build_h_matrix(net, meters), WeightModel(meters.sigmas))
+    assert np.array_equal(model.omega_diagonal, scan_omega_diagonal(model))
+
+
 @PROPERTY_SETTINGS
 @given(networks(), st.integers(0, 2**32 - 1))
 def test_omega_diagonal_from_the_inverse_gain_matches_the_full_omega(case, seed):
@@ -226,6 +260,7 @@ def test_omega_diagonal_from_the_inverse_gain_matches_the_full_omega(case, seed)
     sigmas = np.random.default_rng(seed).uniform(0.005, 0.05, m)
     model = WlsModel(H, WeightModel(sigmas))
     full = model.omega
+    assert np.array_equal(model.omega_diagonal, scan_omega_diagonal(model))
     np.testing.assert_allclose(model.omega_diagonal, np.diag(full), rtol=1e-10, atol=1e-12 * np.max(sigmas**2))
     critical = CRITICALITY_FLOOR * sigmas**2
     assert np.array_equal(model.omega_diagonal < critical, np.diag(full) < critical)
