@@ -74,9 +74,19 @@ def test_singular_gain_matrix(h5, z5):
 
 
 def test_weight_model_validation():
-    for bad in (0.0, -0.01, np.nan, np.inf):
+    for bad in (0.0, -0.01):
         with pytest.raises(ValidationError, match="^all sigmas must be finite and > 0$"):
             WeightModel(np.array([0.01, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_plain_sigma_rejected(bad):
+    # a plain sigma vector reaches wls_estimate and simulate_measurements only
+    # through WeightModel, which refuses a non-finite entry
+    sigmas = np.full(6, 0.01)
+    sigmas[0] = bad
+    with pytest.raises(ValidationError, match="^all sigmas must be finite and > 0$"):
+        WeightModel(sigmas)
 
 
 def test_simulate_deterministic_per_seed(h5, w5):
