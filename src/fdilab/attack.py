@@ -19,7 +19,7 @@ Construction routes:
   forces c_i = c_j, or c_i = 0 when j is the slack, so c is feasible
   exactly when it is constant on each component of the graph of
   uncontrolled metered branches and zero on the slack's component. The
-  basis is read off that graph as ``build_h_matrix`` records it, not off H.
+  basis is read off that graph, ``H.edges``, not off the dense H.
 * ``targeted_attack``: pin chosen entries of c (e.g. to move a specific
   perceived flow by a chosen amount) and zero-fill the rest, the
   minimum-norm completion.
@@ -162,7 +162,9 @@ def verify_stealth(
     if z.shape[0] != model.m or atk.a.shape[0] != model.m:
         raise DimensionMismatch("z, attack and H disagree on meter count")
 
-    both = model.fit(np.stack((z, z + atk.a)))  # the clean and the attacked estimate, one solve
+    with np.errstate(over="ignore"):  # a z + a that overflows fails fit's finiteness check, not with a warning
+        block = np.stack((z, z + atk.a))
+    both = model.fit(block)  # the clean and the attacked estimate, one solve
     norm_clean, norm_attacked = np.linalg.norm(both.residual / model.sigmas, axis=1)
     if abs(norm_attacked - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False

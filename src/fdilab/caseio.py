@@ -12,9 +12,10 @@ Formats:
 * attack echo:  {"c": [...], "a": [...], "support": [...]}  (written only)
 
 Parse failures raise ParseError with the offending path and location; so
-does a field of the wrong type or shape, such as a bus id "x" or a missing
-key, in every reader (``reader``). Semantic problems raise the validation
-errors of the domain modules.
+does a field of the wrong type or shape, such as a bus id "x", a number
+written as a string ("2") or a boolean, or a missing key, in every reader
+(``reader``). Semantic problems raise the validation errors of the domain
+modules.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownBranch, ValidationError
 from .market import DispatchCase, Generator, Load
-from .network import Meter, MeterConfig, NetworkModel, _integer, build_network
+from .network import Meter, MeterConfig, NetworkModel, _integer, _number, build_network
 
 
 def load_json(path) -> dict:
@@ -117,7 +118,7 @@ def parse_meters(path, net: NetworkModel) -> MeterConfig:
             index, orientation = resolve(_integer(pair[0]), _integer(pair[1]))
         except UnknownBranch as exc:
             raise ValidationError(f"meters[{i}]: {exc}") from exc
-        meters.append(Meter(branch=index, orientation=orientation, sigma=float(rec.get("sigma", 0.01))))
+        meters.append(Meter(branch=index, orientation=orientation, sigma=_number(rec.get("sigma", 0.01))))
     return MeterConfig(meters=tuple(meters))
 
 
@@ -125,9 +126,7 @@ def parse_meters(path, net: NetworkModel) -> MeterConfig:
 def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
     doc = load_json(path)
     values = _require(doc, "values_pu", path, "top level")
-    z = np.asarray(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(z)):
-        raise ValidationError(f"{path}: measurement values must all be finite")
+    z = np.array([_number(v) for v in values])  # finite: load_json refuses the rest
     if expected_count is not None and z.shape[0] != expected_count:
         raise ValidationError(
             f"{path}: expected {expected_count} measurement values, got {z.shape[0]}"
@@ -145,9 +144,9 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
         generators.append(
             Generator(
                 bus=_integer(_require(rec, "bus", path, f"generators[{i}]")),
-                price=float(_require(rec, "price", path, f"generators[{i}]")),
-                p_max=float(_require(rec, "pmax", path, f"generators[{i}]")),
-                p_min=float(rec.get("pmin", 0.0)),
+                price=_number(_require(rec, "price", path, f"generators[{i}]")),
+                p_max=_number(_require(rec, "pmax", path, f"generators[{i}]")),
+                p_min=_number(rec.get("pmin", 0.0)),
             )
         )
     loads = []
@@ -155,7 +154,7 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
         loads.append(
             Load(
                 bus=_integer(_require(rec, "bus", path, f"loads[{i}]")),
-                mw=float(_require(rec, "mw", path, f"loads[{i}]")),
+                mw=_number(_require(rec, "mw", path, f"loads[{i}]")),
             )
         )
     return DispatchCase(network=net, generators=tuple(generators), loads=tuple(loads))

@@ -6,7 +6,7 @@ The WLS estimate solves the normal equations
     x_hat = (H' R^-1 H)^-1 H' R^-1 z,      R = diag(sigma_i^2),
 
 and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
-r = z - H x_hat. ``WlsModel`` holds one H from ``build_h_matrix`` and one
+r = z - H x_hat. ``WlsModel`` holds one H, a MeasurementMatrix, and one
 WeightModel, and factors its gain once for every estimate and Omega made
 from it; it estimates one z or a block of them with one solve.
 ``wls_estimate`` estimates through ``WlsModel.of``, the one model of a pair.
@@ -64,16 +64,16 @@ def _rng(seed) -> np.random.Generator:
 class WlsModel:
     """The weighted normal equations of one meter set, solved for any z.
 
-    Holds H.values, as ``H``, and ``H.edges``, not H, whose memo holds the
-    model (no reference cycle), and not R^-1/2 H. The Cholesky factor of the
-    gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1 H)^-1 H'
+    Holds H.values, as ``H``, ``H.edges`` and ``H.weights``, not H, whose memo
+    holds the model (no reference cycle), and not R^-1/2 H. The Cholesky factor
+    of the gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1 H)^-1 H'
     and its diagonal are each worked out on first use and then kept, so
     every estimate and Omega made from one model shares one factorisation,
     and a caller pays only for what it uses.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
-        self.H, self.edges, self.sigmas = H.values, H.edges, w.sigmas
+        self.H, self.edges, self.weights, self.sigmas = H.values, H.edges, H.weights, w.sigmas
         self.m, self.n = self.H.shape
         if self.sigmas.shape != (self.m,):
             raise DimensionMismatch(f"expected {self.m} sigmas, got shape {self.sigmas.shape}")
@@ -158,16 +158,16 @@ class WlsModel:
         """diag(Omega): sigma_i^2 - h_i G^-1 h_i' for each row h_i of H, G the gain.
 
         LAPACK potri forms G^-1, in about (2/3) n^3 flops, from a copy of the
-        factor, which estimates go on using. Row i holds +-w at the columns a < b
-        of its edge, so h_i G^-1 h_i' = W g_aa + W g_bb - 2 W g_ab, W = w^2, with
-        every g term at the slack, b = n, zero. The m x m Omega is never formed.
+        factor, which estimates go on using. Row i holds +-w, its weight, at the
+        columns a < b of its edge, so h_i G^-1 h_i' = W g_aa + W g_bb - 2 W g_ab,
+        W = w^2, every g term at the slack, b = n, being zero. Omega is never formed.
         """
         import scipy.linalg
 
         factor, lower = self.factor
         inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=False)
         a, b = self.edges.T
-        W = self.H[np.arange(self.m), a] ** 2
+        W = self.weights**2
         g = np.append(np.diagonal(inverse), 0.0)  # g_bb is zero at the slack
         tri = inverse if lower else inverse.T  # potri fills one triangle: g_ab at [b, a]
         g_ab = np.where(b < self.n, tri[np.minimum(b, self.n - 1), a], 0.0)
@@ -184,15 +184,26 @@ def wls_estimate(H: MeasurementMatrix, z, w: WeightModel) -> EstimationResult:
     return WlsModel.of(H, w).estimate(z)
 
 
+def _true_flows(H: MeasurementMatrix, x_true) -> np.ndarray:
+    """The noiseless measurements H x_true; DimensionMismatch for an x_true of the wrong
+    length, and ValidationError when a flow overflows a float."""
+    x_true = np.asarray(x_true, dtype=float).reshape(-1)
+    if x_true.shape[0] != H.n:
+        raise DimensionMismatch(f"x_true has {x_true.shape[0]} entries, H has {H.n} columns")
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = H.values @ x_true
+    if not np.all(np.isfinite(flows)):
+        raise ValidationError("the flows H x_true of the true state must be finite")
+    return flows
+
+
 def simulate_measurements(H: MeasurementMatrix, x_true, w: WeightModel, seed=None) -> np.ndarray:
     """Draw z = H x_true + e with e_i ~ N(0, sigma_i^2), deterministic per seed.
 
     ``seed`` is anything ``numpy.random.default_rng`` accepts, a Generator
-    included; a negative seed is a ValidationError.
+    included; a negative seed is a ValidationError, and so is an x_true whose
+    flows overflow (``_true_flows``).
     """
-    x_true = np.asarray(x_true, dtype=float).reshape(-1)
-    if x_true.shape[0] != H.n:
-        raise DimensionMismatch(f"x_true has {x_true.shape[0]} entries, H has {H.n} columns")
+    flows = _true_flows(H, x_true)
     model = WlsModel(H, w)  # checks w against H, and factors nothing
-    return model.H @ x_true + _rng(seed).standard_normal(model.m) * model.sigmas
-
+    return flows + _rng(seed).standard_normal(model.m) * model.sigmas

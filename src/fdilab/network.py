@@ -5,8 +5,8 @@ reactance x carries the real-power flow (theta_from - theta_to) / x in
 per-unit. One bus is the slack with its angle fixed at zero, so a system
 of b buses has n = b - 1 state variables.
 
-``build_h_matrix`` assembles the m x n measurement matrix H that maps the
-state vector onto the m metered branch flows, z = H x + e. Whether H has
+``build_h_matrix`` assembles H, which maps the state vector onto the m
+metered branch flows, z = H x + e, as its weighted meter graph. Whether H has
 full column rank is a property of the metered graph alone (Krumpholz,
 Clements and Davis, 1980), so one component walk decides the connectivity
 of the network, the observability of a placement and the attack null space.
@@ -185,31 +185,41 @@ class MeterConfig:
 
 
 def _read_only(values, dtype=float) -> np.ndarray:
-    """``values`` as a read-only array of ``dtype``: a copy, so a caller's array is
-    never frozen, unless it already is a read-only such array that owns its memory."""
-    owned = isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
-    if not owned or values.flags.writeable:
-        values = np.array(values, dtype=dtype)
-        values.flags.writeable = False
+    """A read-only copy of ``values`` as an array of ``dtype``, so a caller's array is never frozen."""
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """m x n matrix mapping non-slack bus angles to metered branch flows, from ``build_h_matrix``.
+    """m x n matrix mapping non-slack bus angles to metered branch flows: the meter graph.
 
-    Row i holds +-1/x at the columns of ``edges[i]``, lower first, bar the slack's, column n.
-    ``values`` and ``edges``, the (m, 2) int meter graph, are read-only; ``_model`` is the
-    slot of ``WlsModel.of``."""
+    Meter i reads ``weights[i] * (theta_a - theta_b)``, +-1/x times the angle difference across
+    ``(a, b) = edges[i]``, 0 <= a < b <= n, the slack being column n; ``values`` is derived from
+    them. All three arrays are read-only copies; ``_model`` is the slot of ``WlsModel.of``."""
 
-    values: np.ndarray
     state_buses: tuple[BusId, ...]
-    edges: np.ndarray = field(repr=False, compare=False)
-    _model: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    edges: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    values: np.ndarray = field(init=False)
+    _model: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _read_only(self.values))
-        object.__setattr__(self, "edges", _read_only(self.edges, int))
+        n, edges, weights = len(self.state_buses), np.asarray(self.edges), _read_only(self.weights)
+        if edges.dtype.kind != "i" or edges.shape != weights.shape + (2,):
+            raise ValidationError(f"H needs (m, 2) int edges and m weights, got {edges.shape}, {weights.shape}")
+        a, b = edges.T
+        if not np.all((0 <= a) & (a < b) & (b <= n) & np.isfinite(weights) & (weights != 0)):
+            raise ValidationError(f"each meter needs an edge 0 <= a < b <= {n} and a finite, nonzero weight")
+        values = np.zeros((len(edges), n))
+        rows, state = np.arange(len(edges)), b < n  # the slack, column n, has no column in values
+        values[rows, a] = weights
+        values[rows[state], b[state]] = -weights[state]
+        values.flags.writeable = False
+        object.__setattr__(self, "edges", _read_only(edges, int))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "values", values)
 
     @property
     def m(self) -> int:
@@ -226,9 +236,18 @@ class MeasurementMatrix:
             raise ValidationError(f"bus {bus} has no state column (slack or unknown)") from None
 
 
+def _number(value) -> float:
+    """``float(value)`` of a JSON number; a ValueError for a string or a boolean, which ``float`` would read."""
+    if type(value) is float:  # most values; the checks below cost every parsed number
+        return value
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """``int(value)``, but a ValueError for a number with a fractional part, not its truncation."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a JSON number; a ValueError where ``_number`` gives one, and for a fractional part."""
+    if type(value) is not int and not _number(value).is_integer():  # bool is not int here
         raise ValueError(f"{value} is not an integer")
     return int(value)
 
@@ -246,13 +265,13 @@ def build_network(case: dict) -> NetworkModel:
         Branch(
             from_bus=_integer(rec["from"]),
             to_bus=_integer(rec["to"]),
-            x_pu=float(rec["x_pu"]),
-            limit_mw=None if rec.get("limit_mw") is None else float(rec["limit_mw"]),
+            x_pu=_number(rec["x_pu"]),
+            limit_mw=None if rec.get("limit_mw") is None else _number(rec["limit_mw"]),
         )
         for rec in case["branches"]
     )
     slack = _integer(case["slack"])
-    base_mva = float(case.get("base_mva", 100.0))
+    base_mva = _number(case.get("base_mva", 100.0))
     return NetworkModel(buses=buses, branches=branches, slack=slack, base_mva=base_mva)
 
 
@@ -265,26 +284,21 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     holds exactly when some bus is not joined to the slack by metered
     branches: a walk over them decides it, and no factorisation of H is
     made. A placement that is observable but badly conditioned passes here
-    and fails where its gain is factored, as SingularGainMatrix. H keeps the
-    walked graph as ``edges``, one column pair per meter, the slack being column n.
+    and fails where its gain is factored, as SingularGainMatrix. H is the
+    walked graph: one column pair and one weight per meter, the slack being column n.
     """
     state = net.state_buses
     n = len(state)
     col = {b: k for k, b in enumerate((*state, net.slack))}  # the slack, node n, has no column of H
-    H = np.zeros((len(meters), n))
-    edges = []
+    edges, weights = [], []
     for row, meter in enumerate(meters.meters):
         if not 0 <= meter.branch < len(net.branches):
             raise UnknownBranch(f"meter {row} references branch index {meter.branch}")
         br = net.branches[meter.branch]
         w = meter.orientation / br.x_pu
         i, j = col[br.from_bus], col[br.to_bus]
-        if i < n:
-            H[row, i] += w
-        if j < n:
-            H[row, j] -= w
         edges.append((i, j) if i < j else (j, i))
-    H.flags.writeable = False  # handed over to the MeasurementMatrix without a copy
+        weights.append(w if i < j else -w)
     label = _components(n + 1, edges)
     if any(label):  # not every node is in column 0's component
         unobserved = sorted(state[k] for k in range(n) if label[k] != label[n])
@@ -292,4 +306,4 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
             f"rank(H) < {n}: buses {unobserved} are not joined to slack bus "
             f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
-    return MeasurementMatrix(values=H, state_buses=state, edges=edges)
+    return MeasurementMatrix(state, edges, weights)

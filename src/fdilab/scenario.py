@@ -24,16 +24,17 @@ import numpy as np
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
-from .errors import DimensionMismatch, FdiLabError, ParseError, ValidationError
+from .errors import FdiLabError, ParseError, ValidationError
 from .estimation import (
     EstimationResult,
     WeightModel,
     WlsModel,
+    _true_flows,
     simulate_measurements,
     wls_estimate,
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, MeterConfig, NetworkModel, _integer, build_h_matrix
+from .network import MeasurementMatrix, MeterConfig, NetworkModel, _integer, _number, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -171,7 +172,7 @@ def parse_scenario(path) -> Scenario:
     elif "simulate" in meas:
         sim = meas["simulate"]
         source = SimulateSource(
-            x_true=tuple(float(v) for v in caseio._require(sim, "x_true", path, "measurements.simulate")),
+            x_true=tuple(_number(v) for v in caseio._require(sim, "x_true", path, "measurements.simulate")),
             seed=_integer(caseio._require(sim, "seed", path, "measurements.simulate")),
         )
     else:
@@ -185,18 +186,18 @@ def parse_scenario(path) -> Scenario:
         attack = RandomAttackSpec(
             support=tuple(_integer(i) for i in attack_doc["support"]),
             seed=_integer(attack_doc["seed"]),
-            magnitude=float(attack_doc.get("magnitude", 0.1)),
+            magnitude=_number(attack_doc.get("magnitude", 0.1)),
         )
     elif kind == "targeted":
         pinned = attack_doc.get("pinned", {})
         if not pinned:
             raise ParseError(path, "attack.pinned", "targeted attack needs pinned entries")
         attack = TargetedAttackSpec(
-            pinned=tuple((int(bus), float(shift)) for bus, shift in pinned.items())
+            pinned=tuple((int(bus), _number(shift)) for bus, shift in pinned.items())
         )
     elif kind == "gross_error":
         attack = GrossErrorSpec(
-            meter=_integer(attack_doc["meter"]), magnitude_pu=float(attack_doc["magnitude_pu"])
+            meter=_integer(attack_doc["meter"]), magnitude_pu=_number(attack_doc["magnitude_pu"])
         )
     else:
         raise ParseError(path, "attack.type", f"unknown attack type '{kind}'")
@@ -207,7 +208,7 @@ def parse_scenario(path) -> Scenario:
         if method not in _METHOD_ALIASES:
             raise ParseError(path, f"detectors[{i}]", f"unknown method '{method}'")
         detectors.append(
-            DetectorSpec(method=_METHOD_ALIASES[method], confidence=float(rec.get("confidence", 0.99)))
+            DetectorSpec(method=_METHOD_ALIASES[method], confidence=_number(rec.get("confidence", 0.99)))
         )
 
     market = None
@@ -217,7 +218,7 @@ def parse_scenario(path) -> Scenario:
             market_path=resolve(caseio._require(mk, "file", path, "market")),
             buy_bus=_integer(caseio._require(mk, "buy_bus", path, "market")),
             sell_bus=_integer(caseio._require(mk, "sell_bus", path, "market")),
-            quantity_mw=float(mk.get("quantity_mw", 1.0)),
+            quantity_mw=_number(mk.get("quantity_mw", 1.0)),
         )
 
     return Scenario(
@@ -503,6 +504,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     (base_seed, t), so two runs with equal base seeds see identical noise
     regardless of the attack applied. Trials are estimated and judged a
     block at a time, with each detector's threshold computed once per run.
+    The stages run in ``run_scenario``'s order, which tags a fault alike.
     """
     if trials < 1:
         raise ValidationError(f"trials {trials} must be >= 1")
@@ -512,23 +514,16 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         raise ValidationError("monte carlo needs a scenario with simulated measurements")
 
     _, _, H, weights = _load_model(scn.network_path, scn.meters_path)
-    with _stage("model"):
-        # factor the gain, and work out diag(Omega) when an LNR detector needs it, in this stage
-        model = WlsModel.of(H, weights)
-        model.factor
-        if any(spec.method is DetectionMethod.LNR for spec in scn.detectors):
-            model.omega_diagonal
+    with _stage("measurements"):
+        noiseless = _true_flows(H, scn.measurements.x_true)
     with _stage("attack"):
         perturbation, _ = _build_attack_vector(scn.attack, H)
-    x_true = np.asarray(scn.measurements.x_true, dtype=float)
-    if x_true.shape[0] != H.n:
-        raise DimensionMismatch(f"x_true has {x_true.shape[0]} entries, H has {H.n} columns")
-    detectors = [Detector.for_model(spec, model) for spec in scn.detectors]
+    model = WlsModel.of(H, weights)
     target_meter = scn.attack.meter if isinstance(scn.attack, GrossErrorSpec) else None
 
-    noiseless = H.values @ x_true
-    counts = [0] * len(detectors)
-    stat_sums = [0.0] * len(detectors)
+    detectors = []  # built after the first block's fit, as run_scenario detects after it estimates
+    counts = [0] * len(scn.detectors)
+    stat_sums = [0.0] * len(scn.detectors)
     identified = 0 if target_meter is not None else None
     block = max(1, MC_BLOCK_ELEMENTS // H.m)
     for first in range(0, trials, block):
@@ -538,7 +533,10 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         z = noiseless + noise * model.sigmas
         if perturbation is not None:
             z = z + perturbation
-        estimates = model.fit(z)
+        with _stage("estimate"):
+            estimates = model.fit(z)
+        with _stage("detect"):
+            detectors = detectors or [Detector.for_model(spec, model) for spec in scn.detectors]
         all_fired = np.ones(len(noise), dtype=bool)
         suspects = None  # of the last LNR detector; without one nothing is identified
         for d, detector in enumerate(detectors):

@@ -198,6 +198,13 @@ def test_stealth_check_needs_one_meter_count(h5, z5, w5):
         verify_stealth(z5[:5], atk, h5, w5)
 
 
+def test_stealth_check_whose_attacked_measurements_overflow_is_rejected(h5, w5):
+    # z and a = Hc are finite, z + a overflows at meter 2 (20 * 5e305 + 1.79e308)
+    atk = attack_from_c(h5, [5e305, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="^measurement values must all be finite$"):
+        verify_stealth(np.full(6, 1.79e308), atk, h5, w5)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_targeted_rejects_non_finite_pin(h5, bad):
     with pytest.raises(ValidationError, match="finite"):

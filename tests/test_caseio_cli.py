@@ -572,17 +572,54 @@ MALFORMED = {
     ),
     "buy bus 1.5": ("profit.json", lambda d: d["market"].update(buy_bus=1.5)),
     "sell bus 4.5": ("profit.json", lambda d: d["market"].update(sell_bus=4.5)),
+    # a string or a boolean where a number belongs is not read as one
+    "network bus ids '1'": ("network_limit34.json", lambda d: d.update(buses=[str(b) for b in d["buses"]])),
+    "network bus true": ("network_limit34.json", lambda d: d.update(buses=[True, 2, 3, 4, 5])),
+    "slack '1'": ("network_limit34.json", lambda d: d.update(slack="1")),
+    "branch from '1'": ("network_limit34.json", lambda d: d["branches"][0].update({"from": "1"})),
+    "x_pu '0.03'": ("network_limit34.json", lambda d: d["branches"][0].update(x_pu="0.03")),
+    "limit_mw '70'": ("network_limit34.json", lambda d: d["branches"][4].update(limit_mw="70")),
+    "base_mva '100'": ("network_limit34.json", lambda d: d.update(base_mva="100")),
+    "meter pair '1', '2'": ("meters.json", lambda d: d["meters"][0].update(branch=["1", "2"])),
+    "sigma '0.01'": ("meters.json", lambda d: d["meters"][0].update(sigma="0.01")),
+    "values '0.91'": ("measurements.json", lambda d: d.update(values_pu=["0.91", *d["values_pu"][1:]])),
+    "price '10'": ("market.json", lambda d: d["generators"][0].update(price="10")),
+    "load mw '100'": ("market.json", lambda d: d["loads"][0].update(mw="100")),
+    "load bus true": ("market.json", lambda d: d["loads"][0].update(bus=True)),
+    "buy bus '1'": ("profit.json", lambda d: d["market"].update(buy_bus="1")),
+    "quantity '1.0'": ("profit.json", lambda d: d["market"].update(quantity_mw="1.0")),
+    "pinned shift '0.03'": ("profit.json", lambda d: d["attack"].update(pinned={"3": "0.03"})),
+    "confidence '0.99'": ("profit.json", lambda d: d["detectors"][0].update(confidence="0.99")),
+    "magnitude '0.1'": (
+        "profit.json",
+        lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": 1, "magnitude": "0.1"}),
+    ),
+    "attack seed '1'": (
+        "profit.json", lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": "1"})
+    ),
+    "gross magnitude '0.5'": (
+        "profit.json", lambda d: d.update(attack={"type": "gross_error", "meter": 2, "magnitude_pu": "0.5"})
+    ),
+    "x_true '0'": (
+        "profit.json", lambda d: d.update(measurements={"simulate": {"x_true": ["0", 0, 0, 0], "seed": 1}})
+    ),
 }
 
 
-@pytest.mark.parametrize("name, edit", MALFORMED.values(), ids=list(MALFORMED))
-def test_cli_malformed_value_exits_2_naming_the_file(capsys, tmp_path, name, edit):
+def _edited_copy(tmp_path, name, edit):
+    """Copy every file of the 5-bus case into tmp_path, apply ``edit`` to the document of ``name``
+    and return its path."""
     for source in CASES_5BUS.glob("*.json"):
         (tmp_path / source.name).write_text(source.read_text())
     path = tmp_path / name
     doc = json.loads(path.read_text())
     edit(doc)
-    _write(path, doc)
+    return _write(path, doc)
+
+
+@pytest.mark.parametrize("name, edit", MALFORMED.values(), ids=list(MALFORMED))
+def test_cli_malformed_value_exits_2_naming_the_file(capsys, tmp_path, name, edit):
+    path = _edited_copy(tmp_path, name, edit)
     code, out, err = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
     assert code == 2
     assert f"ParseError: {path}: " in err
@@ -614,14 +651,89 @@ OVERFLOWING = {
 
 @pytest.mark.parametrize("name, edit, code, message", OVERFLOWING.values(), ids=list(OVERFLOWING))
 def test_cli_value_that_overflows_later_fails_in_one_line(capsys, tmp_path, name, edit, code, message):
-    for source in CASES_5BUS.glob("*.json"):
-        (tmp_path / source.name).write_text(source.read_text())
-    path = tmp_path / name
-    doc = json.loads(path.read_text())
-    edit(doc)
-    _write(path, doc)
+    _edited_copy(tmp_path, name, edit)
     result = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
     assert result == (code, "", f"error: {message}\n")
+
+
+# file of the 5-bus case -> (edit, stderr after "error: ", {dir} being the copy's directory);
+# each is an input fault that `scenario run profit.json` turns into exit 2 and this one line
+INPUT_FAULTS = {
+    "values 'nan'": (
+        "measurements.json", lambda d: d.update(values_pu=["nan", *d["values_pu"][1:]]),
+        "stage=measurements ParseError: {dir}/measurements.json: -: "
+        "malformed field: ValueError: 'nan' is not a number",
+    ),
+    "meter pair of three buses": (
+        "meters.json", lambda d: d["meters"][0].update(branch=[1, 2, 3]),
+        "stage=parse ParseError: {dir}/meters.json: meters[0].branch: expected a [from, to] bus pair",
+    ),
+    "sigma 0": (
+        "meters.json", lambda d: d["meters"][0].update(sigma=0),
+        "stage=parse ValidationError: meter sigma 0.0 must be > 0",
+    ),
+    "no meters": (
+        "meters.json", lambda d: d.update(meters=[]), "stage=parse ValidationError: meter configuration is empty",
+    ),
+    "bus id 0": (
+        "network_limit34.json", lambda d: d.update(buses=[0, 2, 3, 4, 5]),
+        "stage=parse ValidationError: bus id 0 must be a positive integer",
+    ),
+    "pinned {}": (
+        "profit.json", lambda d: d["attack"].update(pinned={}),
+        "ParseError: {dir}/profit.json: attack.pinned: targeted attack needs pinned entries",
+    ),
+    "3-entry x_true": (
+        "profit.json", lambda d: d.update(measurements={"simulate": {"x_true": [0, 0, 0], "seed": 1}}),
+        "stage=measurements DimensionMismatch: x_true has 3 entries, H has 4 columns",
+    ),
+    "load at bus 99": (
+        "market.json", lambda d: d["loads"][0].update(bus=99),
+        "stage=parse UnknownBus: load references unknown bus 99",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, edit, message", INPUT_FAULTS.values(), ids=list(INPUT_FAULTS))
+def test_cli_input_fault_exits_2_with_one_line(capsys, tmp_path, name, edit, message):
+    _edited_copy(tmp_path, name, edit)
+    result = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
+    assert result == (2, "", f"error: {message.format(dir=tmp_path)}\n")
+
+
+# file of the 5-bus case -> (edit, exit code, stderr after "error: ") of a fault in the Monte Carlo
+# scenario mc_clean.json, which `montecarlo` must report as `scenario run` does, stage included
+STAGE_FAULTS = {
+    "confidence 1.5": (
+        "mc_clean.json", lambda d: d["detectors"][0].update(confidence=1.5), 2,
+        "stage=detect ValidationError: probability 1.5 must lie strictly between 0 and 1",
+    ),
+    "sigma 1e-320": (
+        "meters.json", lambda d: d["meters"][2].update(sigma=1e-320), 3,
+        "stage=estimate SingularGainMatrix: gain matrix is singular: array must not contain infs or NaNs",
+    ),
+    "3-entry x_true": (
+        "mc_clean.json", lambda d: d["measurements"]["simulate"].update(x_true=[0.0, 0.0, 0.0]), 2,
+        "stage=measurements DimensionMismatch: x_true has 3 entries, H has 4 columns",
+    ),
+    "gross error 1e308": (
+        "mc_clean.json", lambda d: d.update(attack={"type": "gross_error", "meter": 2, "magnitude_pu": 1e308}), 3,
+        "stage=estimate NumericalError: the weighted measurements or residuals overflow a float",
+    ),
+    "x_true 1e307": (
+        "mc_clean.json", lambda d: d["measurements"]["simulate"]["x_true"].__setitem__(0, 1e307), 2,
+        "stage=measurements ValidationError: the flows H x_true of the true state must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, edit, code, message", STAGE_FAULTS.values(), ids=list(STAGE_FAULTS))
+def test_montecarlo_reports_a_fault_as_scenario_run_does(capsys, tmp_path, name, edit, code, message):
+    _edited_copy(tmp_path, name, edit)
+    path = tmp_path / "mc_clean.json"
+    scenario = run_cli(capsys, "scenario", "run", path)
+    montecarlo = run_cli(capsys, "montecarlo", path, "--trials", 5)
+    assert scenario == montecarlo == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

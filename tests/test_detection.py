@@ -317,4 +317,4 @@ def test_omega_diagonal_keeps_the_factor_and_no_inverse_gain(h5, z5, w5):
     assert after.objective == before.objective
     # the factor is the only n x n array the model holds, and it is unchanged
     assert np.array_equal(model.factor[0], factor)
-    assert sorted(vars(model)) == ["H", "edges", "factor", "m", "n", "omega_diagonal", "sigmas"]
+    assert sorted(vars(model)) == ["H", "edges", "factor", "m", "n", "omega_diagonal", "sigmas", "weights"]

@@ -107,6 +107,11 @@ def test_simulate_noise_scale(one_state):
     assert np.std(draws) == pytest.approx(0.01, rel=0.05)
 
 
+def test_simulate_rejects_true_flows_that_overflow(h5, w5):
+    with pytest.raises(ValidationError, match="^the flows H x_true of the true state must be finite$"):
+        simulate_measurements(h5, [1e307, 0.0, 0.0, 0.0], w5, seed=0)
+
+
 def test_wls_model_factors_once_on_first_use(h5, z5, w5):
     model = WlsModel(h5, w5)
     assert "factor" not in vars(model)
@@ -169,11 +174,17 @@ def test_h_values_and_sigmas_are_read_only(net5, meters5):
 
 
 def test_read_only_arrays_are_copies_of_a_callers_array(h5):
-    values, sigmas = h5.values.copy(), np.full(6, 0.01)
-    H, w = MeasurementMatrix(values, h5.state_buses, h5.edges), WeightModel(sigmas)
-    assert values.flags.writeable and sigmas.flags.writeable
-    values[0, 0], sigmas[0] = 7.0, 7.0
-    assert H.values[0, 0] == h5.values[0, 0] and w.sigmas[0] == 0.01
+    edges, weights, sigmas = h5.edges.copy(), h5.weights.copy(), np.full(6, 0.01)
+    H, w = MeasurementMatrix(h5.state_buses, edges, weights), WeightModel(sigmas)
+    assert edges.flags.writeable and weights.flags.writeable and sigmas.flags.writeable
+    edges[0, 0], weights[0], sigmas[0] = 3, 7.0, 7.0
+    assert np.array_equal(H.edges, h5.edges) and np.array_equal(H.weights, h5.weights)
+    assert np.array_equal(H.values, h5.values) and w.sigmas[0] == 0.01
+    for array in (H.edges, H.weights, H.values):
+        assert not array.flags.writeable
+    frozen = np.full(6, 0.01)
+    frozen.flags.writeable = False
+    assert WeightModel(frozen).sigmas is not frozen  # a copy even of a read-only array
 
 
 def test_shared_model_is_one_per_matrix_and_weights(net5, meters5, z5):

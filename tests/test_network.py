@@ -13,6 +13,7 @@ from fdilab.errors import (
 from fdilab.estimation import WeightModel, wls_estimate
 from fdilab.network import (
     Branch,
+    MeasurementMatrix,
     Meter,
     MeterConfig,
     NetworkModel,
@@ -163,6 +164,48 @@ def test_h_column_structure(net5, meters5, h5):
                 assert value == pytest.approx(expected[row], rel=1e-12)
             else:
                 assert value == 0.0
+
+
+def _replaced(array, row, value):
+    """A copy of ``array``, of a dtype that holds ``value``, with ``value`` at ``row``."""
+    array = array.astype(np.result_type(array, np.asarray(value)))
+    array[row] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda H: (H.edges[:, ::-1], H.weights),
+        lambda H: (_replaced(H.edges, 2, [1, 1]), H.weights),
+        lambda H: (_replaced(H.edges, 2, [-1, 2]), H.weights),
+        lambda H: (_replaced(H.edges, 2, [0, 5]), H.weights),
+        lambda H: (_replaced(H.edges, 2, [np.nan, 2]), H.weights),
+        lambda H: (H.edges.astype(float), H.weights),
+        lambda H: (H.edges, H.weights[:-1]),
+        lambda H: (H.edges, _replaced(H.weights, 3, 0.0)),
+        lambda H: (H.edges, _replaced(H.weights, 3, np.nan)),
+        lambda H: (H.edges, _replaced(H.weights, 3, -np.inf)),
+    ],
+    ids=["reversed", "a == b", "a < 0", "b > n", "nan edge", "float edges", "weight short",
+         "zero weight", "nan weight", "inf weight"],
+)
+def test_measurement_matrix_rejects_a_graph_outside_its_columns(h5, edit):
+    with pytest.raises(ValidationError):
+        MeasurementMatrix(h5.state_buses, *edit(h5))
+
+
+def test_measurement_matrix_values_follow_its_graph(h5):
+    # meter i reads weights[i] * (theta_a - theta_b), the slack being column n = 4
+    H = MeasurementMatrix(h5.state_buses, h5.edges[::-1], h5.weights[::-1])
+    assert np.array_equal(H.values, h5.values[::-1])
+    assert h5.edges[0].tolist() == [0, 4] and h5.values[0].tolist() == [h5.weights[0], 0.0, 0.0, 0.0]
+
+
+def test_measurement_matrices_compare_by_identity(net5, meters5, h5):
+    again = build_h_matrix(net5, meters5)
+    assert h5 == h5 and again != h5
+    assert len({h5, again}) == 2
 
 
 def test_unknown_branch_in_meter_config(net5):
