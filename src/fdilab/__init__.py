@@ -44,7 +44,6 @@ from .network import (
     MeterConfig,
     NetworkModel,
     build_h_matrix,
-    build_network,
 )
 from .scenario import (
     MonteCarloSummary,
@@ -78,7 +77,6 @@ __all__ = [
     "arbitrage_profit",
     "attack_from_c",
     "build_h_matrix",
-    "build_network",
     "chi_square_quantile",
     "chi_square_test",
     "gaussian_quantile",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownBranch, ValidationError
 from .market import DispatchCase, Generator, Load
-from .network import Meter, MeterConfig, NetworkModel, _integer, _number, build_network
+from .network import Branch, Meter, MeterConfig, NetworkModel
 
 
 def load_json(path) -> dict:
@@ -72,6 +72,22 @@ def load_json(path) -> dict:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
 
 
+def _number(value) -> float:
+    """``float(value)`` of a JSON number; a ValueError for a string or a boolean, which ``float`` would read."""
+    if type(value) is float:  # most values; the checks below cost every parsed number
+        return value
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """``int(value)`` of a JSON number; a ValueError where ``_number`` gives one, and for a fractional part."""
+    if type(value) is not int and not _number(value).is_integer():  # bool is not int here
+        raise ValueError(f"{value} is not an integer")
+    return int(value)
+
+
 def reader(parse):
     """Make a conversion error in ``parse(path, ...)`` a ParseError naming the file.
 
@@ -95,13 +111,27 @@ def _require(record: dict, key: str, path, location: str):
 
 @reader
 def parse_network(path) -> NetworkModel:
+    """Read a network file; ``base_mva`` defaults to 100, and a missing or null ``limit_mw`` leaves a line unlimited."""
     doc = load_json(path)
     for key in ("buses", "branches", "slack"):
         _require(doc, key, path, "top level")
     for i, rec in enumerate(doc["branches"]):
         for key in ("from", "to", "x_pu"):
             _require(rec, key, path, f"branches[{i}]")
-    return build_network(doc)
+    return NetworkModel(  # the arguments convert in order: bus ids, branches, slack, base_mva
+        buses=tuple(_integer(b) for b in doc["buses"]),
+        branches=tuple(
+            Branch(
+                from_bus=_integer(rec["from"]),
+                to_bus=_integer(rec["to"]),
+                x_pu=_number(rec["x_pu"]),
+                limit_mw=None if rec.get("limit_mw") is None else _number(rec["limit_mw"]),
+            )
+            for rec in doc["branches"]
+        ),
+        slack=_integer(doc["slack"]),
+        base_mva=_number(doc.get("base_mva", 100.0)),
+    )
 
 
 @reader

@@ -29,6 +29,7 @@ from .scenario import (
     _dispatch_rows,
     _fmt,
     _load_model,
+    _stage,
     parse_scenario,
     run_monte_carlo,
     run_scenario,
@@ -88,9 +89,11 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_opf(args) -> int:
-    net = caseio.parse_network(args.case)
-    case = caseio.parse_market(args.market, net)
-    result = solve_dc_opf(case)
+    with _stage("parse"):
+        net = caseio.parse_network(args.case)
+        case = caseio.parse_market(args.market, net)
+    with _stage("market"):
+        result = solve_dc_opf(case)
     names = _branch_names(net)
     out = ["[dispatch]"]
     for g, gen in enumerate(case.generators):

@@ -236,45 +236,6 @@ class MeasurementMatrix:
             raise ValidationError(f"bus {bus} has no state column (slack or unknown)") from None
 
 
-def _number(value) -> float:
-    """``float(value)`` of a JSON number; a ValueError for a string or a boolean, which ``float`` would read."""
-    if type(value) is float:  # most values; the checks below cost every parsed number
-        return value
-    if isinstance(value, (str, bool)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """``int(value)`` of a JSON number; a ValueError where ``_number`` gives one, and for a fractional part."""
-    if type(value) is not int and not _number(value).is_integer():  # bool is not int here
-        raise ValueError(f"{value} is not an integer")
-    return int(value)
-
-
-def build_network(case: dict) -> NetworkModel:
-    """Construct a validated NetworkModel from a parsed case record.
-
-    Expected keys: buses (list of ids), branches (list of {from, to, x_pu,
-    limit_mw?}), slack, base_mva (optional, default 100). A missing key or a
-    value of the wrong type raises the plain KeyError, TypeError or ValueError;
-    ``caseio.parse_network`` makes it a ParseError naming the file.
-    """
-    buses = tuple(_integer(b) for b in case["buses"])
-    branches = tuple(
-        Branch(
-            from_bus=_integer(rec["from"]),
-            to_bus=_integer(rec["to"]),
-            x_pu=_number(rec["x_pu"]),
-            limit_mw=None if rec.get("limit_mw") is None else _number(rec["limit_mw"]),
-        )
-        for rec in case["branches"]
-    )
-    slack = _integer(case["slack"])
-    base_mva = _number(case.get("base_mva", 100.0))
-    return NetworkModel(buses=buses, branches=branches, slack=slack, base_mva=base_mva)
-
-
 def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     """Assemble H for the given meter placement.
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
+from .caseio import _integer, _number
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import FdiLabError, ParseError, ValidationError
 from .estimation import (
@@ -34,7 +35,7 @@ from .estimation import (
     wls_estimate,
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, MeterConfig, NetworkModel, _integer, _number, build_h_matrix
+from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -245,6 +246,7 @@ def _load_model(
         return net, meters, build_h_matrix(net, meters), WeightModel(meters.sigmas)
 
 
+@_stage("attack")
 def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None, AttackVector | None]:
     """Return (perturbation added to z, AttackVector echo when a = Hc); (None, None) without an attack.
 
@@ -271,6 +273,18 @@ def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None,
         a[spec.meter] = spec.magnitude_pu
         return a, None
     raise ValidationError(f"unsupported attack spec {spec!r}")
+
+
+@_stage("attack")
+def _attacked(z: np.ndarray, perturbation: np.ndarray | None) -> np.ndarray:
+    """``z + perturbation`` (z itself without an attack); a sum that overflows is a ValidationError."""
+    if perturbation is None:
+        return z
+    with np.errstate(over="ignore"):  # an overflow is an error below, not a warning
+        attacked = z + perturbation
+    if not np.isfinite(attacked).all():
+        raise ValidationError("attacked measurements z + a must all be finite")
+    return attacked
 
 
 @dataclass(frozen=True)
@@ -402,9 +416,8 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
         else:
             x_true = np.asarray(scn.measurements.x_true, dtype=float)
             z = simulate_measurements(H, x_true, weights, seed=scn.measurements.seed)
-    with _stage("attack"):
-        perturbation, atk = _build_attack_vector(scn.attack, H)
-        z_observed = z if perturbation is None else z + perturbation
+    perturbation, atk = _build_attack_vector(scn.attack, H)
+    z_observed = _attacked(z, perturbation)
     with _stage("estimate"):
         observed = wls_estimate(H, z_observed, weights)
         clean = wls_estimate(H, z, weights) if perturbation is not None else None
@@ -516,8 +529,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     _, _, H, weights = _load_model(scn.network_path, scn.meters_path)
     with _stage("measurements"):
         noiseless = _true_flows(H, scn.measurements.x_true)
-    with _stage("attack"):
-        perturbation, _ = _build_attack_vector(scn.attack, H)
+    perturbation, _ = _build_attack_vector(scn.attack, H)
     model = WlsModel.of(H, weights)
     target_meter = scn.attack.meter if isinstance(scn.attack, GrossErrorSpec) else None
 
@@ -530,9 +542,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         noise = np.empty((min(block, trials - first), H.m))
         for trial, row in enumerate(noise, start=first):
             np.random.default_rng([base_seed, trial]).standard_normal(out=row)
-        z = noiseless + noise * model.sigmas
-        if perturbation is not None:
-            z = z + perturbation
+        z = _attacked(noiseless + noise * model.sigmas, perturbation)
         with _stage("estimate"):
             estimates = model.fit(z)
         with _stage("detect"):

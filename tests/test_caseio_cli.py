@@ -400,12 +400,13 @@ def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, flags",
-    [("random", ["--support", "a,1"]), ("targeted", ["--pin", "3=abc"]),
-     ("random", ["--support", "0,2,3", "--seed", "-1"])],
+    "kind, flags, prefix",
+    [("random", ["--support", "a,1"], "error: ValidationError: "),
+     ("targeted", ["--pin", "3=abc"], "error: ValidationError: "),
+     ("random", ["--support", "0,2,3", "--seed", "-1"], "error: stage=attack ValidationError: ")],
     ids=["support a", "pin abc", "seed -1"],
 )
-def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags):
+def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags, prefix):
     code, out, err = run_cli(
         capsys,
         "attack", kind,
@@ -414,7 +415,7 @@ def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags):
         *flags,
     )
     assert code == 2
-    assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert out == ""
 
 
@@ -441,7 +442,7 @@ def test_cli_targeted_repeated_pin_exits_2(capsys):
         "--pin", "3=0.2",
     )
     assert code == 2
-    assert err == "error: ValidationError: bus 3 is pinned more than once\n"
+    assert err == "error: stage=attack ValidationError: bus 3 is pinned more than once\n"
     assert out == ""
 
 
@@ -457,22 +458,42 @@ def test_cli_targeted_pin_whose_attack_overflows_exits_2(capsys, tmp_path):
         "--out", echo,
     )
     assert code == 2
-    assert err == "error: ValidationError: state shift c and attack a = Hc must be finite\n"
+    assert err == "error: stage=attack ValidationError: state shift c and attack a = Hc must be finite\n"
     assert out == ""
     assert not echo.exists()
 
 
-def test_cli_targeted_pin_on_the_slack_exits_2(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "attack", "targeted",
-        "--case", CASES_5BUS / "network.json",
-        "--meters", CASES_5BUS / "meters.json",
-        "--pin", "1=0.1",
-    )
-    assert code == 2
-    assert err == "error: ValidationError: bus 1 has no state column (slack or unknown)\n"
-    assert out == ""
+# arguments after the command -> (exit code, stderr after "error: "); `attack` and `opf` tag a fault
+# with the stage that `scenario run` gives it
+COMMAND_FAULTS = {
+    "random support 0": (
+        ["attack", "random", "--meters", CASES_5BUS / "meters.json", "--support", "0"], 4,
+        "stage=attack InfeasibleSupport: no nonzero state shift keeps meters [1, 2, 3, 4, 5] untouched",
+    ),
+    "pin on the slack": (
+        ["attack", "targeted", "--meters", CASES_5BUS / "meters.json", "--pin", "1=0.1"], 2,
+        "stage=attack ValidationError: bus 1 has no state column (slack or unknown)",
+    ),
+    "load at bus 99": (
+        ["opf", "--market", "{dir}/market.json"], 2, "stage=parse UnknownBus: load references unknown bus 99",
+    ),
+    "line 3-4 overloaded": (
+        ["opf", "--market", "{dir}/radial.json"], 4,
+        "stage=market InfeasibleDispatch: no feasible dispatch: The problem is infeasible. "
+        "(HiGHS Status 8: model_status is Infeasible; primal_status is None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", COMMAND_FAULTS.values(), ids=list(COMMAND_FAULTS))
+def test_attack_and_opf_tag_a_fault_with_its_stage(capsys, tmp_path, argv, code, message):
+    _edited_copy(tmp_path, "market.json", lambda d: d["loads"][0].update(bus=99))
+    # all 500 MW from bus 3 to bus 4 push more than the 70 MW limit of line 3-4
+    _write(tmp_path / "radial.json", {"generators": [{"bus": 3, "price": 10.0, "pmax": 500.0}],
+                                      "loads": [{"bus": 4, "mw": 500.0}]})
+    argv = [str(a).format(dir=tmp_path) for a in argv]
+    result = run_cli(capsys, *argv, "--case", CASES_5BUS / "network_limit34.json")
+    assert result == (code, "", f"error: {message}\n")
 
 
 def test_cli_random_infinite_magnitude_exits_2_with_one_stderr_line():
@@ -486,7 +507,7 @@ def test_cli_random_infinite_magnitude_exits_2_with_one_stderr_line():
         text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: ValidationError: attack magnitude inf must be finite and > 0\n"
+    assert proc.stderr == "error: stage=attack ValidationError: attack magnitude inf must be finite and > 0\n"
     assert proc.stdout == ""
 
 
@@ -723,6 +744,12 @@ STAGE_FAULTS = {
     "x_true 1e307": (
         "mc_clean.json", lambda d: d["measurements"]["simulate"]["x_true"].__setitem__(0, 1e307), 2,
         "stage=measurements ValidationError: the flows H x_true of the true state must be finite",
+    ),
+    "z + a overflows": (
+        "mc_clean.json",
+        lambda d: (d["measurements"]["simulate"].update(x_true=[1e292, 0.0, 0.0, 0.0]),
+                   d.update(attack={"type": "gross_error", "meter": 2, "magnitude_pu": 1.7976931348623157e308})),
+        2, "stage=attack ValidationError: attacked measurements z + a must all be finite",
     ),
 }
 

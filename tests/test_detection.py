@@ -90,6 +90,8 @@ def test_quantile_domain_checks():
             gaussian_quantile(p)
         with pytest.raises(ValidationError):
             chi_square_quantile(p, 2)
+    with pytest.raises(ValidationError, match="^degrees of freedom 0 must be >= 1$"):
+        chi_square_quantile(0.99, 0)
 
 
 # -- chi-square test ------------------------------------------------------------
@@ -160,6 +162,12 @@ def test_lnr_zero_residual_not_detected(h5, w5):
     assert rep.statistic == pytest.approx(0.0, abs=1e-12)
     assert not rep.bad_data_detected
     assert rep.suspect_meter is None
+
+
+def test_lnr_omega_must_match_the_estimate(h5, z5, w5):
+    res = wls_estimate(h5, z5, w5)  # 6 meters
+    with pytest.raises(ValidationError, match="^omega and estimation result disagree on meter count$"):
+        lnr_test(res, np.eye(5))
 
 
 def test_lnr_threshold_is_two_sided(h5, w5):

@@ -77,6 +77,8 @@ def test_weight_model_validation():
     for bad in (0.0, -0.01):
         with pytest.raises(ValidationError, match="^all sigmas must be finite and > 0$"):
             WeightModel(np.array([0.01, bad]))
+    with pytest.raises(ValidationError, match="^sigmas must be a 1-D vector$"):
+        WeightModel([[0.01, 0.02]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import CASES_5BUS
 from fdilab import caseio
 from fdilab.attack import targeted_attack
-from fdilab.errors import InfeasibleDispatch, UnknownBus, ValidationError
+from fdilab.errors import DimensionMismatch, InfeasibleDispatch, UnknownBus, ValidationError
 from fdilab.estimation import WeightModel, wls_estimate
 from fdilab.market import (
     DispatchCase,
@@ -134,6 +134,13 @@ def test_zero_flow_delta_keeps_case(market5, meters5):
     flows = np.array([0.91, -0.16, 0.19, 0.21, 0.89, 0.09])
     perceived = perceived_case_from_attack(market5, meters5, flows, flows)
     assert perceived.load_by_bus() == market5.load_by_bus()
+
+
+def test_perceived_case_needs_a_flow_per_meter(market5, meters5):
+    flows = np.zeros(6)
+    for before, after in ((flows[:5], flows[:5]), (flows, flows[:5])):  # both one meter short, or only after
+        with pytest.raises(DimensionMismatch, match="^flow vectors must both be dimensioned to the meter set$"):
+            perceived_case_from_attack(market5, meters5, before, after)
 
 
 def test_single_branch_delta_moves_injections(market5, meters5):

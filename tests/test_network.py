@@ -18,7 +18,6 @@ from fdilab.network import (
     MeterConfig,
     NetworkModel,
     build_h_matrix,
-    build_network,
 )
 
 
@@ -38,24 +37,15 @@ def test_five_bus_case_builds(net5):
 
 
 def test_two_bus_minimal_case():
-    net = build_network({"buses": [1, 2], "branches": [{"from": 1, "to": 2, "x_pu": 1.0}], "slack": 1})
+    net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1.0),), slack=1)
     assert net.n_states == 1
 
 
 def test_isolated_bus_rejected():
     # drop every branch touching bus 5
-    case = {
-        "buses": [1, 2, 3, 4, 5],
-        "slack": 1,
-        "branches": [
-            {"from": 1, "to": 2, "x_pu": 0.03},
-            {"from": 1, "to": 3, "x_pu": 0.05},
-            {"from": 2, "to": 4, "x_pu": 0.05},
-            {"from": 3, "to": 4, "x_pu": 0.05},
-        ],
-    }
+    branches = (Branch(1, 2, 0.03), Branch(1, 3, 0.05), Branch(2, 4, 0.05), Branch(3, 4, 0.05))
     with pytest.raises(DisconnectedGraph, match=r"\[5\]"):
-        build_network(case)
+        NetworkModel(buses=(1, 2, 3, 4, 5), branches=branches, slack=1)
 
 
 def test_cut_off_buses_are_named_sorted_wherever_the_slack_sits():
@@ -79,7 +69,7 @@ def test_cut_off_buses_are_named_sorted_wherever_the_slack_sits():
 
 def test_duplicate_bus_rejected():
     with pytest.raises(DuplicateBus):
-        build_network({"buses": [1, 2, 2], "branches": [{"from": 1, "to": 2, "x_pu": 1.0}], "slack": 1})
+        NetworkModel(buses=(1, 2, 2), branches=(Branch(1, 2, 1.0),), slack=1)
 
 
 def test_nonpositive_reactance_rejected():
@@ -95,13 +85,7 @@ def test_reactance_without_finite_reciprocal_rejected():
             Branch(1, 2, bad)
         assert not isinstance(info.value, NonPositiveReactance)
     with pytest.raises(ValidationError, match="branch 2-3"):
-        build_network(
-            {
-                "buses": [1, 2, 3],
-                "slack": 1,
-                "branches": [{"from": 1, "to": 2, "x_pu": 0.1}, {"from": 2, "to": 3, "x_pu": 1e-320}],
-            }
-        )
+        NetworkModel(buses=(1, 2, 3), branches=(Branch(1, 2, 0.1), Branch(2, 3, 1e-320)), slack=1)
 
 
 def test_self_loop_and_bad_limit_rejected():
@@ -247,6 +231,8 @@ def test_meter_orientation_flips_sign():
     backward = build_h_matrix(net, MeterConfig((Meter(branch=0, orientation=-1),)))
     np.testing.assert_allclose(forward.values, -backward.values)
     np.testing.assert_allclose(forward.values, [[-2.0]])
+    with pytest.raises(ValidationError, match=r"^meter orientation 0 must be \+1 or -1$"):
+        Meter(branch=0, orientation=0)
 
 
 def test_branch_index_lookup(net5):
