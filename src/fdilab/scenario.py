@@ -44,7 +44,9 @@ MC_BLOCK_ELEMENTS = 1 << 16
 
 
 def _fmt(value) -> str:
-    return f"{float(value):.6f}"
+    """Six decimals, with no sign on a zero: the sign of a round-off residue is BLAS summation order."""
+    text = f"{float(value):.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 # -- CSV rendering ---------------------------------------------------------------

@@ -116,13 +116,14 @@ def write_grid_scenarios(directory: Path) -> dict[str, Path]:
 
 
 # sha256 of the text report followed by the CSV report of each kind on the
-# 30-bus case above, captured before the meter-graph walks were merged.
+# 30-bus case above, captured once zeros printed unsigned; before, 2 to 30
+# lines of each report printed a -0.000000 whose sign followed the BLAS kernel.
 GRID_REPORT_SHA256 = {
-    "estimate": "01859d9bd02dbd9d4080f2b195588ab1f7bced31d8331fc9385349c00152a02b",
-    "detect": "f2357afeb7feb2630813d8379083bcbc3ad15c4bfea25e7b98ea5801b4d2d630",
-    "gross": "812080eb267ebcff2b08781bb35c806420f27f9ae54dab16c5a9b9a09e9eff42",
-    "random": "5c68f02dd991cf0703df0dd838425fedb7dab71402e9d35ac88efff07a0f3234",
-    "targeted": "b997ef5b84256b1f862e2e56af426bebfdfc7ec977ae466e77cbce701674ff92",
+    "estimate": "faed8480f77e7321e305be94d063efcdb1cce0ae84d2c4372d9c282a0940bc0e",
+    "detect": "69770c5a029247cfe55439c1ac1e71a89cf78ca0adf168a68921ecbfeec00fde",
+    "gross": "38ee7c5baaba548fe40d092234223887d1c017a5dd761fed44c166cbce2c563a",
+    "random": "fe67cec9984f4786479bd6556a665ffdab89bc6ec5bf70081193295e6ff8bf2c",
+    "targeted": "295f83304cdafffb746240802f80ea5d3ab7ef0973092265af8737c087051449",
 }
 
 
