@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,14 @@ def _integer(value) -> int:
     if type(value) is not int and not _number(value).is_integer():  # bool is not int here
         raise ValueError(f"{value} is not an integer")
     return int(value)
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` of a bus or meter id written as text; a ValueError for blanks, underscores
+    or anything else but ASCII digits after an optional minus sign, which ``int`` would read."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def reader(parse):

@@ -61,12 +61,13 @@ def _detect_report(args):
 
 
 def _random_spec(args) -> RandomAttackSpec:
-    return RandomAttackSpec(tuple(int(i) for i in args.support.split(",")), args.seed, args.magnitude)
+    support = tuple(caseio._decimal(i) for i in args.support.split(","))
+    return RandomAttackSpec(support, args.seed, args.magnitude)
 
 
 def _targeted_spec(args) -> TargetedAttackSpec:
     pins = (pin.split("=", 1) for pin in args.pin)
-    return TargetedAttackSpec(tuple((int(bus), float(shift)) for bus, shift in pins))
+    return TargetedAttackSpec(tuple((caseio._decimal(bus), float(shift)) for bus, shift in pins))
 
 
 def _cmd_attack(args) -> int:

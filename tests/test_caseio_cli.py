@@ -403,8 +403,10 @@ def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
     "kind, flags, prefix",
     [("random", ["--support", "a,1"], "error: ValidationError: "),
      ("targeted", ["--pin", "3=abc"], "error: ValidationError: "),
+     ("targeted", ["--pin", " 0_3 =0.1"], "error: ValidationError: "),
+     ("random", ["--support", "0_2,3"], "error: ValidationError: "),
      ("random", ["--support", "0,2,3", "--seed", "-1"], "error: stage=attack ValidationError: ")],
-    ids=["support a", "pin abc", "seed -1"],
+    ids=["support a", "pin abc", "pin 0_3", "support 0_2", "seed -1"],
 )
 def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags, prefix):
     code, out, err = run_cli(
@@ -561,6 +563,9 @@ MALFORMED = {
         "profit.json", lambda d: d.update(attack={"type": "gross_error", "magnitude_pu": 0.5})
     ),
     "pinned bus x": ("profit.json", lambda d: d["attack"].update(pinned={"x": 0.03})),
+    # a bus key is decimal digits alone, not whatever int() reads
+    "pinned bus 0_3": ("profit.json", lambda d: d["attack"].update(pinned={"0_3": 0.03})),
+    "pinned bus ' 3'": ("profit.json", lambda d: d["attack"].update(pinned={" 3": 0.03})),
     "support a": ("profit.json", lambda d: d.update(attack={"type": "random", "support": ["a"], "seed": 1})),
     "x_true abc": ("profit.json", lambda d: d.update(measurements={"simulate": {"x_true": "abc", "seed": 1}})),
     "confidence high": ("profit.json", lambda d: d["detectors"][0].update(confidence="high")),
