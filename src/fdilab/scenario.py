@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
-from .caseio import _integer, _number
+from .caseio import _decimal, _integer, _number
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import FdiLabError, ParseError, ValidationError
 from .estimation import (
@@ -196,7 +196,7 @@ def parse_scenario(path) -> Scenario:
         if not pinned:
             raise ParseError(path, "attack.pinned", "targeted attack needs pinned entries")
         attack = TargetedAttackSpec(
-            pinned=tuple((int(bus), _number(shift)) for bus, shift in pinned.items())
+            pinned=tuple((_decimal(bus), _number(shift)) for bus, shift in pinned.items())
         )
     elif kind == "gross_error":
         attack = GrossErrorSpec(
@@ -511,14 +511,109 @@ class MonteCarloSummary:
         return _csv(rows)
 
 
+# numpy's SeedSequence and PCG64 seeding (numpy/random/bit_generator.pyx and
+# pcg64.h), which NEP 19 keeps fixed across numpy releases.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The uint32 words of a non-negative int, low word first, as SeedSequence splits its entropy."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:
+    """The running constant of ``calls`` successive hashmix calls, as a (calls + 1, 1) uint32 column.
+
+    It is formed in Python ints: two numpy scalars whose product wraps would
+    raise a RuntimeWarning, and every wrapping product below is an array one.
+    """
+    consts = [const]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` with ``consts[j]`` and ``consts[j + 1]``, as row j."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ r >> 16
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> list[list[int]]:
+    """``SeedSequence(e).generate_state(4, uint64)`` for each column e of ``entropy``.
+
+    ``entropy`` is a (words, trials) uint32 array. SeedSequence makes one
+    hashmix call per pool word a word is mixed into. Those calls hash the
+    same word with successive constants, so they run as the rows of one array.
+    """
+    words, trials = entropy.shape
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * max(0, words - 4))
+    pool = _hashmix(np.vstack([entropy[:4], np.zeros((max(0, 4 - words), trials), np.uint32)]), consts[:5])
+    used = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used:used + 4]))
+        used += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, consts[used:used + 5]))
+        used += 4
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+
+
+def _noise_block(base_seed: int, first: int, out: np.ndarray) -> None:
+    """Fill row k of ``out`` with ``default_rng([base_seed, first + k]).standard_normal(m)``, bit for bit.
+
+    Creating one generator per trial costs far more than its draw, mostly in
+    hashing the seed. Here the hash runs over the whole block in uint32
+    arrays, and one PCG64 is seeded by hand for each row. The block is hashed
+    in parts that cross no multiple of 2**32, so in each part only the trial's
+    low word varies.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    base = _uint32_words(base_seed)
+    start = 0
+    while start < len(out):
+        low, *high = _uint32_words(first + start)
+        stop = min(len(out), start + (1 << 32) - low)
+        entropy = np.array([*base, low, *high], dtype=np.uint32)[:, None].repeat(stop - start, axis=1)
+        entropy[len(base)] += np.arange(stop - start, dtype=np.uint32)
+        for (s0, s1, i0, i1), row in zip(_pcg64_seeds(entropy), out[start:stop]):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=row)
+        start = stop
+
+
 def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSummary:
     """Detection rates over independently seeded noise realizations.
 
     The scenario must use a simulated measurement source; its own seed is
-    ignored and trial t draws noise from a generator seeded by
-    (base_seed, t), so two runs with equal base seeds see identical noise
-    regardless of the attack applied. Trials are estimated and judged a
-    block at a time, with each detector's threshold computed once per run.
+    ignored and trial t's noise has the bits of
+    ``default_rng([base_seed, t]).standard_normal(m)``, so two runs with
+    equal base seeds see identical noise regardless of the attack applied.
+    Trials draw their noise (``_noise_block``), are estimated and are judged
+    a block at a time, with each detector's threshold computed once per run.
     The stages run in ``run_scenario``'s order, which tags a fault alike.
     """
     if trials < 1:
@@ -542,8 +637,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     block = max(1, MC_BLOCK_ELEMENTS // H.m)
     for first in range(0, trials, block):
         noise = np.empty((min(block, trials - first), H.m))
-        for trial, row in enumerate(noise, start=first):
-            np.random.default_rng([base_seed, trial]).standard_normal(out=row)
+        _noise_block(base_seed, first, noise)
         z = _attacked(noiseless + noise * model.sigmas, perturbation)
         with _stage("estimate"):
             estimates = model.fit(z)

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CASES_5BUS, TABLE_XHAT
 from fdilab import caseio, detection, scenario
@@ -235,6 +237,29 @@ def test_monte_carlo_reference_sees_detections():
     scn = simulated_scenario(GrossErrorSpec(meter=3, magnitude_pu=0.05))
     (chi, lnr), _, identified = reference_monte_carlo(scn, trials=300, base_seed=17)
     assert 0 < chi[2] < 300 and 0 < lnr[2] < 300 and 0 < identified < 300
+
+
+# Seeds and trial numbers where an int gains a uint32 word of entropy.
+WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64)
+near_word_edges = st.builds(lambda edge, back: max(0, edge - back), st.sampled_from(WORD_EDGES), st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    base_seed=st.one_of(near_word_edges, st.integers(0, 2**70)),
+    first=st.one_of(near_word_edges, st.integers(0, 2**70)),
+    trials=st.integers(1, 12),
+    m=st.integers(1, 8),
+)
+@example(base_seed=2**64 - 1, first=2**32 - 5, trials=10, m=3)
+@example(base_seed=2**128 + 5, first=2**64 - 2, trials=4, m=2)
+def test_noise_block_has_the_bits_of_one_generator_per_trial(base_seed, first, trials, m):
+    # The noise contract is default_rng([base_seed, t]); the block hash re-implements
+    # numpy's seeding, so a numpy release that changed it would fail here.
+    out = np.empty((trials, m))
+    scenario._noise_block(base_seed, first, out)
+    reference = np.stack([np.random.default_rng([base_seed, first + k]).standard_normal(m) for k in range(trials)])
+    assert out.tobytes() == reference.tobytes()
 
 
 def write_critical_case(directory):
