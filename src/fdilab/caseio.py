@@ -90,8 +90,8 @@ def _integer(value) -> int:
 
 
 def _decimal(text: str) -> int:
-    """``int(text)`` of a bus or meter id written as text; a ValueError for blanks, underscores
-    or anything else but ASCII digits after an optional minus sign, which ``int`` would read."""
+    """``int(text)`` of an id written as text: ASCII digits after an optional minus sign, and a
+    ValueError for the blanks, underscores and non-ASCII digits that ``int`` also reads."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"{text!r} is not a decimal integer")
     return int(text)
