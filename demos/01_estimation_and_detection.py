@@ -28,7 +28,7 @@ z = parse_measurements(CASE / "measurements.json")
 weights = WeightModel(meters.sigmas)
 
 print("measurement matrix H (rows = meters, columns = bus angles 2..5):")
-print(np.array_str(H.values, precision=3, suppress_small=True))
+print(np.array_str(H.dot(np.eye(H.n)).T, precision=3, suppress_small=True))  # H x of each unit x
 
 result = wls_estimate(H, z, weights)
 print("\nestimated angles (rad):", np.round(result.state, 5))

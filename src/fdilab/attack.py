@@ -40,9 +40,6 @@ from .errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from .estimation import WeightModel, WlsModel, _rng
 from .network import MeasurementMatrix, _components
 
-# |a_i| at or below this is treated as structurally zero when computing support.
-SUPPORT_ZERO_THRESHOLD = 1e-12
-
 
 @dataclass(frozen=True)
 class AttackVector:
@@ -54,12 +51,12 @@ class AttackVector:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite c or a is an error below, not a warning
-def _finalize(Hv: np.ndarray, c: np.ndarray, scale: float = 1.0) -> AttackVector:
+def _finalize(H: MeasurementMatrix, c: np.ndarray, scale: float = 1.0) -> AttackVector:
+    """a = H c of c * scale; a meter reads exactly 0 when c moves its two angles alike."""
     c = c * scale
-    a = Hv @ c
+    a = H.dot(c)
     if not (np.isfinite(c).all() and np.isfinite(a).all()):
         raise ValidationError("state shift c and attack a = Hc must be finite")
-    a[np.abs(a) <= SUPPORT_ZERO_THRESHOLD] = 0.0
     support = tuple(int(i) for i in np.flatnonzero(a))
     return AttackVector(a=a, c=c, support=support)
 
@@ -69,7 +66,7 @@ def attack_from_c(H: MeasurementMatrix, c) -> AttackVector:
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.shape[0] != H.n:
         raise DimensionMismatch(f"c has {c.shape[0]} entries, H has {H.n} columns")
-    return _finalize(H.values, c)
+    return _finalize(H, c)
 
 
 def random_constrained_attack(
@@ -105,14 +102,11 @@ def random_constrained_attack(
 
     # One draw decides: H B g vanishes for every g when H B = 0, and for almost no g otherwise.
     c = basis @ _rng(seed).standard_normal(basis.shape[1])
-    norm_a = float(np.linalg.norm(H.values @ c))  # a float, so a scale that overflows is inf, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):  # a flow that overflows makes the scale NaN: an error below
+        norm_a = float(np.linalg.norm(H.dot(c)))  # a float, so a scale that overflows is inf, not a warning
     if norm_a <= 1e-12:
         raise InfeasibleSupport("random draws produced only degenerate attacks")
-    atk = _finalize(H.values, c, magnitude / norm_a)
-    stray = [i for i in atk.support if uncontrolled[i]]
-    if stray:  # pragma: no cover - the null-space construction rules this out
-        raise InfeasibleSupport(f"construction leaked onto uncontrolled meters {stray}")
-    return atk
+    return _finalize(H, c, magnitude / norm_a)
 
 
 def _null_space(n: int, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -143,7 +137,7 @@ def targeted_attack(H: MeasurementMatrix, pinned: Mapping[int, float]) -> Attack
         if not 0 <= idx < n:
             raise DimensionMismatch(f"pinned state index {idx} out of range 0..{n - 1}")
         c[idx] = float(value)
-    return _finalize(H.values, c)
+    return _finalize(H, c)
 
 
 def verify_stealth(

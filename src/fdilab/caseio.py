@@ -97,6 +97,14 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _real(text: str) -> float:
+    """``float(text)`` of a number written as text: ASCII digits with an optional sign, point and
+    exponent, and a ValueError for the blanks, underscores, non-ASCII digits and words that ``float`` also reads."""
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
+
+
 def reader(parse):
     """Make a conversion error in ``parse(path, ...)`` a ParseError naming the file.
 

@@ -67,7 +67,7 @@ def _random_spec(args) -> RandomAttackSpec:
 
 def _targeted_spec(args) -> TargetedAttackSpec:
     pins = (pin.split("=", 1) for pin in args.pin)
-    return TargetedAttackSpec(tuple((caseio._decimal(bus), float(shift)) for bus, shift in pins))
+    return TargetedAttackSpec(tuple((caseio._decimal(bus), caseio._real(shift)) for bus, shift in pins))
 
 
 def _cmd_attack(args) -> int:

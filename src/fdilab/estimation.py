@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError, SingularGainMatrix, ValidationError
-from .network import MeasurementMatrix, _read_only
+from .network import MeasurementMatrix, _dot, _read_only
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,17 @@ def _rng(seed) -> np.random.Generator:
 class WlsModel:
     """The weighted normal equations of one meter set, solved for any z.
 
-    Holds H.values, as ``H``, ``H.edges`` and ``H.weights``, not H, whose memo
-    holds the model (no reference cycle), and not R^-1/2 H. The Cholesky factor
-    of the gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1 H)^-1 H'
+    Holds ``H.edges`` and ``H.weights``, not H, whose memo holds the model (no
+    reference cycle). R^-1/2 H, the one dense form of H, the Cholesky factor of
+    the gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1 H)^-1 H'
     and its diagonal are each worked out on first use and then kept, so
     every estimate and Omega made from one model shares one factorisation,
     and a caller pays only for what it uses.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
-        self.H, self.edges, self.weights, self.sigmas = H.values, H.edges, H.weights, w.sigmas
-        self.m, self.n = self.H.shape
+        self.edges, self.weights, self.sigmas = H.edges, H.weights, w.sigmas
+        self.m, self.n = H.m, H.n
         if self.sigmas.shape != (self.m,):
             raise DimensionMismatch(f"expected {self.m} sigmas, got shape {self.sigmas.shape}")
 
@@ -88,13 +88,25 @@ class WlsModel:
         return H._model[1]
 
     @cached_property
+    def weighted(self) -> np.ndarray:
+        """R^-1/2 H, read-only, read off the edge list: w/sigma at column a and -(w/sigma) at column
+        b < n of each row, the bits of the dense H divided by sigma. First read inside ``factor`` or
+        ``fit``, whose errstate covers a w/sigma that overflows."""
+        a, b = self.edges.T
+        rows, state, ws = np.arange(self.m), b < self.n, self.weights / self.sigmas
+        Hw = np.zeros((self.m, self.n))
+        Hw[rows, a] = ws
+        Hw[rows[state], b[state]] = -ws[state]
+        Hw.flags.writeable = False
+        return Hw
+
+    @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a gain that overflows fails below, not with a warning
     def factor(self):
         """Cholesky factor of H' R^-1 H; SingularGainMatrix when it is not invertible or not finite."""
         import scipy.linalg
 
-        Hw = self.H / self.sigmas[:, None]  # R^-1/2 H; fit forms it again by the same expression
-        gain = Hw.T @ Hw
+        gain = self.weighted.T @ self.weighted
         try:
             return scipy.linalg.cho_factor(gain)
         except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: infs or NaNs
@@ -136,8 +148,8 @@ class WlsModel:
             raise ValidationError("measurement values must all be finite")
         # Trials are columns in the solve, so one z takes the matrix-vector
         # products and single right-hand side it always has, and keeps its bits.
-        state = self.solve((self.H / self.sigmas[:, None]).T @ (Z / self.sigmas).T).T
-        fitted = (self.H @ state.T).T
+        state = self.solve(self.weighted.T @ (Z / self.sigmas).T).T
+        fitted = _dot(self.edges, self.weights, state)
         residual = Z - fitted
         # C order makes np.sum add each row as it adds a single vector
         objective = np.sum(np.ascontiguousarray((residual / self.sigmas) ** 2), axis=1)
@@ -150,7 +162,8 @@ class WlsModel:
     @cached_property
     def omega(self) -> np.ndarray:
         """Omega = R - H (H' R^-1 H)^-1 H', symmetrised."""
-        omega = np.diag(self.sigmas**2) - self.H @ self.solve(self.H.T)
+        H = _dot(self.edges, self.weights, np.eye(self.n)).T  # each entry exactly +-w or 0
+        omega = np.diag(self.sigmas**2) - H @ self.solve(H.T)
         return 0.5 * (omega + omega.T)  # strip asymmetric round-off
 
     @cached_property
@@ -191,7 +204,7 @@ def _true_flows(H: MeasurementMatrix, x_true) -> np.ndarray:
     if x_true.shape[0] != H.n:
         raise DimensionMismatch(f"x_true has {x_true.shape[0]} entries, H has {H.n} columns")
     with np.errstate(over="ignore", invalid="ignore"):
-        flows = H.values @ x_true
+        flows = H.dot(x_true)
     if not np.all(np.isfinite(flows)):
         raise ValidationError("the flows H x_true of the true state must be finite")
     return flows

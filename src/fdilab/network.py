@@ -196,13 +196,13 @@ class MeasurementMatrix:
     """m x n matrix mapping non-slack bus angles to metered branch flows: the meter graph.
 
     Meter i reads ``weights[i] * (theta_a - theta_b)``, +-1/x times the angle difference across
-    ``(a, b) = edges[i]``, 0 <= a < b <= n, the slack being column n; ``values`` is derived from
-    them. All three arrays are read-only copies; ``_model`` is the slot of ``WlsModel.of``."""
+    ``(a, b) = edges[i]``, 0 <= a < b <= n, the slack being column n; ``dot`` forms H x from
+    them, and no dense H is kept. Both arrays are read-only copies; ``_model`` is the slot of
+    ``WlsModel.of``."""
 
     state_buses: tuple[BusId, ...]
     edges: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    values: np.ndarray = field(init=False)
     _model: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -212,28 +212,35 @@ class MeasurementMatrix:
         a, b = edges.T
         if not np.all((0 <= a) & (a < b) & (b <= n) & np.isfinite(weights) & (weights != 0)):
             raise ValidationError(f"each meter needs an edge 0 <= a < b <= {n} and a finite, nonzero weight")
-        values = np.zeros((len(edges), n))
-        rows, state = np.arange(len(edges)), b < n  # the slack, column n, has no column in values
-        values[rows, a] = weights
-        values[rows[state], b[state]] = -weights[state]
-        values.flags.writeable = False
         object.__setattr__(self, "edges", _read_only(edges, int))
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "values", values)
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return len(self.weights)
 
     @property
     def n(self) -> int:
-        return self.values.shape[1]
+        return len(self.state_buses)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """H x along the last axis of the float array x, (..., n) -> (..., m): see ``_dot``."""
+        return _dot(self.edges, self.weights, x)
 
     def state_index(self, bus: BusId) -> int:
         try:
             return self.state_buses.index(bus)
         except ValueError:
             raise ValidationError(f"bus {bus} has no state column (slack or unknown)") from None
+
+
+def _dot(edges: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The flows ``w * x[a] - w * x[b]`` of the meter graph ``(edges, weights)`` along the last
+    axis of x, padded with the slack's angle 0 at column n: two gathers, no dense H. A meter whose
+    two angles are equal reads exactly 0, and an entry of an identity x is exactly +-w or 0."""
+    padded = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    padded[..., :-1] = x
+    return weights * padded.take(edges[:, 0], axis=-1) - weights * padded.take(edges[:, 1], axis=-1)
 
 
 def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:

@@ -18,6 +18,11 @@ TABLE_XHAT = np.array(
 TABLE_J = 0.13175758567105442
 
 
+def dense(H):
+    """H as a dense m x n array, formed by ``H.dot`` from its meter graph; each entry is exactly +-w or 0."""
+    return H.dot(np.eye(H.n)).T
+
+
 @pytest.fixture(scope="session")
 def net5():
     return caseio.parse_network(CASES_5BUS / "network.json")

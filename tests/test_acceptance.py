@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import CASES_5BUS, TABLE_XHAT
+from conftest import CASES_5BUS, TABLE_XHAT, dense
 from fdilab.attack import attack_from_c, random_constrained_attack
 from fdilab.detection import (
     DetectionMethod,
@@ -58,7 +58,7 @@ def _stealth_sweep(h5, w5, trials=1000):
     omega = residual_covariance(h5, w5)
     for _ in range(trials):
         x_true = rng.normal(scale=0.03, size=4)
-        z = h5.values @ x_true + rng.normal(scale=0.01, size=6)
+        z = dense(h5) @ x_true + rng.normal(scale=0.01, size=6)
         c = rng.normal(scale=0.02, size=4)
         atk = attack_from_c(h5, c)
         clean = wls_estimate(h5, z, w5)
@@ -102,7 +102,7 @@ def test_criterion_3_feasibility(h5):
         norm = np.linalg.norm(atk.a)
         assert norm > 0
         assert set(atk.support) <= set(support)
-        assert np.linalg.norm(atk.a - h5.values @ atk.c) <= 1e-10 * norm
+        assert np.linalg.norm(atk.a - dense(h5) @ atk.c) <= 1e-10 * norm
 
 
 @criterion(4, "shipped case 1/2/3 verdicts, with 1000-trial rates for 2 and 3")
@@ -233,11 +233,11 @@ def test_criterion_9_arbitrage():
 @criterion(10, "estimator properties: orthogonality, round-trip, sigma invariance")
 def test_criterion_10_estimator_properties(h5, z5, w5):
     res = wls_estimate(h5, z5, w5)
-    grad = h5.values.T @ (res.residual / w5.sigmas**2)
+    grad = dense(h5).T @ (res.residual / w5.sigmas**2)
     assert np.max(np.abs(grad)) < 1e-8
 
     x_true = np.array(TABLE_XHAT)
-    z_exact = h5.values @ x_true  # the noiseless draw, bit for bit
+    z_exact = dense(h5) @ x_true  # the noiseless draw, bit for bit
     round_trip = wls_estimate(h5, z_exact, w5)
     np.testing.assert_allclose(round_trip.state, x_true, atol=1e-10)
 

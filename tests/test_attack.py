@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import dense
 from fdilab.attack import (
     AttackVector,
     attack_from_c,
@@ -43,7 +44,7 @@ def test_every_size3_support_is_feasible(h5):
         assert set(atk.support) <= set(support), f"support leak for {support}"
         norm = np.linalg.norm(atk.a)
         assert norm == pytest.approx(0.1, rel=1e-9)
-        assert np.linalg.norm(atk.a - h5.values @ atk.c) <= 1e-10 * norm
+        assert np.linalg.norm(atk.a - dense(h5) @ atk.c) <= 1e-10 * norm
 
 
 def test_all_meters_controlled_always_feasible(h5):
@@ -128,7 +129,7 @@ def test_targeted_fully_pinned(h5):
     c = np.array([0.01, -0.02, 0.005, 0.0])
     atk = targeted_attack(h5, dict(enumerate(c)))
     np.testing.assert_array_equal(atk.c, c)
-    np.testing.assert_allclose(atk.a, h5.values @ c, atol=1e-12)
+    np.testing.assert_allclose(atk.a, dense(h5) @ c, atol=1e-12)
 
 
 def test_targeted_partial_pin_zero_fills(h5):
@@ -164,7 +165,7 @@ def test_stealth_sweep_small(h5, w5):
     rng = np.random.default_rng(314)
     for _ in range(100):
         x_true = rng.normal(scale=0.03, size=4)
-        z = h5.values @ x_true + rng.normal(scale=0.01, size=6)
+        z = dense(h5) @ x_true + rng.normal(scale=0.01, size=6)
         c = rng.normal(scale=0.02, size=4)
         atk = attack_from_c(h5, c)
         assert verify_stealth(z, atk, h5, w5)

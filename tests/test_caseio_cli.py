@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import CASES_5BUS
+from conftest import CASES_5BUS, dense
 from fdilab import caseio
 from fdilab.cli import main
 from fdilab.errors import ParseError, ValidationError
@@ -404,9 +404,13 @@ def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
     [("random", ["--support", "a,1"], "error: ValidationError: "),
      ("targeted", ["--pin", "3=abc"], "error: ValidationError: "),
      ("targeted", ["--pin", " 0_3 =0.1"], "error: ValidationError: "),
+     ("targeted", ["--pin", "3= 1_0 "], "error: ValidationError: "),
+     ("targeted", ["--pin", "3=\u0661\u0660"], "error: ValidationError: "),
+     ("targeted", ["--pin", "3=inf"], "error: ValidationError: "),
      ("random", ["--support", "0_2,3"], "error: ValidationError: "),
      ("random", ["--support", "0,2,3", "--seed", "-1"], "error: stage=attack ValidationError: ")],
-    ids=["support a", "pin abc", "pin 0_3", "support 0_2", "seed -1"],
+    ids=["support a", "pin abc", "pin 0_3", "pin shift ' 1_0 '", "pin shift arabic 10", "pin shift inf",
+         "support 0_2", "seed -1"],
 )
 def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags, prefix):
     code, out, err = run_cli(
@@ -419,6 +423,24 @@ def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags, prefix):
     assert code == 2
     assert err.startswith(prefix) and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("shift", ["1e-15", "+1E-15", "1.e-15", ".1e-14"])
+def test_cli_targeted_tiny_pin_echo_has_a_equal_to_hc(capsys, tmp_path, h5, shift):
+    # a shift far below any round-off threshold still moves the two meters at bus 3, exactly
+    echo = tmp_path / "echo.json"
+    code, out, _ = run_cli(
+        capsys,
+        "attack", "targeted",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--pin", f"3={shift}",
+        "--out", echo,
+    )
+    assert code == 0 and "support = [1, 4]" in out
+    doc = json.loads(echo.read_text())
+    assert doc["c"] == [0.0, 1e-15, 0.0, 0.0] and doc["support"] == [1, 4]
+    assert np.array_equal(doc["a"], dense(h5) @ np.array(doc["c"]))
 
 
 def test_cli_targeted_non_finite_pin_exits_2(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fdilab
+from conftest import dense
 from fdilab.detection import (
     DetectionMethod,
     Detector,
@@ -97,7 +98,7 @@ def test_quantile_domain_checks():
 # -- chi-square test ------------------------------------------------------------
 
 def test_chi_square_perfect_fit_not_detected(h5, w5):
-    res = wls_estimate(h5, h5.values @ np.zeros(4), w5)
+    res = wls_estimate(h5, dense(h5) @ np.zeros(4), w5)
     report = chi_square_test(res, m=6, n=4, confidence=0.99)
     assert not report.bad_data_detected
     assert report.statistic == pytest.approx(0.0, abs=1e-20)
@@ -156,7 +157,7 @@ def test_omega_properties(h5, w5):
 # -- largest normalized residual ---------------------------------------------------
 
 def test_lnr_zero_residual_not_detected(h5, w5):
-    res = wls_estimate(h5, h5.values @ np.zeros(4), w5)
+    res = wls_estimate(h5, dense(h5) @ np.zeros(4), w5)
     omega = residual_covariance(h5, w5)
     rep = lnr_test(res, omega, confidence=0.99)
     assert rep.statistic == pytest.approx(0.0, abs=1e-12)
@@ -171,7 +172,7 @@ def test_lnr_omega_must_match_the_estimate(h5, z5, w5):
 
 
 def test_lnr_threshold_is_two_sided(h5, w5):
-    res = wls_estimate(h5, h5.values @ np.zeros(4), w5)
+    res = wls_estimate(h5, dense(h5) @ np.zeros(4), w5)
     rep = lnr_test(res, residual_covariance(h5, w5), confidence=0.99)
     assert rep.threshold == pytest.approx(GAUSS_995, abs=1e-6)
 
@@ -187,7 +188,7 @@ def test_lnr_locates_gross_error_up_to_group(h5, w5, meter):
     omega = residual_covariance(h5, w5)
     for seed in (11, 23, 37):
         rng = np.random.default_rng(seed)
-        z = h5.values @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
+        z = dense(h5) @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
         z[meter] += 0.5  # 50 sigma
         res = wls_estimate(h5, z, w5)
         rep = lnr_test(res, omega, confidence=0.99)
@@ -202,7 +203,7 @@ def test_lnr_identifies_the_identifiable_meter(h5, w5):
     omega = residual_covariance(h5, w5)
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        z = h5.values @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
+        z = dense(h5) @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
         z[2] += 0.5
         rep = lnr_test(wls_estimate(h5, z, w5), omega, confidence=0.99)
         assert rep.bad_data_detected and rep.suspect_meter == 2
@@ -216,7 +217,7 @@ def test_lnr_names_the_lowest_meter_of_a_correlated_group(h5, w5, meter):
     lowest = min(CORRELATED_GROUPS[meter])
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        z = h5.values @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
+        z = dense(h5) @ rng.normal(scale=0.02, size=4) + rng.normal(scale=0.01, size=6)
         z[meter] += 0.5
         rep = lnr_test(wls_estimate(h5, z, w5), omega, confidence=0.99)
         assert rep.suspect_meter == lowest, f"seed {seed}: suspect {rep.suspect_meter}"
@@ -234,7 +235,7 @@ def test_residual_correlation_structure(h5, w5):
                 continue
             assert abs(abs(rho[i, j]) - 1.0) < 1e-9
             keep = [k for k in range(6) if k not in (i, j)]
-            assert np.linalg.matrix_rank(h5.values[keep]) < 4
+            assert np.linalg.matrix_rank(dense(h5)[keep]) < 4
         for j in set(range(6)) - group:
             assert abs(rho[i, j]) < 0.99
 
@@ -276,7 +277,7 @@ def test_all_meters_critical(one_state):
 
 
 def test_noise_free_passes_any_confidence(h5, w5):
-    res = wls_estimate(h5, h5.values @ np.full(4, 0.01), w5)
+    res = wls_estimate(h5, dense(h5) @ np.full(4, 0.01), w5)
     omega = residual_covariance(h5, w5)
     for confidence in (0.5, 0.9, 0.99, 0.9999):
         assert not chi_square_test(res, 6, 4, confidence).bad_data_detected
@@ -325,4 +326,4 @@ def test_omega_diagonal_keeps_the_factor_and_no_inverse_gain(h5, z5, w5):
     assert after.objective == before.objective
     # the factor is the only n x n array the model holds, and it is unchanged
     assert np.array_equal(model.factor[0], factor)
-    assert sorted(vars(model)) == ["H", "edges", "factor", "m", "n", "omega_diagonal", "sigmas", "weights"]
+    assert sorted(vars(model)) == ["edges", "factor", "m", "n", "omega_diagonal", "sigmas", "weighted", "weights"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense
 from fdilab.errors import (
     DisconnectedGraph,
     DuplicateBus,
@@ -102,34 +103,34 @@ def test_slack_must_exist():
 
 def test_h_row_for_slack_adjacent_meter(h5):
     # meter 0 reads the flow out of the slack on the x = 0.03 branch
-    np.testing.assert_allclose(h5.values[0], [-1 / 0.03, 0.0, 0.0, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(dense(h5)[0], [-1 / 0.03, 0.0, 0.0, 0.0], rtol=1e-12)
 
 
 def test_h_theta2_column(h5):
-    col = h5.values[:, h5.state_index(2)]
+    col = dense(h5)[:, h5.state_index(2)]
     np.testing.assert_allclose(col, [-1 / 0.03, 0.0, 20.0, 12.5, 0.0, 0.0], rtol=1e-12)
 
 
 def test_h_single_branch_unit_reactance():
     net = two_bus(x=1.0)
     H = build_h_matrix(net, MeterConfig((Meter(branch=0, orientation=+1, sigma=0.01),)))
-    np.testing.assert_allclose(H.values, [[-1.0]])
+    np.testing.assert_allclose(dense(H), [[-1.0]])
 
 
 def test_h_rank_full(h5):
-    assert np.linalg.matrix_rank(h5.values) == 4
+    assert np.linalg.matrix_rank(dense(h5)) == 4
 
 
 def test_h_row_structure(net5, h5):
     # slack-adjacent rows have one nonzero entry; all others two, summing to zero
     for row, meter in enumerate(range(6)):
         br = net5.branches[meter]
-        nz = np.flatnonzero(np.abs(h5.values[row]) > 0)
+        nz = np.flatnonzero(np.abs(dense(h5)[row]) > 0)
         if net5.slack in (br.from_bus, br.to_bus):
             assert len(nz) == 1
         else:
             assert len(nz) == 2
-            assert abs(h5.values[row].sum()) < 1e-12
+            assert abs(dense(h5)[row].sum()) < 1e-12
 
 
 def test_h_column_structure(net5, meters5, h5):
@@ -142,7 +143,7 @@ def test_h_column_structure(net5, meters5, h5):
                 expected[meter.branch] = meter.orientation / br.x_pu
             elif bus == br.to_bus:
                 expected[meter.branch] = -meter.orientation / br.x_pu
-        col = h5.values[:, h5.state_index(bus)]
+        col = dense(h5)[:, h5.state_index(bus)]
         for row, value in enumerate(col):
             if row in expected:
                 assert value == pytest.approx(expected[row], rel=1e-12)
@@ -182,8 +183,12 @@ def test_measurement_matrix_rejects_a_graph_outside_its_columns(h5, edit):
 def test_measurement_matrix_values_follow_its_graph(h5):
     # meter i reads weights[i] * (theta_a - theta_b), the slack being column n = 4
     H = MeasurementMatrix(h5.state_buses, h5.edges[::-1], h5.weights[::-1])
-    assert np.array_equal(H.values, h5.values[::-1])
-    assert h5.edges[0].tolist() == [0, 4] and h5.values[0].tolist() == [h5.weights[0], 0.0, 0.0, 0.0]
+    assert np.array_equal(dense(H), dense(h5)[::-1])
+    assert h5.edges[0].tolist() == [0, 4] and dense(h5)[0].tolist() == [h5.weights[0], 0.0, 0.0, 0.0]
+    x = np.array([0.1, -0.2, 0.3, 0.05])
+    w, (a, b) = h5.weights, h5.edges.T
+    assert np.array_equal(h5.dot(x), w * np.append(x, 0.0)[a] - w * np.append(x, 0.0)[b])
+    assert np.array_equal(h5.dot(np.stack((x, 2 * x))), np.stack((h5.dot(x), h5.dot(2 * x))))
 
 
 def test_measurement_matrices_compare_by_identity(net5, meters5, h5):
@@ -229,8 +234,8 @@ def test_meter_orientation_flips_sign():
     net = two_bus(x=0.5)
     forward = build_h_matrix(net, MeterConfig((Meter(branch=0, orientation=+1),)))
     backward = build_h_matrix(net, MeterConfig((Meter(branch=0, orientation=-1),)))
-    np.testing.assert_allclose(forward.values, -backward.values)
-    np.testing.assert_allclose(forward.values, [[-2.0]])
+    np.testing.assert_allclose(dense(forward), -dense(backward))
+    np.testing.assert_allclose(dense(forward), [[-2.0]])
     with pytest.raises(ValidationError, match=r"^meter orientation 0 must be \+1 or -1$"):
         Meter(branch=0, orientation=0)
 
