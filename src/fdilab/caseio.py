@@ -11,11 +11,10 @@ Formats:
                  "loads": [{"bus": 1, "mw": 100}, ...]}
 * attack echo:  {"c": [...], "a": [...], "support": [...]}  (written only)
 
-Parse failures raise ParseError with the offending path and location; so
-does a field of the wrong type or shape, such as a bus id "x", a number
-written as a string ("2") or a boolean, or a missing key, in every reader
-(``reader``). Semantic problems raise the validation errors of the domain
-modules.
+Every reader reads each JSON object with ``fields``: a missing required key, or a key
+its format does not list, is a ParseError naming the file, the object and the key. So
+is a field of the wrong type or shape, such as a bus id "x" or a number written as a
+string ("2") or a boolean (``reader``). Semantic problems raise the domain's errors.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import functools
 import json
 import math
 import re
+from collections.abc import ValuesView
 from pathlib import Path
 
 import numpy as np
@@ -120,91 +120,95 @@ def reader(parse):
     return read
 
 
-def _require(record: dict, key: str, path, location: str):
-    if key not in record:
-        raise ParseError(path, location, f"missing required field '{key}'")
-    return record[key]
+REQUIRED = object()  # the default of a key that a record must have
+
+
+def fields(record, table: dict, path, where: str, index: int | None = None) -> ValuesView:
+    """The values of ``record``'s keys in ``table`` order, with a key's default where ``record`` lacks it.
+
+    ``table`` maps each key of the record's format to its default, or to REQUIRED.
+    A record that is not a JSON object, lacks a required key or has a key that
+    ``table`` does not list is a ParseError at ``where`` (``where[index]`` given an index).
+    """
+    if type(record) is dict:
+        merged = table | record  # in table order; a key the table lacks adds one
+        if len(merged) == len(table) and (len(record) == len(table) or REQUIRED not in merged.values()):
+            return merged.values()
+    location = where if index is None else f"{where}[{index}]"
+    if type(record) is not dict:
+        raise ParseError(path, location, f"expected an object, got {type(record).__name__}")
+    for key in record:
+        if key not in table:
+            raise ParseError(path, location, f"unknown field '{key}' (fields: {', '.join(table)})")
+    missing = next(key for key, default in table.items() if default is REQUIRED and key not in record)
+    raise ParseError(path, location, f"missing required field '{missing}'")
+
+
+_NETWORK = {"base_mva": 100.0, "slack": REQUIRED, "buses": REQUIRED, "branches": REQUIRED}
+_BRANCH = {"from": REQUIRED, "to": REQUIRED, "x_pu": REQUIRED, "limit_mw": None}
+_METERS = {"meters": REQUIRED}
+_METER = {"branch": REQUIRED, "sigma": 0.01}
+_MEASUREMENTS = {"values_pu": REQUIRED}
+_MARKET = {"generators": REQUIRED, "loads": REQUIRED}
+_GENERATOR = {"bus": REQUIRED, "price": REQUIRED, "pmax": REQUIRED, "pmin": 0.0}
+_LOAD = {"bus": REQUIRED, "mw": REQUIRED}
 
 
 @reader
 def parse_network(path) -> NetworkModel:
     """Read a network file; ``base_mva`` defaults to 100, and a missing or null ``limit_mw`` leaves a line unlimited."""
-    doc = load_json(path)
-    for key in ("buses", "branches", "slack"):
-        _require(doc, key, path, "top level")
-    for i, rec in enumerate(doc["branches"]):
-        for key in ("from", "to", "x_pu"):
-            _require(rec, key, path, f"branches[{i}]")
+    base_mva, slack, buses, records = fields(load_json(path), _NETWORK, path, "top level")
+    branches = [fields(rec, _BRANCH, path, "branches", i) for i, rec in enumerate(records)]
     return NetworkModel(  # the arguments convert in order: bus ids, branches, slack, base_mva
-        buses=tuple(_integer(b) for b in doc["buses"]),
+        buses=tuple(_integer(b) for b in buses),
         branches=tuple(
-            Branch(
-                from_bus=_integer(rec["from"]),
-                to_bus=_integer(rec["to"]),
-                x_pu=_number(rec["x_pu"]),
-                limit_mw=None if rec.get("limit_mw") is None else _number(rec["limit_mw"]),
-            )
-            for rec in doc["branches"]
+            Branch(_integer(i), _integer(j), _number(x_pu), None if limit is None else _number(limit))
+            for i, j, x_pu, limit in branches
         ),
-        slack=_integer(doc["slack"]),
-        base_mva=_number(doc.get("base_mva", 100.0)),
+        slack=_integer(slack),
+        base_mva=_number(base_mva),
     )
 
 
 @reader
 def parse_meters(path, net: NetworkModel) -> MeterConfig:
-    doc = load_json(path)
-    records = _require(doc, "meters", path, "top level")
+    (records,) = fields(load_json(path), _METERS, path, "top level")
     resolve = net.branch_resolver()
     meters = []
     for i, rec in enumerate(records):
-        pair = _require(rec, "branch", path, f"meters[{i}]")
+        pair, sigma = fields(rec, _METER, path, "meters", i)
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ParseError(path, f"meters[{i}].branch", "expected a [from, to] bus pair")
         try:
             index, orientation = resolve(_integer(pair[0]), _integer(pair[1]))
         except UnknownBranch as exc:
             raise ValidationError(f"meters[{i}]: {exc}") from exc
-        meters.append(Meter(branch=index, orientation=orientation, sigma=_number(rec.get("sigma", 0.01))))
+        meters.append(Meter(branch=index, orientation=orientation, sigma=_number(sigma)))
     return MeterConfig(meters=tuple(meters))
 
 
 @reader
 def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
-    doc = load_json(path)
-    values = _require(doc, "values_pu", path, "top level")
+    (values,) = fields(load_json(path), _MEASUREMENTS, path, "top level")
     z = np.array([_number(v) for v in values])  # finite: load_json refuses the rest
     if expected_count is not None and z.shape[0] != expected_count:
-        raise ValidationError(
-            f"{path}: expected {expected_count} measurement values, got {z.shape[0]}"
-        )
+        raise ValidationError(f"{path}: expected {expected_count} measurement values, got {z.shape[0]}")
     return z
 
 
 @reader
 def parse_market(path, net: NetworkModel) -> DispatchCase:
-    doc = load_json(path)
-    gen_records = _require(doc, "generators", path, "top level")
-    load_records = _require(doc, "loads", path, "top level")
-    generators = []
-    for i, rec in enumerate(gen_records):
-        generators.append(
-            Generator(
-                bus=_integer(_require(rec, "bus", path, f"generators[{i}]")),
-                price=_number(_require(rec, "price", path, f"generators[{i}]")),
-                p_max=_number(_require(rec, "pmax", path, f"generators[{i}]")),
-                p_min=_number(rec.get("pmin", 0.0)),
-            )
-        )
-    loads = []
-    for i, rec in enumerate(load_records):
-        loads.append(
-            Load(
-                bus=_integer(_require(rec, "bus", path, f"loads[{i}]")),
-                mw=_number(_require(rec, "mw", path, f"loads[{i}]")),
-            )
-        )
-    return DispatchCase(network=net, generators=tuple(generators), loads=tuple(loads))
+    gen_records, load_records = fields(load_json(path), _MARKET, path, "top level")
+    generators = [fields(rec, _GENERATOR, path, "generators", i) for i, rec in enumerate(gen_records)]
+    loads = [fields(rec, _LOAD, path, "loads", i) for i, rec in enumerate(load_records)]
+    return DispatchCase(
+        network=net,
+        generators=tuple(
+            Generator(_integer(bus), _number(price), _number(p_max), _number(p_min))
+            for bus, price, p_max, p_min in generators
+        ),
+        loads=tuple(Load(_integer(bus), _number(mw)) for bus, mw in loads),
+    )
 
 
 def _write_text(path, text: str) -> None:
@@ -216,9 +220,5 @@ def _write_text(path, text: str) -> None:
 
 
 def dump_attack(atk, path) -> None:
-    doc = {
-        "c": [float(v) for v in atk.c],
-        "a": [float(v) for v in atk.a],
-        "support": list(atk.support),
-    }
+    doc = {"c": atk.c.tolist(), "a": atk.a.tolist(), "support": list(atk.support)}
     _write_text(path, json.dumps(doc, indent=2) + "\n")

@@ -36,14 +36,12 @@ from .scenario import (
 )
 
 
-def _pipeline_scenario(args, detectors) -> Scenario:
-    return Scenario(
-        name=Path(args.measurements).stem,
-        network_path=Path(args.case),
-        meters_path=Path(args.meters),
-        measurements=FileSource(path=Path(args.measurements)),
-        detectors=detectors,
-    )
+def _pipeline_report(args, methods=()):
+    """The report of the files argv names, with a detector of each of ``methods`` at ``--confidence``."""
+    z = Path(args.measurements)
+    scn = Scenario(z.stem, Path(args.case), Path(args.meters), FileSource(z),
+                   detectors=tuple(DetectorSpec(method, args.confidence) for method in methods))
+    return run_scenario(scn)
 
 
 def _cmd_report(args) -> int:
@@ -55,29 +53,32 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _detect_report(args):
-    detectors = tuple(DetectorSpec(method, args.confidence) for method in DetectionMethod)
-    return run_scenario(_pipeline_scenario(args, detectors))
+def _pin(text: str) -> tuple[int, float]:
+    bus, _, shift = text.partition("=")
+    return caseio._decimal(bus), caseio._real(shift)
 
 
-def _random_spec(args) -> RandomAttackSpec:
-    support = tuple(caseio._decimal(i) for i in args.support.split(","))
-    return RandomAttackSpec(support, args.seed, args.magnitude)
+# option -> reader of its text, as strict as a case file: int and float, and so argparse's
+# type=int and type=float, would also read blanks, underscores and non-ASCII digits
+_OPTION_READERS = {"confidence": caseio._real, "magnitude": caseio._real, "seed": caseio._decimal,
+                   "trials": caseio._decimal, "pin": lambda texts: tuple(map(_pin, texts)),
+                   "support": lambda text: tuple(caseio._decimal(i) for i in text.split(","))}
 
 
-def _targeted_spec(args) -> TargetedAttackSpec:
-    pins = (pin.split("=", 1) for pin in args.pin)
-    return TargetedAttackSpec(tuple((caseio._decimal(bus), caseio._real(shift)) for bus, shift in pins))
+def _read_options(args) -> None:
+    """Replace the text of each option ``_OPTION_READERS`` lists by its value, or raise a ValidationError."""
+    for name, read in _OPTION_READERS.items():
+        if hasattr(args, name):
+            try:
+                setattr(args, name, read(getattr(args, name)))
+            except ValueError as exc:
+                raise ValidationError(f"--{name}: {exc}") from None
 
 
 def _cmd_attack(args) -> int:
-    """Print the attack vector ``args.spec`` reads off argv; write it to ``--out`` if given."""
-    try:
-        spec = args.spec(args)
-    except ValueError as exc:
-        raise ValidationError(f"bad attack arguments, expected {args.expected}: {exc}") from exc
+    """Print the attack vector of ``args.spec``; write it to ``--out`` if given."""
     _, _, H, _ = _load_model(args.case, args.meters)
-    _, atk = _build_attack_vector(spec, H)
+    _, atk = _build_attack_vector(args.spec(args), H)
     out = ["[attack vector]", f"  support = {list(atk.support)}"]
     for k, bus in enumerate(H.state_buses):
         out.append(f"  c(bus {bus}) = {_fmt(atk.c[k])} rad")
@@ -126,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="weighted least-squares state estimate")
     _add_model_args(p)
-    p.set_defaults(func=_cmd_report, report=lambda a: run_scenario(_pipeline_scenario(a, detectors=())))
+    p.set_defaults(func=_cmd_report, report=_pipeline_report)
 
     p = sub.add_parser("detect", help="run both bad-data detectors")
     _add_model_args(p)
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.set_defaults(func=_cmd_report, report=_detect_report)
+    p.add_argument("--confidence", default="0.99")
+    p.set_defaults(func=_cmd_report, report=lambda a: _pipeline_report(a, DetectionMethod))
 
     attack = sub.add_parser("attack", help="synthesize a stealth attack vector")
     attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
@@ -139,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = attack_sub.add_parser("random", help="random attack confined to controlled meters")
     _add_model_args(p, measurements=False)
     p.add_argument("--support", required=True, help="comma-separated controlled meter indices")
-    p.add_argument("--magnitude", type=float, default=0.1, help="norm of the attack vector (pu)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_attack, spec=_random_spec, expected="--support I,J,...")
+    p.add_argument("--magnitude", default="0.1", help="norm of the attack vector (pu)")
+    p.add_argument("--seed", default="0")
+    p.set_defaults(func=_cmd_attack, spec=lambda a: RandomAttackSpec(a.support, a.seed, a.magnitude))
 
     p = attack_sub.add_parser("targeted", help="attack realizing pinned state shifts")
     _add_model_args(p, measurements=False)
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BUS=SHIFT_RAD",
         help="pin the angle shift at a bus (repeatable)",
     )
-    p.set_defaults(func=_cmd_attack, spec=_targeted_spec, expected="--pin BUS=SHIFT_RAD")
+    p.set_defaults(func=_cmd_attack, spec=lambda a: TargetedAttackSpec(a.pin))
 
     p = sub.add_parser("opf", help="DC optimal power flow with LMPs")
     p.add_argument("--case", required=True, help="network case file (JSON)")
@@ -169,12 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="seeded detection-rate experiment")
     p.add_argument("scenario", help="scenario file with simulated measurements")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--trials", required=True)
+    p.add_argument("--seed", default="0", help="base seed")
     p.add_argument("--out", help="write a CSV report here")
     p.set_defaults(
-        func=_cmd_report,
-        report=lambda a: run_monte_carlo(parse_scenario(a.scenario), trials=a.trials, base_seed=a.seed),
+        func=_cmd_report, report=lambda a: run_monte_carlo(parse_scenario(a.scenario), a.trials, a.seed)
     )
 
     return parser
@@ -191,6 +191,7 @@ def _exit_code(exc: FdiLabError) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _read_options(args)
         return args.func(args)
     except FdiLabError as exc:
         stage = getattr(exc, "stage", None)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
-from .caseio import _decimal, _integer, _number
+from .caseio import REQUIRED, _decimal, _integer, _number, fields
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import FdiLabError, ParseError, ValidationError
 from .estimation import (
@@ -154,80 +154,78 @@ _METHOD_ALIASES = {
     "largest_normalized_residual": DetectionMethod.LNR,
 }
 
+_SCENARIO = {"name": REQUIRED, "network": REQUIRED, "meters": REQUIRED, "measurements": REQUIRED, "attack": {},
+             "detectors": ({"method": "chi_square"}, {"method": "lnr"}), "market": None}
+_SOURCE = {"file": None, "simulate": None}
+_SIMULATE = {"x_true": REQUIRED, "seed": REQUIRED}
+# attack type -> its record's fields; a record without a type is no attack
+_ATTACKS = {
+    "none": {"type": "none"},
+    "random": {"type": REQUIRED, "support": REQUIRED, "seed": REQUIRED, "magnitude": 0.1},
+    "targeted": {"type": REQUIRED, "pinned": REQUIRED},
+    "gross_error": {"type": REQUIRED, "meter": REQUIRED, "magnitude_pu": REQUIRED},
+}
+_DETECTOR = {"method": REQUIRED, "confidence": 0.99}
+_MARKET = {"file": REQUIRED, "buy_bus": REQUIRED, "sell_bus": REQUIRED, "quantity_mw": 1.0}
+
 
 @caseio.reader
 def parse_scenario(path) -> Scenario:
     """Read a scenario file; relative paths resolve against its directory."""
     path = Path(path)
-    doc = caseio.load_json(path)
+    name, network, meters, meas, attack_doc, detector_docs, market_doc = fields(
+        caseio.load_json(path), _SCENARIO, path, "top level"
+    )
     base = path.parent
 
     def resolve(p) -> Path:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    for key in ("name", "network", "meters", "measurements"):
-        caseio._require(doc, key, path, "top level")
-
-    meas = doc["measurements"]
-    if "file" in meas:
-        source = FileSource(path=resolve(meas["file"]))
-    elif "simulate" in meas:
-        sim = meas["simulate"]
-        source = SimulateSource(
-            x_true=tuple(_number(v) for v in caseio._require(sim, "x_true", path, "measurements.simulate")),
-            seed=_integer(caseio._require(sim, "seed", path, "measurements.simulate")),
-        )
+    sources = len(meas.keys() & _SOURCE.keys()) if type(meas) is dict else 1  # fields refuses a non-object
+    if sources != 1:
+        both = ", not both" if sources else ""
+        raise ParseError(path, "measurements", f"expected 'file' or 'simulate'{both}")
+    file, sim = fields(meas, _SOURCE, path, "measurements")
+    if sim is None:
+        source = FileSource(path=resolve(file))
     else:
-        raise ParseError(path, "measurements", "expected 'file' or 'simulate'")
+        x_true, seed = fields(sim, _SIMULATE, path, "measurements.simulate")
+        source = SimulateSource(x_true=tuple(_number(v) for v in x_true), seed=_integer(seed))
 
-    attack_doc = doc.get("attack", {"type": "none"})
-    kind = attack_doc.get("type", "none")
-    if kind == "none":
-        attack = None
-    elif kind == "random":
-        attack = RandomAttackSpec(
-            support=tuple(_integer(i) for i in attack_doc["support"]),
-            seed=_integer(attack_doc["seed"]),
-            magnitude=_number(attack_doc.get("magnitude", 0.1)),
-        )
+    kind = attack_doc.get("type", "none") if type(attack_doc) is dict else "none"
+    if kind not in _ATTACKS:
+        raise ParseError(path, "attack.type", f"unknown attack type '{kind}'")
+    _, *params = fields(attack_doc, _ATTACKS[kind], path, "attack")
+    attack = None
+    if kind == "random":
+        support, seed, magnitude = params
+        attack = RandomAttackSpec(tuple(_integer(i) for i in support), _integer(seed), _number(magnitude))
     elif kind == "targeted":
-        pinned = attack_doc.get("pinned", {})
+        (pinned,) = params  # a map of bus ids to shifts, not a record
         if not pinned:
             raise ParseError(path, "attack.pinned", "targeted attack needs pinned entries")
-        attack = TargetedAttackSpec(
-            pinned=tuple((_decimal(bus), _number(shift)) for bus, shift in pinned.items())
-        )
+        attack = TargetedAttackSpec(tuple((_decimal(bus), _number(shift)) for bus, shift in pinned.items()))
     elif kind == "gross_error":
-        attack = GrossErrorSpec(
-            meter=_integer(attack_doc["meter"]), magnitude_pu=_number(attack_doc["magnitude_pu"])
-        )
-    else:
-        raise ParseError(path, "attack.type", f"unknown attack type '{kind}'")
+        meter, magnitude_pu = params
+        attack = GrossErrorSpec(_integer(meter), _number(magnitude_pu))
 
     detectors = []
-    for i, rec in enumerate(doc.get("detectors", [{"method": "chi_square"}, {"method": "lnr"}])):
-        method = rec.get("method")
+    for i, rec in enumerate(detector_docs):
+        method, confidence = fields(rec, _DETECTOR, path, "detectors", i)
         if method not in _METHOD_ALIASES:
             raise ParseError(path, f"detectors[{i}]", f"unknown method '{method}'")
-        detectors.append(
-            DetectorSpec(method=_METHOD_ALIASES[method], confidence=_number(rec.get("confidence", 0.99)))
-        )
+        detectors.append(DetectorSpec(method=_METHOD_ALIASES[method], confidence=_number(confidence)))
 
     market = None
-    if "market" in doc:
-        mk = doc["market"]
-        market = MarketSpec(
-            market_path=resolve(caseio._require(mk, "file", path, "market")),
-            buy_bus=_integer(caseio._require(mk, "buy_bus", path, "market")),
-            sell_bus=_integer(caseio._require(mk, "sell_bus", path, "market")),
-            quantity_mw=_number(mk.get("quantity_mw", 1.0)),
-        )
+    if market_doc is not None:
+        file, buy_bus, sell_bus, quantity_mw = fields(market_doc, _MARKET, path, "market")
+        market = MarketSpec(resolve(file), _integer(buy_bus), _integer(sell_bus), _number(quantity_mw))
 
     return Scenario(
-        name=str(doc["name"]),
-        network_path=resolve(doc["network"]),
-        meters_path=resolve(doc["meters"]),
+        name=str(name),
+        network_path=resolve(network),
+        meters_path=resolve(meters),
         measurements=source,
         attack=attack,
         detectors=tuple(detectors),

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import CASES_5BUS, dense
 from fdilab import caseio
@@ -408,9 +415,11 @@ def test_cli_opf_non_finite_price_exits_2(capsys, tmp_path):
      ("targeted", ["--pin", "3=\u0661\u0660"], "error: ValidationError: "),
      ("targeted", ["--pin", "3=inf"], "error: ValidationError: "),
      ("random", ["--support", "0_2,3"], "error: ValidationError: "),
-     ("random", ["--support", "0,2,3", "--seed", "-1"], "error: stage=attack ValidationError: ")],
+     ("random", ["--support", "0,2,3", "--seed", "-1"], "error: stage=attack ValidationError: "),
+     ("random", ["--support", "0,2,3", "--magnitude", "1_0"], "error: ValidationError: --magnitude: "),
+     ("random", ["--support", "0,2,3", "--seed", " 7"], "error: ValidationError: --seed: ")],
     ids=["support a", "pin abc", "pin 0_3", "pin shift ' 1_0 '", "pin shift arabic 10", "pin shift inf",
-         "support 0_2", "seed -1"],
+         "support 0_2", "seed -1", "magnitude 1_0", "seed ' 7'"],
 )
 def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags, prefix):
     code, out, err = run_cli(
@@ -423,6 +432,21 @@ def test_cli_malformed_attack_argument_exits_2(capsys, kind, flags, prefix):
     assert code == 2
     assert err.startswith(prefix) and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["detect", "--case", CASES_5BUS / "network.json", "--meters", CASES_5BUS / "meters.json",
+       "--measurements", CASES_5BUS / "measurements.json", "--confidence", "0.9_9"],
+      "--confidence: '0.9_9' is not a decimal number"),
+     (["montecarlo", CASES_5BUS / "mc_clean.json", "--trials", "1_0"], "--trials: '1_0' is not a decimal integer"),
+     (["montecarlo", CASES_5BUS / "mc_clean.json", "--trials", "10", "--seed", " 7"],
+      "--seed: ' 7' is not a decimal integer")],
+    ids=["detect confidence 0.9_9", "montecarlo trials 1_0", "montecarlo seed ' 7'"],
+)
+def test_cli_malformed_number_option_exits_2(capsys, argv, message):
+    # argparse's float and int would read these as 0.99, 10 and 7
+    assert run_cli(capsys, *argv) == (2, "", f"error: ValidationError: {message}\n")
 
 
 @pytest.mark.parametrize("shift", ["1e-15", "+1E-15", "1.e-15", ".1e-14"])
@@ -521,12 +545,13 @@ def test_attack_and_opf_tag_a_fault_with_its_stage(capsys, tmp_path, argv, code,
 
 
 def test_cli_random_infinite_magnitude_exits_2_with_one_stderr_line():
-    # a fresh interpreter, so a RuntimeWarning would reach stderr rather than fail the test
+    # a fresh interpreter, so a RuntimeWarning would reach stderr rather than fail the test;
+    # 1e309 is a decimal number that overflows to inf, which the attack stage refuses
     proc = subprocess.run(
         [sys.executable, "-m", "fdilab", "attack", "random",
          "--case", str(CASES_5BUS / "network.json"),
          "--meters", str(CASES_5BUS / "meters.json"),
-         "--support", "0,2,3", "--magnitude", "inf"],
+         "--support", "0,2,3", "--magnitude", "1e309"],
         capture_output=True,
         text=True,
     )
@@ -739,6 +764,24 @@ INPUT_FAULTS = {
         "market.json", lambda d: d["loads"][0].update(bus=99),
         "stage=parse UnknownBus: load references unknown bus 99",
     ),
+    # a key the format does not list, each once read as if it were absent
+    "limit for limit_mw": (
+        "network_limit34.json", lambda d: d["branches"][4].update(limit=d["branches"][4].pop("limit_mw")),
+        "stage=parse ParseError: {dir}/network_limit34.json: branches[4]: "
+        "unknown field 'limit' (fields: from, to, x_pu, limit_mw)",
+    ),
+    "attack typ": (
+        "profit.json", lambda d: d.update(attack={"typ": "targeted", "pinned": {"3": 0.03}}),
+        "ParseError: {dir}/profit.json: attack: unknown field 'typ' (fields: type)",
+    ),
+    "detector confidance": (
+        "profit.json", lambda d: d["detectors"][1].update(confidance=0.5),
+        "ParseError: {dir}/profit.json: detectors[1]: unknown field 'confidance' (fields: method, confidence)",
+    ),
+    "file and simulate": (
+        "profit.json", lambda d: d["measurements"].update(simulate={"x_true": [0, 0, 0, 0], "seed": 1}),
+        "ParseError: {dir}/profit.json: measurements: expected 'file' or 'simulate', not both",
+    ),
 }
 
 
@@ -810,3 +853,141 @@ def test_readers_pass_domain_errors_through(tmp_path, net5):
     with pytest.raises(ValidationError, match="demand -1.0 < 0") as info:
         caseio.parse_market(_write(tmp_path / "market.json", doc), net5)
     assert not isinstance(info.value, ParseError)
+
+
+# -- the keys of every record ---------------------------------------------------------
+
+# each record format of the bundled files -> (its required keys, {its optional keys: their defaults}),
+# as README lists them; a measurement source must have one of its two keys, an attack's type is "none"
+# unless given, and a targeted attack's "pinned" maps bus ids to shifts, so it is no record
+BOTH_AT_99 = [{"method": "chi_square", "confidence": 0.99}, {"method": "lnr", "confidence": 0.99}]
+FORMATS = {
+    "network": ({"slack", "buses", "branches"}, {"base_mva": 100}),
+    "branch": ({"from", "to", "x_pu"}, {"limit_mw": None}),
+    "meters": ({"meters"}, {}),
+    "meter": ({"branch"}, {"sigma": 0.01}),
+    "measurements": ({"values_pu"}, {}),
+    "market": ({"generators", "loads"}, {}),
+    "generator": ({"bus", "price", "pmax"}, {"pmin": 0}),
+    "load": ({"bus", "mw"}, {}),
+    "scenario": (
+        {"name", "network", "meters", "measurements"},
+        {"attack": {"type": "none"}, "detectors": BOTH_AT_99, "market": None},
+    ),
+    "source": ({"file", "simulate"}, {}),
+    "simulate": ({"x_true", "seed"}, {}),
+    "attack none": (set(), {"type": "none"}),
+    "attack random": ({"support", "seed"}, {"type": "none", "magnitude": 0.1}),
+    "attack targeted": ({"pinned"}, {"type": "none"}),
+    "attack gross_error": ({"meter", "magnitude_pu"}, {"type": "none"}),
+    "detector": ({"method"}, {"confidence": 0.99}),
+    "market leg": ({"file", "buy_bus", "sell_bus"}, {"quantity_mw": 1.0}),
+}
+TOP_FORMATS = {"network.json": "network", "network_limit34.json": "network", "meters.json": "meters",
+               "measurements.json": "measurements", "market.json": "market"}  # the rest are scenarios
+ITEM_FORMATS = {"branches": "branch", "meters": "meter", "generators": "generator", "loads": "load",
+                "detectors": "detector"}
+FIELD_FORMATS = {"measurements": "source", "simulate": "simulate", "attack": "attack", "market": "market leg"}
+
+
+def _records(record, fmt, location="top level", keys=()):
+    """(location, format, keys from the document down to it) of ``record`` and each record within it."""
+    if fmt == "attack":
+        fmt = f"attack {record.get('type', 'none')}"
+    yield location, fmt, keys
+    for key, value in record.items():
+        if key in ITEM_FORMATS and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _records(item, ITEM_FORMATS[key], f"{key}[{i}]", (*keys, key, i))
+        elif key in FIELD_FORMATS and isinstance(value, dict):
+            nested = key if location == "top level" else f"{location}.{key}"
+            yield from _records(value, FIELD_FORMATS[key], nested, (*keys, key))
+
+
+def _record_at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+# (file, location, format, keys) of every record in the bundled 5-bus files
+RECORDS = [
+    (source.name, location, fmt, keys)
+    for source in sorted(CASES_5BUS.glob("*.json"))
+    for location, fmt, keys in _records(json.loads(source.read_text()), TOP_FORMATS.get(source.name, "scenario"))
+]
+
+
+def _scenario_reading(name):
+    """A bundled scenario that reads the file ``name``: the file itself if it is a scenario."""
+    if name == "network.json":
+        return "case1.json"
+    return "profit.json" if name in TOP_FORMATS else name
+
+
+def _run_edited(directory, name, keys, edit):
+    """Copy the 5-bus case into ``directory``, apply ``edit`` to the record at ``keys`` in ``name``,
+    run the scenario that reads it and return (exit code, stdout, stderr, CSV report or None)."""
+    directory.mkdir(exist_ok=True)
+    for source in CASES_5BUS.glob("*.json"):
+        (directory / source.name).write_text(source.read_text())
+    doc = json.loads((directory / name).read_text())
+    edit(_record_at(doc, keys))
+    _write(directory / name, doc)
+    out, err, csv = io.StringIO(), io.StringIO(), directory / "report.csv"
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["scenario", "run", str(directory / _scenario_reading(name)), "--out", str(csv)])
+    return code, out.getvalue(), err.getvalue(), csv.read_text() if csv.exists() else None
+
+
+def _parse_error_line(directory, name, location, reason):
+    """The one stderr line of a ParseError at ``location`` of ``name``, whatever stage it is tagged with."""
+    return rf"error: (stage=\w+ )?ParseError: {re.escape(str(directory / name))}: {re.escape(location)}: {reason}\n"
+
+
+def test_records_cover_every_format():
+    assert {fmt for _, _, fmt, _ in RECORDS} == set(FORMATS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(record=st.sampled_from(RECORDS), key=st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8))
+def test_key_outside_a_records_format_exits_2_naming_it(record, key):
+    name, location, fmt, keys = record
+    required, optional = FORMATS[fmt]
+    assume(key not in required and key not in optional)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "case"
+        code, out, err, _ = _run_edited(directory, name, keys, lambda rec: rec.update({key: 0}))
+        line = _parse_error_line(directory, name, location, rf"unknown field '{re.escape(key)}' \([^)]*\)")
+        assert (code, out) == (2, "") and re.fullmatch(line, err), err
+
+
+def test_deleting_a_key_at_its_default_keeps_the_report(tmp_path):
+    reports = {}
+    deleted = []
+    for name, location, fmt, keys in RECORDS:
+        record = _record_at(json.loads((CASES_5BUS / name).read_text()), keys)
+        for key, default in FORMATS[fmt][1].items():
+            if key not in record or record[key] != default:
+                continue
+            scenario = _scenario_reading(name)
+            if scenario not in reports:
+                reports[scenario] = _run_edited(tmp_path / "bundled", scenario, (), lambda rec: None)
+            result = _run_edited(tmp_path / str(len(deleted)), name, keys, lambda rec: rec.pop(key))
+            assert result == reports[scenario], (name, location, key)
+            deleted.append((name, location, key))
+    assert all(code == 0 for code, *_ in reports.values())
+    assert len(deleted) == 43  # base_mva, null limit_mw, sigma, pmin, detectors, confidence, none attacks, ...
+
+
+def test_deleting_a_required_key_exits_2_naming_it(tmp_path):
+    deleted = []
+    for name, location, fmt, keys in RECORDS:
+        record = _record_at(json.loads((CASES_5BUS / name).read_text()), keys)
+        for key in sorted(FORMATS[fmt][0] & record.keys()):
+            directory = tmp_path / str(len(deleted))
+            code, out, err, _ = _run_edited(directory, name, keys, lambda rec: rec.pop(key))
+            line = _parse_error_line(directory, name, location, rf".*'{key}'.*")
+            assert (code, out) == (2, "") and re.fullmatch(line, err), (name, location, key, err)
+            deleted.append((name, location, key))
+    assert len(deleted) == 116  # every required key of the 58 records
