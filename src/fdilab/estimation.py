@@ -65,11 +65,11 @@ class WlsModel:
     """The weighted normal equations of one meter set, solved for any z.
 
     Holds ``H.edges`` and ``H.weights``, not H, whose memo holds the model (no
-    reference cycle). R^-1/2 H, the one dense form of H, the Cholesky factor of
-    the gain H' R^-1 H, the residual covariance Omega = R - H (H' R^-1 H)^-1 H'
-    and its diagonal are each worked out on first use and then kept, so
-    every estimate and Omega made from one model shares one factorisation,
-    and a caller pays only for what it uses.
+    reference cycle). The gain H' R^-1 H and H' R^-1 z are read off the edge
+    list, so no m x n array is made but the dense H of ``omega``. The gain's
+    Cholesky factor, Omega = R - H (H' R^-1 H)^-1 H' and its diagonal are each
+    worked out on first use and then kept, so every estimate and Omega made from
+    one model shares one factorisation, and a caller pays only for what it uses.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
@@ -88,27 +88,20 @@ class WlsModel:
         return H._model[1]
 
     @cached_property
-    def weighted(self) -> np.ndarray:
-        """R^-1/2 H, read-only, read off the edge list: w/sigma at column a and -(w/sigma) at column
-        b < n of each row, the bits of the dense H divided by sigma. First read inside ``factor`` or
-        ``fit``, whose errstate covers a w/sigma that overflows."""
-        a, b = self.edges.T
-        rows, state, ws = np.arange(self.m), b < self.n, self.weights / self.sigmas
-        Hw = np.zeros((self.m, self.n))
-        Hw[rows, a] = ws
-        Hw[rows[state], b[state]] = -ws[state]
-        Hw.flags.writeable = False
-        return Hw
-
-    @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a gain that overflows fails below, not with a warning
     def factor(self):
-        """Cholesky factor of H' R^-1 H; SingularGainMatrix when it is not invertible or not finite."""
+        """Cholesky factor of the gain H' R^-1 H; SingularGainMatrix when it is not invertible or not finite.
+        One bincount adds, meter by meter, W = (w/sigma)^2 at (a, a) and (b, b) and -W at (a, b) and (b, a);
+        a term at the slack, b = n, lands in cell n^2, past the gain. Its F-ordered ``.T`` is factored in place."""
         import scipy.linalg
 
-        gain = self.weighted.T @ self.weighted
+        n, W = self.n, (self.weights / self.sigmas) ** 2
+        ends = np.where(self.edges < n, self.edges, n * n)
+        cells = np.minimum(ends @ [[n + 1, 0, n, 1], [0, n + 1, 1, n]], n * n)
+        gain = np.bincount(cells.ravel(), np.multiply.outer(W, [1.0, 1.0, -1.0, -1.0]).ravel(), n * n + 1)
+        gain = gain[:-1].reshape(n, n)
         try:
-            return scipy.linalg.cho_factor(gain)
+            return scipy.linalg.cho_factor(gain.T, overwrite_a=True)
         except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: infs or NaNs
             raise SingularGainMatrix(f"gain matrix is singular: {exc}") from exc
 
@@ -124,13 +117,7 @@ class WlsModel:
         if z.shape[0] != self.m:
             raise DimensionMismatch(f"z has {z.shape[0]} entries, H has {self.m} rows")
         est = self.fit(z[None, :])
-        return EstimationResult(
-            state=est.state[0],
-            fitted=est.fitted[0],
-            residual=est.residual[0],
-            objective=float(est.objective[0]),
-            sigmas=self.sigmas,
-        )
+        return EstimationResult(est.state[0], est.fitted[0], est.residual[0], float(est.objective[0]), self.sigmas)
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is a NumericalError below
     def fit(self, Z) -> EstimationResult:
@@ -146,18 +133,22 @@ class WlsModel:
             raise DimensionMismatch(f"z block has shape {Z.shape}, H has {self.m} rows")
         if not np.all(np.isfinite(Z)):
             raise ValidationError("measurement values must all be finite")
-        # Trials are columns in the solve, so one z takes the matrix-vector
-        # products and single right-hand side it always has, and keeps its bits.
-        state = self.solve(self.weighted.T @ (Z / self.sigmas).T).T
+        # H' R^-1 Z by one bincount: meter by meter, q = (w/sigma)(z/sigma) at column a and -q at column b
+        # of its trial's row, whose slack column n is dropped. Trials are columns in the solve.
+        trials, cols = len(Z), self.n + 1
+        q = np.empty((trials, self.m, 2))
+        np.multiply(Z / self.sigmas, self.weights / self.sigmas, out=q[..., 0])
+        np.negative(q[..., 0], out=q[..., 1])
+        cells = np.arange(0, trials * cols, cols)[:, None] + self.edges.ravel()
+        rhs = np.bincount(cells.ravel(), q.ravel(), trials * cols).reshape(trials, cols)[:, :-1]
+        state = self.solve(rhs.T).T
         fitted = _dot(self.edges, self.weights, state)
         residual = Z - fitted
         # C order makes np.sum add each row as it adds a single vector
         objective = np.sum(np.ascontiguousarray((residual / self.sigmas) ** 2), axis=1)
         if not np.all(np.isfinite(objective)):
             raise NumericalError("the weighted measurements or residuals overflow a float")
-        return EstimationResult(
-            state=state, fitted=fitted, residual=residual, objective=objective, sigmas=self.sigmas
-        )
+        return EstimationResult(state, fitted, residual, objective, self.sigmas)
 
     @cached_property
     def omega(self) -> np.ndarray:

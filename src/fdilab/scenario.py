@@ -194,6 +194,8 @@ def parse_scenario(path) -> Scenario:
         source = SimulateSource(x_true=tuple(_number(v) for v in x_true), seed=_integer(seed))
 
     kind = attack_doc.get("type", "none") if type(attack_doc) is dict else "none"
+    if type(kind) is not str:  # checked before the lookup, which a list or dict cannot hash
+        raise ParseError(path, "attack.type", f"expected a string, got {type(kind).__name__}")
     if kind not in _ATTACKS:
         raise ParseError(path, "attack.type", f"unknown attack type '{kind}'")
     _, *params = fields(attack_doc, _ATTACKS[kind], path, "attack")

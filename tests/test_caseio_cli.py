@@ -579,6 +579,8 @@ def test_cli_measurement_file_of_the_wrong_length_exits_2(capsys, tmp_path):
     [
         (lambda d: d.update(attack={"type": "spoof"}),
          "ParseError: {path}: attack.type: unknown attack type 'spoof'"),
+        (lambda d: d.update(attack={"type": []}),
+         "ParseError: {path}: attack.type: expected a string, got list"),
         (lambda d: d["detectors"][0].update(method="psychic"),
          "ParseError: {path}: detectors[0]: unknown method 'psychic'"),
         (lambda d: d.update(measurements={"recorded": "z.json"}),
@@ -590,8 +592,8 @@ def test_cli_measurement_file_of_the_wrong_length_exits_2(capsys, tmp_path):
         (lambda d: d.update(measurements={"simulate": {"x_true": [0, 0, 0, 0], "seed": -3}}),
          "stage=measurements ValidationError: seed -3 must be a non-negative integer"),
     ],
-    ids=["attack type", "detector method", "measurement source", "gross meter", "attack seed -1",
-         "simulate seed -3"],
+    ids=["attack type", "attack type list", "detector method", "measurement source", "gross meter",
+         "attack seed -1", "simulate seed -3"],
 )
 def test_cli_scenario_outside_the_format_exits_2(capsys, tmp_path, edit, message):
     path = _scenario_copy(tmp_path, "case1", edit)

@@ -13,6 +13,8 @@ direction and some read twice, once each way. Attacker footholds are
 random meter subsets.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -259,13 +261,76 @@ def test_omega_diagonal_equals_the_nonzero_scan_bit_for_bit(grid, tmp_path):
     assert np.array_equal(model.omega_diagonal, scan_omega_diagonal(model, H))
 
 
+def meter_by_meter_gain(H, sigmas):
+    """H' R^-1 H summed one meter at a time in meter order, each term at the slack column n dropped."""
+    gain = np.zeros((H.n, H.n))
+    for (a, b), w, sigma in zip(H.edges.tolist(), H.weights, sigmas):
+        W = (w / sigma) * (w / sigma)
+        gain[a, a] += W
+        if b < H.n:
+            gain[b, b] += W
+            gain[a, b] -= W
+            gain[b, a] -= W
+    return gain
+
+
 @pytest.mark.parametrize("grid", ["5bus", "grid30"])
-def test_gain_from_the_edge_list_has_the_bits_of_the_dense_product(grid, tmp_path):
+def test_gain_from_the_edge_list_has_the_bits_of_the_meter_by_meter_sum(grid, tmp_path):
+    # The dense BLAS product's bits follow the kernel, so it bounds the gain and does not pin it
     H, model = case_model(grid, tmp_path)
+    gain = meter_by_meter_gain(H, model.sigmas)
     Hw = dense(H) / model.sigmas[:, None]
-    assert model.weighted.tobytes() == Hw.tobytes() and not model.weighted.flags.writeable
-    factor, lower = scipy.linalg.cho_factor(Hw.T @ Hw)
+    np.testing.assert_allclose(gain, Hw.T @ Hw, rtol=1e-13, atol=0)
+    factor, lower = scipy.linalg.cho_factor(gain)
     assert model.factor[0].tobytes() == factor.tobytes() and model.factor[1] == lower
+    # potrf leaves the triangle it does not factor as it was: the gain itself
+    assert np.tril(model.factor[0], -1).tobytes() == np.tril(gain, -1).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_gain_and_fit_from_the_edge_list_match_the_meter_sum_and_a_dense_solve(case, seed, trials):
+    # networks() meters parallel lines and some lines both ways, so edges repeat, and
+    # every placement that observes the state has meters on the slack
+    net, meters = case
+    H = build_or_none(net, meters)
+    assume(H is not None)
+    rng = np.random.default_rng(seed)
+    sigmas = rng.uniform(0.005, 0.05, H.m)
+    Hd = dense(H)
+    Z = Hd @ rng.normal(scale=0.1, size=(H.n, trials)) + rng.normal(scale=sigmas[:, None], size=(H.m, trials))
+    expected = np.linalg.lstsq(Hd / sigmas[:, None], Z / sigmas[:, None], rcond=None)[0].T
+    model = WlsModel(H, WeightModel(sigmas))
+    assert model.factor[0].tobytes() == scipy.linalg.cho_factor(meter_by_meter_gain(H, sigmas))[0].tobytes()
+    block = model.fit(Z.T)
+    single = model.estimate(Z[:, 0])
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(block.state, expected, rtol=1e-8, atol=1e-10 * scale)
+    np.testing.assert_allclose(single.state, expected[0], rtol=1e-8, atol=1e-10 * scale)
+    residual = Z.T - expected @ Hd.T
+    np.testing.assert_allclose(block.objective, np.sum((residual / sigmas) ** 2, axis=1), rtol=1e-8, atol=1e-12)
+
+
+def test_factor_builds_no_m_by_n_array_and_no_second_gain():
+    # a 300-bus tree plus 120 extra lines, every line metered, 30% of them both ways:
+    # the gain, factored in place, is the one n x n array, and m x n would be 1.8 n^2
+    rng = np.random.default_rng(300)
+    buses = [int(b) for b in rng.permutation(np.arange(1, 301))]
+    pairs = [(buses[k], buses[rng.integers(k)]) for k in range(1, 300)]
+    pairs += [tuple(int(b) for b in rng.choice(buses, 2, replace=False)) for _ in range(120)]
+    reactances = rng.uniform(0.01, 0.5, len(pairs))
+    net = NetworkModel(tuple(buses), tuple(Branch(f, t, float(x)) for (f, t), x in zip(pairs, reactances)), buses[0])
+    resolve = net.branch_resolver()
+    reads = [resolve(*pair) for f, t in pairs for pair in ([(f, t), (t, f)] if rng.random() < 0.3 else [(f, t)])]
+    H = build_h_matrix(net, MeterConfig(tuple(Meter(branch=i, orientation=o) for i, o in reads)))
+    model = WlsModel(H, WeightModel(np.full(H.m, 0.01)))
+    tracemalloc.start()
+    try:
+        model.factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.m > 1.5 * H.n and peak < 1.5 * H.n**2 * 8
 
 
 @PROPERTY_SETTINGS
