@@ -11,19 +11,19 @@ Formats:
                  "loads": [{"bus": 1, "mw": 100}, ...]}
 * attack echo:  {"c": [...], "a": [...], "support": [...]}  (written only)
 
-Every reader reads each JSON object with ``fields``: a missing required key, or a key
-its format does not list, is a ParseError naming the file, the object and the key. So
-is a field of the wrong type or shape, such as a bus id "x" or a number written as a
-string ("2") or a boolean (``reader``). Semantic problems raise the domain's errors.
+Every reader reads each JSON object with ``fields``, against its format's table of each
+key's reader and default. A missing required key, a key the format does not list or a
+value its key's reader refuses is a ParseError naming the file, the object and the key,
+such as ``meters.json: meters[0].sigma: '0.01' is not a number``. A bus id "x", a number
+written as a string ("2") or a boolean, a scenario ``name`` that is not a string and
+``detectors`` that are not a list are such values. Semantic problems raise the domain's errors.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
-from collections.abc import ValuesView
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ def load_json(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: text that is not UTF-8, a NUL in the path
         raise ParseError(path, "-", f"cannot read file: {exc}") from exc
     if not text.strip():
         raise ParseError(path, "line 1", "file is empty")
@@ -73,20 +73,24 @@ def load_json(path) -> dict:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
 
 
+# -- readers: each takes a JSON value and returns what it stands for, or raises a ValueError
+
 def _number(value) -> float:
-    """``float(value)`` of a JSON number; a ValueError for a string or a boolean, which ``float`` would read."""
-    if type(value) is float:  # most values; the checks below cost every parsed number
+    """``float(value)`` of a JSON number; a ValueError for any other value, a string or a boolean included."""
+    if type(value) is float:  # most values; the check below costs every parsed number
         return value
-    if isinstance(value, (str, bool)):
+    if type(value) is not int:  # bool is not int here
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 
 
 def _integer(value) -> int:
-    """``int(value)`` of a JSON number; a ValueError where ``_number`` gives one, and for a fractional part."""
-    if type(value) is not int and not _number(value).is_integer():  # bool is not int here
-        raise ValueError(f"{value} is not an integer")
-    return int(value)
+    """``int(value)`` of a JSON number with no fractional part; a ValueError for any other value."""
+    if type(value) is int:  # most values; bool is not int here
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _decimal(text: str) -> int:
@@ -105,110 +109,128 @@ def _real(text: str) -> float:
     return float(text)
 
 
-def reader(parse):
-    """Make a conversion error in ``parse(path, ...)`` a ParseError naming the file.
-
-    Domain errors (every FdiLabError) pass through unchanged.
-    """
-    @functools.wraps(parse)
-    def read(path, *args, **kwargs):
-        try:
-            return parse(path, *args, **kwargs)
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise ParseError(path, "-", f"malformed field: {type(exc).__name__}: {exc}") from exc
-
+def _of_type(kind: type, name: str):
+    """A reader of a value of JSON type ``kind`` (``name`` in its message), returned as it is."""
+    def read(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {name}, got {type(value).__name__}")
+        return value
     return read
+
+
+_text, _list, _object = _of_type(str, "a string"), _of_type(list, "a list"), _of_type(dict, "an object")
+
+
+def _items(read):
+    """A reader of a JSON list whose items ``read`` reads, as a tuple."""
+    return lambda value: tuple([read(item) for item in _list(value)])
+
+
+def _optional(read):
+    """``read``, with null read as None."""
+    return lambda value: None if value is None else read(value)
+
+
+def _choice(options: dict, what: str):
+    """A reader of a string that ``options`` lists, returning its entry there."""
+    def read(value):
+        if _text(value) not in options:
+            raise ValueError(f"unknown {what} '{value}'")
+        return options[value]
+    return read
+
+
+def _pair(value) -> tuple[int, int]:
+    """The two bus ids of a ``[from, to]`` list."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError("expected a [from, to] bus pair")
+    return _integer(value[0]), _integer(value[1])
 
 
 REQUIRED = object()  # the default of a key that a record must have
 
 
-def fields(record, table: dict, path, where: str, index: int | None = None) -> ValuesView:
-    """The values of ``record``'s keys in ``table`` order, with a key's default where ``record`` lacks it.
+def fields(record, table: dict, path, where: str = "", index: int | None = None) -> list:
+    """The values of ``record``'s keys in ``table`` order, each read by its key's reader, with a key's
+    default where ``record`` lacks it.
 
-    ``table`` maps each key of the record's format to its default, or to REQUIRED.
-    A record that is not a JSON object, lacks a required key or has a key that
-    ``table`` does not list is a ParseError at ``where`` (``where[index]`` given an index).
+    ``table`` maps each key of the record's format to (its reader, its default or REQUIRED).
+    A value that its reader refuses is a ParseError at ``where.key``, or at the bare key at
+    the top level. A record that is not a JSON object, lacks a required key or has a key
+    that ``table`` does not list is a ParseError at ``where`` (``where[index]`` given an index).
     """
-    if type(record) is dict:
-        merged = table | record  # in table order; a key the table lacks adds one
-        if len(merged) == len(table) and (len(record) == len(table) or REQUIRED not in merged.values()):
-            return merged.values()
-    location = where if index is None else f"{where}[{index}]"
+    if type(record) is dict and record.keys() <= table.keys():
+        values = []
+        for key, (read, default) in table.items():
+            if key in record:
+                try:
+                    values.append(read(record[key]))
+                except ValueError as exc:
+                    location = where if index is None else f"{where}[{index}]"
+                    raise ParseError(path, f"{location}.{key}" if where else key, str(exc)) from exc
+            elif default is REQUIRED:
+                break
+            else:
+                values.append(default)
+        else:
+            return values
+    location = (where if index is None else f"{where}[{index}]") or "top level"
     if type(record) is not dict:
         raise ParseError(path, location, f"expected an object, got {type(record).__name__}")
     for key in record:
         if key not in table:
             raise ParseError(path, location, f"unknown field '{key}' (fields: {', '.join(table)})")
-    missing = next(key for key, default in table.items() if default is REQUIRED and key not in record)
+    missing = next(key for key, (_, default) in table.items() if default is REQUIRED and key not in record)
     raise ParseError(path, location, f"missing required field '{missing}'")
 
 
-_NETWORK = {"base_mva": 100.0, "slack": REQUIRED, "buses": REQUIRED, "branches": REQUIRED}
-_BRANCH = {"from": REQUIRED, "to": REQUIRED, "x_pu": REQUIRED, "limit_mw": None}
-_METERS = {"meters": REQUIRED}
-_METER = {"branch": REQUIRED, "sigma": 0.01}
-_MEASUREMENTS = {"values_pu": REQUIRED}
-_MARKET = {"generators": REQUIRED, "loads": REQUIRED}
-_GENERATOR = {"bus": REQUIRED, "price": REQUIRED, "pmax": REQUIRED, "pmin": 0.0}
-_LOAD = {"bus": REQUIRED, "mw": REQUIRED}
+_NETWORK = {"base_mva": (_number, 100.0), "slack": (_integer, REQUIRED), "buses": (_items(_integer), REQUIRED),
+            "branches": (_list, REQUIRED)}
+_BRANCH = {"from": (_integer, REQUIRED), "to": (_integer, REQUIRED), "x_pu": (_number, REQUIRED),
+           "limit_mw": (_optional(_number), None)}
+_METERS = {"meters": (_list, REQUIRED)}
+_METER = {"branch": (_pair, REQUIRED), "sigma": (_number, 0.01)}
+_MEASUREMENTS = {"values_pu": (_items(_number), REQUIRED)}
+_MARKET = {"generators": (_list, REQUIRED), "loads": (_list, REQUIRED)}
+_GENERATOR = {"bus": (_integer, REQUIRED), "price": (_number, REQUIRED), "pmax": (_number, REQUIRED),
+              "pmin": (_number, 0.0)}
+_LOAD = {"bus": (_integer, REQUIRED), "mw": (_number, REQUIRED)}
 
 
-@reader
 def parse_network(path) -> NetworkModel:
     """Read a network file; ``base_mva`` defaults to 100, and a missing or null ``limit_mw`` leaves a line unlimited."""
-    base_mva, slack, buses, records = fields(load_json(path), _NETWORK, path, "top level")
-    branches = [fields(rec, _BRANCH, path, "branches", i) for i, rec in enumerate(records)]
-    return NetworkModel(  # the arguments convert in order: bus ids, branches, slack, base_mva
-        buses=tuple(_integer(b) for b in buses),
-        branches=tuple(
-            Branch(_integer(i), _integer(j), _number(x_pu), None if limit is None else _number(limit))
-            for i, j, x_pu, limit in branches
-        ),
-        slack=_integer(slack),
-        base_mva=_number(base_mva),
-    )
+    base_mva, slack, buses, records = fields(load_json(path), _NETWORK, path)
+    branches = tuple(Branch(*fields(rec, _BRANCH, path, "branches", i)) for i, rec in enumerate(records))
+    return NetworkModel(buses, branches, slack, base_mva)
 
 
-@reader
 def parse_meters(path, net: NetworkModel) -> MeterConfig:
-    (records,) = fields(load_json(path), _METERS, path, "top level")
+    (records,) = fields(load_json(path), _METERS, path)
     resolve = net.branch_resolver()
     meters = []
     for i, rec in enumerate(records):
         pair, sigma = fields(rec, _METER, path, "meters", i)
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ParseError(path, f"meters[{i}].branch", "expected a [from, to] bus pair")
         try:
-            index, orientation = resolve(_integer(pair[0]), _integer(pair[1]))
+            index, orientation = resolve(*pair)
         except UnknownBranch as exc:
             raise ValidationError(f"meters[{i}]: {exc}") from exc
-        meters.append(Meter(branch=index, orientation=orientation, sigma=_number(sigma)))
+        meters.append(Meter(index, orientation, sigma))
     return MeterConfig(meters=tuple(meters))
 
 
-@reader
 def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
-    (values,) = fields(load_json(path), _MEASUREMENTS, path, "top level")
-    z = np.array([_number(v) for v in values])  # finite: load_json refuses the rest
+    (values,) = fields(load_json(path), _MEASUREMENTS, path)
+    z = np.array(values, dtype=float)  # finite: load_json refuses the rest
     if expected_count is not None and z.shape[0] != expected_count:
         raise ValidationError(f"{path}: expected {expected_count} measurement values, got {z.shape[0]}")
     return z
 
 
-@reader
 def parse_market(path, net: NetworkModel) -> DispatchCase:
-    gen_records, load_records = fields(load_json(path), _MARKET, path, "top level")
-    generators = [fields(rec, _GENERATOR, path, "generators", i) for i, rec in enumerate(gen_records)]
-    loads = [fields(rec, _LOAD, path, "loads", i) for i, rec in enumerate(load_records)]
-    return DispatchCase(
-        network=net,
-        generators=tuple(
-            Generator(_integer(bus), _number(price), _number(p_max), _number(p_min))
-            for bus, price, p_max, p_min in generators
-        ),
-        loads=tuple(Load(_integer(bus), _number(mw)) for bus, mw in loads),
-    )
+    generators, loads = fields(load_json(path), _MARKET, path)
+    generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
+    loads = tuple(Load(*fields(rec, _LOAD, path, "loads", i)) for i, rec in enumerate(loads))
+    return DispatchCase(net, generators, loads)
 
 
 def _write_text(path, text: str) -> None:

@@ -227,7 +227,10 @@ def arbitrage_profit(
     sell_bus: BusId,
     quantity: float,
 ) -> float:
-    """Profit in $/h: quantity * (LMP after at sell bus - LMP before at buy bus)."""
+    """Profit in $/h: quantity * (LMP after at sell bus - LMP before at buy bus); an overflow is a ValidationError."""
     if quantity < 0:
         raise ValidationError(f"quantity {quantity} must be >= 0")
-    return quantity * (after.lmp_at(sell_bus) - before.lmp_at(buy_bus))
+    profit = quantity * (after.lmp_at(sell_bus) - before.lmp_at(buy_bus))
+    if not np.isfinite(profit):
+        raise ValidationError("arbitrage profit quantity x LMP difference must be finite")
+    return profit

@@ -94,10 +94,6 @@ class NetworkModel:
             raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {self.slack}")
 
     @property
-    def n_states(self) -> int:
-        return len(self.buses) - 1
-
-    @property
     def state_buses(self) -> tuple[BusId, ...]:
         """Non-slack buses in input order; defines the state/column ordering."""
         return tuple(b for b in self.buses if b != self.slack)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caseio
 from .attack import AttackVector, random_constrained_attack, targeted_attack
-from .caseio import REQUIRED, _decimal, _integer, _number, fields
+from .caseio import REQUIRED, _choice, _decimal, _integer, _items, _list, _number, _object, _optional, _text, fields
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import FdiLabError, ParseError, ValidationError
 from .estimation import (
@@ -148,41 +148,42 @@ class Scenario:
     market: MarketSpec | None = None
 
 
-_METHOD_ALIASES = {
-    "chi_square": DetectionMethod.CHI_SQUARE,
-    "lnr": DetectionMethod.LNR,
-    "largest_normalized_residual": DetectionMethod.LNR,
-}
+def _pinned(value) -> tuple[tuple[int, float], ...]:
+    """The (bus id, shift) pairs of a targeted attack's map of bus ids to shifts."""
+    if not _object(value):
+        raise ValueError("targeted attack needs pinned entries")
+    return tuple((_decimal(bus), _number(shift)) for bus, shift in value.items())
 
-_SCENARIO = {"name": REQUIRED, "network": REQUIRED, "meters": REQUIRED, "measurements": REQUIRED, "attack": {},
-             "detectors": ({"method": "chi_square"}, {"method": "lnr"}), "market": None}
-_SOURCE = {"file": None, "simulate": None}
-_SIMULATE = {"x_true": REQUIRED, "seed": REQUIRED}
-# attack type -> its record's fields; a record without a type is no attack
+
+_METHODS = {"chi_square": DetectionMethod.CHI_SQUARE, "lnr": DetectionMethod.LNR,
+            "largest_normalized_residual": DetectionMethod.LNR}
+
+_SCENARIO = {"name": (_text, REQUIRED), "network": (_text, REQUIRED), "meters": (_text, REQUIRED),
+             "measurements": (_object, REQUIRED), "attack": (_object, {}),
+             "detectors": (_list, ({"method": "chi_square"}, {"method": "lnr"})), "market": (_optional(_object), None)}
+_SOURCE = {"file": (_text, None), "simulate": (_object, None)}
+_SIMULATE = {"x_true": (_items(_number), REQUIRED), "seed": (_integer, REQUIRED)}
+# attack type -> (its record's table, the spec its values make by position); a record without a type is no attack
 _ATTACKS = {
-    "none": {"type": "none"},
-    "random": {"type": REQUIRED, "support": REQUIRED, "seed": REQUIRED, "magnitude": 0.1},
-    "targeted": {"type": REQUIRED, "pinned": REQUIRED},
-    "gross_error": {"type": REQUIRED, "meter": REQUIRED, "magnitude_pu": REQUIRED},
+    "none": ({"type": (_text, "none")}, lambda: None),
+    "random": ({"type": (_text, REQUIRED), "support": (_items(_integer), REQUIRED), "seed": (_integer, REQUIRED),
+                "magnitude": (_number, 0.1)}, RandomAttackSpec),
+    "targeted": ({"type": (_text, REQUIRED), "pinned": (_pinned, REQUIRED)}, TargetedAttackSpec),
+    "gross_error": ({"type": (_text, REQUIRED), "meter": (_integer, REQUIRED), "magnitude_pu": (_number, REQUIRED)},
+                    GrossErrorSpec),
 }
-_DETECTOR = {"method": REQUIRED, "confidence": 0.99}
-_MARKET = {"file": REQUIRED, "buy_bus": REQUIRED, "sell_bus": REQUIRED, "quantity_mw": 1.0}
+_ATTACK_TYPE = {"type": (_choice(_ATTACKS, "attack type"), REQUIRED)}
+_DETECTOR = {"method": (_choice(_METHODS, "method"), REQUIRED), "confidence": (_number, 0.99)}
+_MARKET = {"file": (_text, REQUIRED), "buy_bus": (_integer, REQUIRED), "sell_bus": (_integer, REQUIRED),
+           "quantity_mw": (_number, 1.0)}
 
 
-@caseio.reader
 def parse_scenario(path) -> Scenario:
     """Read a scenario file; relative paths resolve against its directory."""
     path = Path(path)
-    name, network, meters, meas, attack_doc, detector_docs, market_doc = fields(
-        caseio.load_json(path), _SCENARIO, path, "top level"
-    )
-    base = path.parent
-
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    sources = len(meas.keys() & _SOURCE.keys()) if type(meas) is dict else 1  # fields refuses a non-object
+    name, network, meters, meas, attack, detectors, market = fields(caseio.load_json(path), _SCENARIO, path)
+    resolve = path.parent.joinpath  # which keeps an absolute path as it is
+    sources = len(meas.keys() & _SOURCE.keys())
     if sources != 1:
         both = ", not both" if sources else ""
         raise ParseError(path, "measurements", f"expected 'file' or 'simulate'{both}")
@@ -190,47 +191,20 @@ def parse_scenario(path) -> Scenario:
     if sim is None:
         source = FileSource(path=resolve(file))
     else:
-        x_true, seed = fields(sim, _SIMULATE, path, "measurements.simulate")
-        source = SimulateSource(x_true=tuple(_number(v) for v in x_true), seed=_integer(seed))
+        source = SimulateSource(*fields(sim, _SIMULATE, path, "measurements.simulate"))
 
-    kind = attack_doc.get("type", "none") if type(attack_doc) is dict else "none"
-    if type(kind) is not str:  # checked before the lookup, which a list or dict cannot hash
-        raise ParseError(path, "attack.type", f"expected a string, got {type(kind).__name__}")
-    if kind not in _ATTACKS:
-        raise ParseError(path, "attack.type", f"unknown attack type '{kind}'")
-    _, *params = fields(attack_doc, _ATTACKS[kind], path, "attack")
-    attack = None
-    if kind == "random":
-        support, seed, magnitude = params
-        attack = RandomAttackSpec(tuple(_integer(i) for i in support), _integer(seed), _number(magnitude))
-    elif kind == "targeted":
-        (pinned,) = params  # a map of bus ids to shifts, not a record
-        if not pinned:
-            raise ParseError(path, "attack.pinned", "targeted attack needs pinned entries")
-        attack = TargetedAttackSpec(tuple((_decimal(bus), _number(shift)) for bus, shift in pinned.items()))
-    elif kind == "gross_error":
-        meter, magnitude_pu = params
-        attack = GrossErrorSpec(_integer(meter), _number(magnitude_pu))
-
-    detectors = []
-    for i, rec in enumerate(detector_docs):
-        method, confidence = fields(rec, _DETECTOR, path, "detectors", i)
-        if method not in _METHOD_ALIASES:
-            raise ParseError(path, f"detectors[{i}]", f"unknown method '{method}'")
-        detectors.append(DetectorSpec(method=_METHOD_ALIASES[method], confidence=_number(confidence)))
-
-    market = None
-    if market_doc is not None:
-        file, buy_bus, sell_bus, quantity_mw = fields(market_doc, _MARKET, path, "market")
-        market = MarketSpec(resolve(file), _integer(buy_bus), _integer(sell_bus), _number(quantity_mw))
-
+    ((table, spec),) = fields({"type": attack.get("type", "none")}, _ATTACK_TYPE, path, "attack")  # picks the table
+    _, *params = fields(attack, table, path, "attack")
+    if market is not None:
+        file, *leg = fields(market, _MARKET, path, "market")
+        market = MarketSpec(resolve(file), *leg)
     return Scenario(
-        name=str(name),
+        name=name,
         network_path=resolve(network),
         meters_path=resolve(meters),
         measurements=source,
-        attack=attack,
-        detectors=tuple(detectors),
+        attack=spec(*params),
+        detectors=tuple(DetectorSpec(*fields(rec, _DETECTOR, path, "detectors", i)) for i, rec in enumerate(detectors)),
         market=market,
     )
 

@@ -53,6 +53,19 @@ def test_empty_file_is_parse_error(tmp_path):
         caseio.load_json(p)
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("network_limit34.json", lambda path: path.write_bytes(b'{"slack": "\xff"}')),  # not UTF-8
+    ("profit.json", lambda path: path.write_text(path.read_text().replace("network_limit34", "net\\u0000"))),
+], ids=["bytes not UTF-8", "NUL in a path"])
+def test_file_that_cannot_be_read_as_text_exits_2_in_one_line(capsys, tmp_path, name, edit):
+    for source in CASES_5BUS.glob("*.json"):
+        (tmp_path / source.name).write_text(source.read_text())
+    edit(tmp_path / name)
+    code, out, err = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: stage=parse ParseError: ") and ": -: cannot read file: " in err
+
+
 def test_malformed_json_reports_location(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"buses": [1, 2,\n')
@@ -449,6 +462,42 @@ def test_cli_malformed_number_option_exits_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: ValidationError: {message}\n")
 
 
+MODEL_FILES = ["--case", CASES_5BUS / "network.json", "--meters", CASES_5BUS / "meters.json"]
+# (numeric option, the command that reads it with the other arguments it needs)
+OPTION_COMMANDS = [
+    ("confidence", ["detect", *MODEL_FILES, "--measurements", CASES_5BUS / "measurements.json"]),
+    ("magnitude", ["attack", "random", *MODEL_FILES, "--support", "0,2,3"]),
+    ("seed", ["attack", "random", *MODEL_FILES, "--support", "0,2,3"]),
+    ("support", ["attack", "random", *MODEL_FILES]),
+    ("pin", ["attack", "targeted", *MODEL_FILES]),
+    ("seed", ["montecarlo", CASES_5BUS / "mc_clean.json", "--trials", "5"]),
+    ("trials", ["montecarlo", CASES_5BUS / "mc_clean.json"]),
+]
+NUMBER = st.one_of(st.integers(-2, 7), st.floats(allow_nan=False), st.floats(-1, 1)).map(str)
+OPTION_TEXT = st.one_of(
+    NUMBER,
+    st.lists(NUMBER, min_size=1, max_size=4).map(",".join),  # a support
+    st.tuples(NUMBER, NUMBER).map("=".join),  # a pin
+    st.text(st.sampled_from("0123456789+-.eE,=_ infa\u0661"), max_size=12),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(option=st.sampled_from(OPTION_COMMANDS), text=OPTION_TEXT)
+def test_any_text_of_a_numeric_option_runs_or_fails_in_one_line(option, text):
+    name, argv = option
+    assume(name != "trials" or not re.fullmatch("[0-9]+", text) or int(text) <= 20)  # keeps a run short
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*map(str, argv), f"--{name}={text}"])  # "=" keeps a text such as "-x" a value
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert out.getvalue() == "" and re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
+
+
 @pytest.mark.parametrize("shift", ["1e-15", "+1E-15", "1.e-15", ".1e-14"])
 def test_cli_targeted_tiny_pin_echo_has_a_equal_to_hc(capsys, tmp_path, h5, shift):
     # a shift far below any round-off threshold still moves the two meters at bus 3, exactly
@@ -582,7 +631,7 @@ def test_cli_measurement_file_of_the_wrong_length_exits_2(capsys, tmp_path):
         (lambda d: d.update(attack={"type": []}),
          "ParseError: {path}: attack.type: expected a string, got list"),
         (lambda d: d["detectors"][0].update(method="psychic"),
-         "ParseError: {path}: detectors[0]: unknown method 'psychic'"),
+         "ParseError: {path}: detectors[0].method: unknown method 'psychic'"),
         (lambda d: d.update(measurements={"recorded": "z.json"}),
          "ParseError: {path}: measurements: expected 'file' or 'simulate'"),
         (lambda d: d.update(attack={"type": "gross_error", "meter": 99, "magnitude_pu": 0.5}),
@@ -605,79 +654,92 @@ def test_cli_scenario_outside_the_format_exits_2(capsys, tmp_path, edit, message
 
 # -- malformed values ---------------------------------------------------------------
 
-# file of the 5-bus case -> edit that leaves it valid JSON with a value of the wrong type or shape
+# file of the 5-bus case -> (where the error is, edit that leaves the file valid JSON with a value of the
+# wrong type or shape)
+RANDOM = {"type": "random", "support": [0, 2, 3], "seed": 1}
 MALFORMED = {
-    "random attack without support": ("profit.json", lambda d: d.update(attack={"type": "random", "seed": 1})),
+    "random attack without support": (
+        "profit.json", "attack", lambda d: d.update(attack={"type": "random", "seed": 1})
+    ),
     "gross error without meter": (
-        "profit.json", lambda d: d.update(attack={"type": "gross_error", "magnitude_pu": 0.5})
+        "profit.json", "attack", lambda d: d.update(attack={"type": "gross_error", "magnitude_pu": 0.5})
     ),
-    "pinned bus x": ("profit.json", lambda d: d["attack"].update(pinned={"x": 0.03})),
+    "pinned bus x": ("profit.json", "attack.pinned", lambda d: d["attack"].update(pinned={"x": 0.03})),
     # a bus key is decimal digits alone, not whatever int() reads
-    "pinned bus 0_3": ("profit.json", lambda d: d["attack"].update(pinned={"0_3": 0.03})),
-    "pinned bus ' 3'": ("profit.json", lambda d: d["attack"].update(pinned={" 3": 0.03})),
-    "support a": ("profit.json", lambda d: d.update(attack={"type": "random", "support": ["a"], "seed": 1})),
-    "x_true abc": ("profit.json", lambda d: d.update(measurements={"simulate": {"x_true": "abc", "seed": 1}})),
-    "confidence high": ("profit.json", lambda d: d["detectors"][0].update(confidence="high")),
-    "attack is a string": ("profit.json", lambda d: d.update(attack="random")),
-    "generator bus x": ("market.json", lambda d: d["generators"][0].update(bus="x")),
-    "sigma tiny": ("meters.json", lambda d: d["meters"][0].update(sigma="tiny")),
-    "branch a": ("meters.json", lambda d: d["meters"][0].update(branch=["a", 2])),
-    "values a": ("measurements.json", lambda d: d.update(values_pu=["a", *d["values_pu"][1:]])),
-    "network bus x": ("network_limit34.json", lambda d: d.update(buses=["x", *d["buses"][1:]])),
-    "branch x_pu abc": ("network_limit34.json", lambda d: d["branches"][0].update(x_pu="abc")),
+    "pinned bus 0_3": ("profit.json", "attack.pinned", lambda d: d["attack"].update(pinned={"0_3": 0.03})),
+    "pinned bus ' 3'": ("profit.json", "attack.pinned", lambda d: d["attack"].update(pinned={" 3": 0.03})),
+    "support a": ("profit.json", "attack.support", lambda d: d.update(attack={**RANDOM, "support": ["a"]})),
+    "x_true abc": (
+        "profit.json", "measurements.simulate.x_true",
+        lambda d: d.update(measurements={"simulate": {"x_true": "abc", "seed": 1}}),
+    ),
+    "confidence high": (
+        "profit.json", "detectors[0].confidence", lambda d: d["detectors"][0].update(confidence="high")
+    ),
+    "attack is a string": ("profit.json", "attack", lambda d: d.update(attack="random")),
+    "generator bus x": ("market.json", "generators[0].bus", lambda d: d["generators"][0].update(bus="x")),
+    "sigma tiny": ("meters.json", "meters[0].sigma", lambda d: d["meters"][0].update(sigma="tiny")),
+    "branch a": ("meters.json", "meters[0].branch", lambda d: d["meters"][0].update(branch=["a", 2])),
+    "values a": ("measurements.json", "values_pu", lambda d: d.update(values_pu=["a", *d["values_pu"][1:]])),
+    "network bus x": ("network_limit34.json", "buses", lambda d: d.update(buses=["x", *d["buses"][1:]])),
+    "branch x_pu abc": ("network_limit34.json", "branches[0].x_pu", lambda d: d["branches"][0].update(x_pu="abc")),
     # a number with a fractional part where an integer belongs is not truncated
-    "network bus 2.5": ("network_limit34.json", lambda d: d.update(buses=[1, 2.5, 3, 4, 5])),
-    "slack 1.5": ("network_limit34.json", lambda d: d.update(slack=1.5)),
-    "branch from 1.5": ("network_limit34.json", lambda d: d["branches"][0].update({"from": 1.5})),
-    "branch to 2.6": ("network_limit34.json", lambda d: d["branches"][0].update(to=2.6)),
-    "meter pair 2.6": ("meters.json", lambda d: d["meters"][0].update(branch=[1, 2.6])),
-    "generator bus 1.5": ("market.json", lambda d: d["generators"][0].update(bus=1.5)),
-    "load bus 2.5": ("market.json", lambda d: d["loads"][1].update(bus=2.5)),
-    "support 3.7": (
-        "profit.json", lambda d: d.update(attack={"type": "random", "support": [0, 2, 3.7], "seed": 1})
-    ),
-    "attack seed 1.5": (
-        "profit.json", lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": 1.5})
-    ),
+    "network bus 2.5": ("network_limit34.json", "buses", lambda d: d.update(buses=[1, 2.5, 3, 4, 5])),
+    "slack 1.5": ("network_limit34.json", "slack", lambda d: d.update(slack=1.5)),
+    "branch from 1.5": ("network_limit34.json", "branches[0].from", lambda d: d["branches"][0].update({"from": 1.5})),
+    "branch to 2.6": ("network_limit34.json", "branches[0].to", lambda d: d["branches"][0].update(to=2.6)),
+    "meter pair 2.6": ("meters.json", "meters[0].branch", lambda d: d["meters"][0].update(branch=[1, 2.6])),
+    "generator bus 1.5": ("market.json", "generators[0].bus", lambda d: d["generators"][0].update(bus=1.5)),
+    "load bus 2.5": ("market.json", "loads[1].bus", lambda d: d["loads"][1].update(bus=2.5)),
+    "support 3.7": ("profit.json", "attack.support", lambda d: d.update(attack={**RANDOM, "support": [0, 2, 3.7]})),
+    "attack seed 1.5": ("profit.json", "attack.seed", lambda d: d.update(attack={**RANDOM, "seed": 1.5})),
     "simulate seed 0.5": (
-        "profit.json", lambda d: d.update(measurements={"simulate": {"x_true": [0, 0, 0, 0], "seed": 0.5}})
+        "profit.json", "measurements.simulate.seed",
+        lambda d: d.update(measurements={"simulate": {"x_true": [0, 0, 0, 0], "seed": 0.5}}),
     ),
     "gross meter 2.5": (
-        "profit.json", lambda d: d.update(attack={"type": "gross_error", "meter": 2.5, "magnitude_pu": 0.5})
+        "profit.json", "attack.meter",
+        lambda d: d.update(attack={"type": "gross_error", "meter": 2.5, "magnitude_pu": 0.5}),
     ),
-    "buy bus 1.5": ("profit.json", lambda d: d["market"].update(buy_bus=1.5)),
-    "sell bus 4.5": ("profit.json", lambda d: d["market"].update(sell_bus=4.5)),
+    "buy bus 1.5": ("profit.json", "market.buy_bus", lambda d: d["market"].update(buy_bus=1.5)),
+    "sell bus 4.5": ("profit.json", "market.sell_bus", lambda d: d["market"].update(sell_bus=4.5)),
     # a string or a boolean where a number belongs is not read as one
-    "network bus ids '1'": ("network_limit34.json", lambda d: d.update(buses=[str(b) for b in d["buses"]])),
-    "network bus true": ("network_limit34.json", lambda d: d.update(buses=[True, 2, 3, 4, 5])),
-    "slack '1'": ("network_limit34.json", lambda d: d.update(slack="1")),
-    "branch from '1'": ("network_limit34.json", lambda d: d["branches"][0].update({"from": "1"})),
-    "x_pu '0.03'": ("network_limit34.json", lambda d: d["branches"][0].update(x_pu="0.03")),
-    "limit_mw '70'": ("network_limit34.json", lambda d: d["branches"][4].update(limit_mw="70")),
-    "base_mva '100'": ("network_limit34.json", lambda d: d.update(base_mva="100")),
-    "meter pair '1', '2'": ("meters.json", lambda d: d["meters"][0].update(branch=["1", "2"])),
-    "sigma '0.01'": ("meters.json", lambda d: d["meters"][0].update(sigma="0.01")),
-    "values '0.91'": ("measurements.json", lambda d: d.update(values_pu=["0.91", *d["values_pu"][1:]])),
-    "price '10'": ("market.json", lambda d: d["generators"][0].update(price="10")),
-    "load mw '100'": ("market.json", lambda d: d["loads"][0].update(mw="100")),
-    "load bus true": ("market.json", lambda d: d["loads"][0].update(bus=True)),
-    "buy bus '1'": ("profit.json", lambda d: d["market"].update(buy_bus="1")),
-    "quantity '1.0'": ("profit.json", lambda d: d["market"].update(quantity_mw="1.0")),
-    "pinned shift '0.03'": ("profit.json", lambda d: d["attack"].update(pinned={"3": "0.03"})),
-    "confidence '0.99'": ("profit.json", lambda d: d["detectors"][0].update(confidence="0.99")),
-    "magnitude '0.1'": (
-        "profit.json",
-        lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": 1, "magnitude": "0.1"}),
+    "network bus ids '1'": ("network_limit34.json", "buses", lambda d: d.update(buses=[str(b) for b in d["buses"]])),
+    "network bus true": ("network_limit34.json", "buses", lambda d: d.update(buses=[True, 2, 3, 4, 5])),
+    "slack '1'": ("network_limit34.json", "slack", lambda d: d.update(slack="1")),
+    "branch from '1'": ("network_limit34.json", "branches[0].from", lambda d: d["branches"][0].update({"from": "1"})),
+    "x_pu '0.03'": ("network_limit34.json", "branches[0].x_pu", lambda d: d["branches"][0].update(x_pu="0.03")),
+    "limit_mw '70'": (
+        "network_limit34.json", "branches[4].limit_mw", lambda d: d["branches"][4].update(limit_mw="70")
     ),
-    "attack seed '1'": (
-        "profit.json", lambda d: d.update(attack={"type": "random", "support": [0, 2, 3], "seed": "1"})
+    "base_mva '100'": ("network_limit34.json", "base_mva", lambda d: d.update(base_mva="100")),
+    "meter pair '1', '2'": ("meters.json", "meters[0].branch", lambda d: d["meters"][0].update(branch=["1", "2"])),
+    "sigma '0.01'": ("meters.json", "meters[0].sigma", lambda d: d["meters"][0].update(sigma="0.01")),
+    "values '0.91'": ("measurements.json", "values_pu", lambda d: d.update(values_pu=["0.91", *d["values_pu"][1:]])),
+    "price '10'": ("market.json", "generators[0].price", lambda d: d["generators"][0].update(price="10")),
+    "load mw '100'": ("market.json", "loads[0].mw", lambda d: d["loads"][0].update(mw="100")),
+    "load bus true": ("market.json", "loads[0].bus", lambda d: d["loads"][0].update(bus=True)),
+    "buy bus '1'": ("profit.json", "market.buy_bus", lambda d: d["market"].update(buy_bus="1")),
+    "quantity '1.0'": ("profit.json", "market.quantity_mw", lambda d: d["market"].update(quantity_mw="1.0")),
+    "pinned shift '0.03'": ("profit.json", "attack.pinned", lambda d: d["attack"].update(pinned={"3": "0.03"})),
+    "confidence '0.99'": (
+        "profit.json", "detectors[0].confidence", lambda d: d["detectors"][0].update(confidence="0.99")
     ),
+    "magnitude '0.1'": ("profit.json", "attack.magnitude", lambda d: d.update(attack={**RANDOM, "magnitude": "0.1"})),
+    "attack seed '1'": ("profit.json", "attack.seed", lambda d: d.update(attack={**RANDOM, "seed": "1"})),
     "gross magnitude '0.5'": (
-        "profit.json", lambda d: d.update(attack={"type": "gross_error", "meter": 2, "magnitude_pu": "0.5"})
+        "profit.json", "attack.magnitude_pu",
+        lambda d: d.update(attack={"type": "gross_error", "meter": 2, "magnitude_pu": "0.5"}),
     ),
     "x_true '0'": (
-        "profit.json", lambda d: d.update(measurements={"simulate": {"x_true": ["0", 0, 0, 0], "seed": 1}})
+        "profit.json", "measurements.simulate.x_true",
+        lambda d: d.update(measurements={"simulate": {"x_true": ["0", 0, 0, 0], "seed": 1}}),
     ),
+    # a list or an object where the other belongs, and a name that is not a string
+    "detectors {}": ("profit.json", "detectors", lambda d: d.update(detectors={})),
+    "name true": ("profit.json", "name", lambda d: d.update(name=True)),
+    "file null": ("profit.json", "measurements.file", lambda d: d.update(measurements={"file": None})),
+    "simulate null": ("profit.json", "measurements.simulate", lambda d: d.update(measurements={"simulate": None})),
 }
 
 
@@ -692,12 +754,12 @@ def _edited_copy(tmp_path, name, edit):
     return _write(path, doc)
 
 
-@pytest.mark.parametrize("name, edit", MALFORMED.values(), ids=list(MALFORMED))
-def test_cli_malformed_value_exits_2_naming_the_file(capsys, tmp_path, name, edit):
+@pytest.mark.parametrize("name, location, edit", MALFORMED.values(), ids=list(MALFORMED))
+def test_cli_malformed_value_exits_2_naming_the_file(capsys, tmp_path, name, location, edit):
     path = _edited_copy(tmp_path, name, edit)
     code, out, err = run_cli(capsys, "scenario", "run", tmp_path / "profit.json")
     assert code == 2
-    assert f"ParseError: {path}: " in err
+    assert f"ParseError: {path}: {location}: " in err and err.count("\n") == 1
     assert out == ""
 
 
@@ -721,6 +783,10 @@ OVERFLOWING = {
         "network_limit34.json", lambda d: d.update(base_mva=1e308), 2,
         "stage=parse ValidationError: base_mva 1e+308 must be > 0, and finite over every reactance",
     ),
+    "quantity 1e308": (
+        "profit.json", lambda d: d["market"].update(quantity_mw=1e308), 2,
+        "stage=market ValidationError: arbitrage profit quantity x LMP difference must be finite",
+    ),
 }
 
 
@@ -736,8 +802,7 @@ def test_cli_value_that_overflows_later_fails_in_one_line(capsys, tmp_path, name
 INPUT_FAULTS = {
     "values 'nan'": (
         "measurements.json", lambda d: d.update(values_pu=["nan", *d["values_pu"][1:]]),
-        "stage=measurements ParseError: {dir}/measurements.json: -: "
-        "malformed field: ValueError: 'nan' is not a number",
+        "stage=measurements ParseError: {dir}/measurements.json: values_pu: 'nan' is not a number",
     ),
     "meter pair of three buses": (
         "meters.json", lambda d: d["meters"][0].update(branch=[1, 2, 3]),
@@ -993,3 +1058,59 @@ def test_deleting_a_required_key_exits_2_naming_it(tmp_path):
             assert (code, out) == (2, "") and re.fullmatch(line, err), (name, location, key, err)
             deleted.append((name, location, key))
     assert len(deleted) == 116  # every required key of the 58 records
+
+
+# -- a wrong value at every leaf ------------------------------------------------------
+
+WRONG_VALUES = ["x", True, None, [], {}, 1.5]
+PATH_KEYS = {"network", "meters", "file"}  # the scenario keys whose value names a file
+
+
+def _leaves(value, keys=()):
+    """The keys from the document down to each value in ``value`` that is neither a list nor an object."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, (*keys, key))
+    else:
+        yield keys
+
+
+def _leaf_location(keys):
+    """Where a ParseError puts the value at ``keys``: the object that holds it and its key there.
+    An item of a list of values, or a shift in ``pinned``, is put at the key of its list or map."""
+    location = ""
+    for parent, key in zip(("", *keys), keys):
+        if isinstance(key, int) and parent in ITEM_FORMATS:
+            location += f"[{key}]"
+        elif isinstance(key, str) and parent != "pinned":
+            location = f"{location}.{key}" if location else key
+        else:
+            break
+    return location
+
+
+LEAF_EDITS = [
+    (name, keys, value)
+    for name in ("network_limit34.json", "meters.json", "measurements.json", "market.json", "profit.json",
+                 "mc_clean.json")
+    for keys in _leaves(json.loads((CASES_5BUS / name).read_text()))
+    for value in WRONG_VALUES
+]
+
+
+def test_a_wrong_value_at_any_leaf_runs_or_fails_in_one_line_naming_its_key(tmp_path):
+    # a value of the wrong type is a ParseError at its object and key; a path to no file is one at
+    # that file; a number where a number belongs may fail further on, in one line of another error
+    directory = tmp_path / "case"
+    wrong = []
+    for name, keys, value in LEAF_EDITS:
+        code, _, err, _ = _run_edited(directory, name, keys[:-1], lambda rec: rec.__setitem__(keys[-1], value))
+        located = _parse_error_line(directory, name, _leaf_location(keys), ".*")
+        no_file = isinstance(value, str) and keys[-1] in PATH_KEYS and re.fullmatch(
+            _parse_error_line(directory, value, "-", "cannot read file: .*"), err
+        )
+        later = value == 1.5 and code in (2, 3, 4) and re.fullmatch(r"error: (stage=\w+ )?(?!ParseError)\w+: .*\n", err)
+        if not (code == 0 and err == "" or code == 2 and (re.fullmatch(located, err) or no_file) or later):
+            wrong.append((name, keys, value, code, err))
+    assert not wrong, f"{len(wrong)} of {len(LEAF_EDITS)} edits: {wrong[:5]}"
+    assert len(LEAF_EDITS) == 6 * 104  # six values at each of the 104 leaves of the six files

@@ -29,7 +29,7 @@ def two_bus(x=1.0):
 
 
 def test_five_bus_case_builds(net5):
-    assert net5.n_states == 4
+    assert len(net5.state_buses) == 4
     assert net5.state_buses == (2, 3, 4, 5)
     assert len(net5.branches) == 6
     assert net5.slack == 1
@@ -39,7 +39,7 @@ def test_five_bus_case_builds(net5):
 
 def test_two_bus_minimal_case():
     net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1.0),), slack=1)
-    assert net.n_states == 1
+    assert len(net.state_buses) == 1
 
 
 def test_isolated_bus_rejected():
