@@ -34,8 +34,8 @@ from .network import Branch, Meter, MeterConfig, NetworkModel
 
 
 def load_json(path) -> dict:
-    """Read a JSON document; NaN, Infinity, numbers (integers too) that overflow a
-    float and a key repeated in one object are ParseErrors."""
+    """Read a JSON document; a key repeated in one object is a ParseError. Its numbers are
+    judged by the readers of their keys, which know where each one stands."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -44,16 +44,6 @@ def load_json(path) -> dict:
     if not text.strip():
         raise ParseError(path, "line 1", "file is empty")
 
-    def finite(token: str) -> float:
-        value = float(token)
-        if not math.isfinite(value):
-            raise ParseError(path, "-", f"non-finite number {token}")
-        return value
-
-    def integer(token: str) -> int:
-        finite(token)
-        return int(token)
-
     def unique(pairs: list) -> dict:
         record = dict(pairs)
         if len(record) < len(pairs):
@@ -61,27 +51,27 @@ def load_json(path) -> dict:
             raise ParseError(path, "-", f"duplicate key '{repeated}'")
         return record
 
-    # Only an integer of over 308 digits overflows a float, and json's own parser takes
-    # the shorter ones far faster than a hook per integer: hook only a text with such a run.
-    long_digit_run = "1" * 309 in text.translate(str.maketrans("0123456789", "1" * 10))
     try:
-        return json.loads(
-            text, parse_float=finite, parse_int=integer if long_digit_run else None, parse_constant=finite,
-            object_pairs_hook=unique,
-        )
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
+    except ValueError as exc:  # an integer of more digits than int() reads, 4,300 by default
+        raise ParseError(path, "-", str(exc)) from exc
 
 
 # -- readers: each takes a JSON value and returns what it stands for, or raises a ValueError
 
 def _number(value) -> float:
-    """``float(value)`` of a JSON number; a ValueError for any other value, a string or a boolean included."""
-    if type(value) is float:  # most values; the check below costs every parsed number
-        return value
-    if type(value) is not int:  # bool is not int here
+    """``float(value)`` of a finite JSON number. NaN, ±inf (which ``1e999`` reads as), an integer
+    that overflows a float and any other value, a string or a boolean included, are a ValueError."""
+    if type(value) is float:  # most values
+        if math.isfinite(value):
+            return value
+    elif type(value) is not int:  # bool is not int here
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    elif abs(value) < 2**1024 - 2**970:  # the ints that float() rounds to at most the largest float
+        return float(value)
+    raise ValueError(f"non-finite number {value}")
 
 
 def _integer(value) -> int:
@@ -220,7 +210,7 @@ def parse_meters(path, net: NetworkModel) -> MeterConfig:
 
 def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
     (values,) = fields(load_json(path), _MEASUREMENTS, path)
-    z = np.array(values, dtype=float)  # finite: load_json refuses the rest
+    z = np.array(values, dtype=float)  # finite: _number refuses the rest
     if expected_count is not None and z.shape[0] != expected_count:
         raise ValidationError(f"{path}: expected {expected_count} measurement values, got {z.shape[0]}")
     return z

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import caseio
 from .detection import DetectionMethod, DetectorSpec
-from .errors import FdiLabError, InfeasibleError, ParseError, ValidationError
+from .errors import FdiLabError, ValidationError
 from .market import solve_dc_opf
 from .scenario import (
     FileSource,
@@ -180,14 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(exc: FdiLabError) -> int:
-    if isinstance(exc, (ParseError, ValidationError)):
-        return 2
-    if isinstance(exc, InfeasibleError):
-        return 4
-    return 3
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -198,7 +190,7 @@ def main(argv=None) -> int:
         where = f" stage={stage}" if stage else ""
         message = str(exc).replace("\n", " ")
         print(f"error:{where} {type(exc).__name__}: {message}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

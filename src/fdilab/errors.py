@@ -7,13 +7,17 @@ problems (exit 4).
 
 
 class FdiLabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``exit_code`` is the CLI's exit code."""
+
+    exit_code = 3
 
 
 # -- input / validation (exit code 2) ----------------------------------------
 
 class ParseError(FdiLabError):
     """A case file could not be parsed. Carries path and location."""
+
+    exit_code = 2
 
     def __init__(self, path, location, reason):
         self.path = str(path)
@@ -24,6 +28,8 @@ class ParseError(FdiLabError):
 
 class ValidationError(FdiLabError):
     """Semantically invalid input (well-formed file, bad content)."""
+
+    exit_code = 2
 
 
 class DuplicateBus(ValidationError):
@@ -79,7 +85,7 @@ class UnboundedProblem(NumericalError):
 # -- infeasibility (exit code 4) ----------------------------------------------
 
 class InfeasibleError(FdiLabError):
-    pass
+    exit_code = 4
 
 
 class InfeasibleSupport(InfeasibleError):

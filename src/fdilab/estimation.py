@@ -29,7 +29,7 @@ from .network import MeasurementMatrix, _dot, _read_only
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Per-meter standard deviations (per-unit). All strictly positive; read-only."""
+    """Per-meter standard deviations (per-unit). All strictly positive, with finite squares; read-only."""
 
     sigmas: np.ndarray
 
@@ -39,6 +39,9 @@ class WeightModel:
             raise ValidationError("sigmas must be a 1-D vector")
         if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):
             raise ValidationError("all sigmas must be finite and > 0")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(sig**2)):
+                raise ValidationError("all variances sigma**2 must be finite")
         object.__setattr__(self, "sigmas", sig)
 
 

@@ -485,14 +485,12 @@ class MonteCarloSummary:
         return _csv(rows)
 
 
-# numpy's SeedSequence and PCG64 seeding (numpy/random/bit_generator.pyx and
-# pcg64.h), which NEP 19 keeps fixed across numpy releases.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which NEP 19
+# keeps fixed across numpy releases.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -526,8 +524,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
-def _pcg64_seeds(entropy: np.ndarray) -> list[list[int]]:
-    """``SeedSequence(e).generate_state(4, uint64)`` for each column e of ``entropy``.
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, uint64)`` for each column e of ``entropy``, as
+    the rows of a C-contiguous (trials, 4) array: PCG64 reads a row's memory as it lies.
 
     ``entropy`` is a (words, trials) uint32 array. SeedSequence makes one
     hashmix call per pool word a word is mixed into. Those calls hash the
@@ -545,20 +544,30 @@ def _pcg64_seeds(entropy: np.ndarray) -> list[list[int]]:
         pool = _mix(pool, _hashmix(word, consts[used:used + 5]))
         used += 4
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@dataclass
+class _Seeded:
+    """A seed sequence (numpy's ``ISeedSequence``) whose state is ``words``: ``PCG64(_Seeded(words))`` seeds from them."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _noise_block(base_seed: int, first: int, out: np.ndarray) -> None:
     """Fill row k of ``out`` with ``default_rng([base_seed, first + k]).standard_normal(m)``, bit for bit.
 
     Creating one generator per trial costs far more than its draw, mostly in
-    hashing the seed. Here the hash runs over the whole block in uint32
-    arrays, and one PCG64 is seeded by hand for each row. The block is hashed
-    in parts that cross no multiple of 2**32, so in each part only the trial's
-    low word varies.
+    hashing the seed. Here the hash runs over the whole block in uint32 arrays,
+    and numpy seeds each row's PCG64 from its hashed words. The block is hashed in
+    parts that cross no multiple of 2**32, so in each part only the trial's low word varies.
     """
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    # registered here, not at import: importing numpy.random costs every cold start
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_Seeded)
     base = _uint32_words(base_seed)
     start = 0
     while start < len(out):
@@ -566,16 +575,8 @@ def _noise_block(base_seed: int, first: int, out: np.ndarray) -> None:
         stop = min(len(out), start + (1 << 32) - low)
         entropy = np.array([*base, low, *high], dtype=np.uint32)[:, None].repeat(stop - start, axis=1)
         entropy[len(base)] += np.arange(stop - start, dtype=np.uint32)
-        for (s0, s1, i0, i1), row in zip(_pcg64_seeds(entropy), out[start:stop]):
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=row)
+        for words, row in zip(_pcg64_seeds(entropy), out[start:stop]):
+            np.random.Generator(np.random.PCG64(_Seeded(words))).standard_normal(out=row)
         start = stop
 
 

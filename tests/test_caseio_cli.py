@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -312,10 +313,11 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_load_json_rejects_non_finite_numbers(tmp_path, token):
-    p = tmp_path / "doc.json"
+    # load_json reads them as floats (nan, inf, -inf, inf); the reader of their key refuses them at its key
+    p = tmp_path / "measurements.json"
     p.write_text(f'{{"values_pu": [0.1, {token}]}}')
-    with pytest.raises(ParseError, match="non-finite"):
-        caseio.load_json(p)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: values_pu: non-finite number {json.loads(token)}$"):
+        caseio.parse_measurements(p)
 
 
 def test_load_json_rejects_a_repeated_key(tmp_path):
@@ -381,11 +383,12 @@ HUGE = "1" + "0" * 400  # an integer that int() takes and float() overflows
 
 
 @pytest.mark.parametrize(
-    "name, old, new",
-    [("measurements.json", "0.19", HUGE), ("network.json", '"x_pu": 0.03', f'"x_pu": {HUGE}')],
+    "name, old, new, location",
+    [("measurements.json", "0.19", HUGE, "values_pu"),
+     ("network.json", '"x_pu": 0.03', f'"x_pu": {HUGE}', "branches[0].x_pu")],
     ids=["measurement value", "x_pu"],
 )
-def test_cli_integer_that_overflows_a_float_exits_2(capsys, tmp_path, name, old, new):
+def test_cli_integer_that_overflows_a_float_exits_2(capsys, tmp_path, name, old, new, location):
     for source in ("network.json", "meters.json", "measurements.json"):
         (tmp_path / source).write_text((CASES_5BUS / source).read_text())
     path = tmp_path / name
@@ -399,8 +402,23 @@ def test_cli_integer_that_overflows_a_float_exits_2(capsys, tmp_path, name, old,
         "--measurements", tmp_path / "measurements.json",
     )
     assert code == 2
-    assert err.endswith(f"ParseError: {path}: -: non-finite number {HUGE}\n") and err.count("\n") == 1
+    assert err.endswith(f"ParseError: {path}: {location}: non-finite number {HUGE}\n") and err.count("\n") == 1
     assert out == ""
+
+
+def test_cli_integer_longer_than_int_reads_exits_2(capsys, tmp_path):
+    # json's int() refuses a number of over 4,300 digits before any reader sees it
+    path = tmp_path / "measurements.json"
+    path.write_text(f'{{"values_pu": [{"1" * 5000}]}}')
+    code, out, err = run_cli(
+        capsys,
+        "estimate",
+        "--case", CASES_5BUS / "network.json",
+        "--meters", CASES_5BUS / "meters.json",
+        "--measurements", path,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: stage=measurements ParseError: {path}: -: Exceeds the limit") and err.count("\n") == 1
 
 
 def test_load_json_keeps_a_long_integer_that_a_float_holds(tmp_path):
@@ -787,6 +805,10 @@ OVERFLOWING = {
         "profit.json", lambda d: d["market"].update(quantity_mw=1e308), 2,
         "stage=market ValidationError: arbitrage profit quantity x LMP difference must be finite",
     ),
+    "sigma 1e300": (
+        "meters.json", lambda d: d["meters"][1].update(sigma=1e300), 2,
+        "stage=model ValidationError: all variances sigma**2 must be finite",
+    ),
 }
 
 
@@ -1062,7 +1084,9 @@ def test_deleting_a_required_key_exits_2_naming_it(tmp_path):
 
 # -- a wrong value at every leaf ------------------------------------------------------
 
-WRONG_VALUES = ["x", True, None, [], {}, 1.5]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NEAR_LIMITS = [1.7976931348623157e308, -1.7976931348623157e308, 1e300, 5e-324, 1e-320]  # finite, near a float limit
+WRONG_VALUES = ["x", True, None, [], {}, 1.5, *NON_FINITE, *NEAR_LIMITS]
 PATH_KEYS = {"network", "meters", "file"}  # the scenario keys whose value names a file
 
 
@@ -1099,8 +1123,9 @@ LEAF_EDITS = [
 
 
 def test_a_wrong_value_at_any_leaf_runs_or_fails_in_one_line_naming_its_key(tmp_path):
-    # a value of the wrong type is a ParseError at its object and key; a path to no file is one at
-    # that file; a number where a number belongs may fail further on, in one line of another error
+    # a value of the wrong type or a non-finite number is a ParseError at its object and key; a path
+    # to no file is one at that file; a finite number where a number belongs may fail further on, in
+    # one line of another error
     directory = tmp_path / "case"
     wrong = []
     for name, keys, value in LEAF_EDITS:
@@ -1109,8 +1134,14 @@ def test_a_wrong_value_at_any_leaf_runs_or_fails_in_one_line_naming_its_key(tmp_
         no_file = isinstance(value, str) and keys[-1] in PATH_KEYS and re.fullmatch(
             _parse_error_line(directory, value, "-", "cannot read file: .*"), err
         )
-        later = value == 1.5 and code in (2, 3, 4) and re.fullmatch(r"error: (stage=\w+ )?(?!ParseError)\w+: .*\n", err)
-        if not (code == 0 and err == "" or code == 2 and (re.fullmatch(located, err) or no_file) or later):
+        later = value in (1.5, *NEAR_LIMITS) and code in (2, 3, 4) and re.fullmatch(
+            r"error: (stage=\w+ )?(?!ParseError)\w+: .*\n", err
+        )
+        if value in NON_FINITE:  # nan is found by identity, and True equals none of these
+            right = code == 2 and re.fullmatch(located, err)
+        else:
+            right = code == 0 and err == "" or code == 2 and (re.fullmatch(located, err) or no_file) or later
+        if not right:
             wrong.append((name, keys, value, code, err))
     assert not wrong, f"{len(wrong)} of {len(LEAF_EDITS)} edits: {wrong[:5]}"
-    assert len(LEAF_EDITS) == 6 * 104  # six values at each of the 104 leaves of the six files
+    assert len(LEAF_EDITS) == 14 * 104  # fourteen values at each of the 104 leaves of the six files

@@ -1,9 +1,11 @@
-"""Which scipy modules a fresh interpreter loads for each kind of work.
+"""Which scipy and numpy.random modules a fresh interpreter loads for each kind of work.
 
 Parsing a case, building H and weights and synthesizing a stealth attack
 need numpy alone, so neither they nor ``fdilab attack`` load scipy. The
 first factorisation loads ``scipy.linalg`` and the first detection
-threshold ``scipy.special``. Each check runs a new interpreter with a
+threshold ``scipy.special``. Parsing and building H and weights load no
+``numpy.random`` either, which numpy loads on first use; the Monte Carlo
+does. Each check runs a new interpreter with a
 ``sitecustomize`` that writes the names in ``sys.modules`` to a file at exit.
 (``-X importtime`` cannot stand in for it: it does not list ``scipy.special``.)
 """
@@ -20,15 +22,17 @@ from conftest import CASES_5BUS
 SRC = Path(__file__).resolve().parents[1] / "src"
 CASE = ["--case", str(CASES_5BUS / "network.json"), "--meters", str(CASES_5BUS / "meters.json")]
 
-API_SCRIPT = f"""
+MODEL_SCRIPT = f"""
 import fdilab
 from fdilab import caseio
 net = caseio.parse_network({str(CASES_5BUS / "network.json")!r})
 meters = caseio.parse_meters({str(CASES_5BUS / "meters.json")!r}, net)
 H = fdilab.build_h_matrix(net, meters)
 fdilab.WeightModel(meters.sigmas)
+"""
+API_SCRIPT = MODEL_SCRIPT + """
 fdilab.random_constrained_attack(H, [0, 1, 2], seed=1)
-fdilab.targeted_attack(H, {{0: 0.1}})
+fdilab.targeted_attack(H, {0: 0.1})
 """
 
 
@@ -87,3 +91,16 @@ def test_estimate_loads_scipy_linalg_but_not_special(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "scipy.linalg" in names
     assert "scipy.special" not in names
+
+
+def test_parse_and_model_load_no_numpy_random(tmp_path):
+    proc, names = run_fresh(tmp_path, "-c", MODEL_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert "fdilab.caseio" in names
+    assert "numpy" in names and "numpy.random" not in names
+
+
+def test_montecarlo_loads_numpy_random(tmp_path):
+    proc, names = run_fresh(tmp_path, "-m", "fdilab", "montecarlo", str(CASES_5BUS / "mc_clean.json"), "--trials", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.random" in names
