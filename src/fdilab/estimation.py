@@ -73,6 +73,7 @@ class WlsModel:
     Cholesky factor, Omega = R - H (H' R^-1 H)^-1 H' and its diagonal are each
     worked out on first use and then kept, so every estimate and Omega made from
     one model shares one factorisation, and a caller pays only for what it uses.
+    diag(Omega) is formed in the factor's buffer, so a solve after it factors again.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
@@ -164,15 +165,17 @@ class WlsModel:
     def omega_diagonal(self) -> np.ndarray:
         """diag(Omega): sigma_i^2 - h_i G^-1 h_i' for each row h_i of H, G the gain.
 
-        LAPACK potri forms G^-1, in about (2/3) n^3 flops, from a copy of the
-        factor, which estimates go on using. Row i holds +-w, its weight, at the
-        columns a < b of its edge, so h_i G^-1 h_i' = W g_aa + W g_bb - 2 W g_ab,
-        W = w^2, every g term at the slack, b = n, being zero. Omega is never formed.
+        LAPACK potri forms G^-1, in about (2/3) n^3 flops, in the factor's own
+        buffer, and the factor is dropped: a later solve factors the gain again,
+        to the same bits. Row i holds +-w, its weight, at the columns a < b of
+        its edge, so h_i G^-1 h_i' = W g_aa + W g_bb - 2 W g_ab, W = w^2, every
+        g term at the slack, b = n, being zero. Omega is never formed.
         """
         import scipy.linalg
 
         factor, lower = self.factor
-        inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=False)
+        del self.factor
+        inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=True)
         a, b = self.edges.T
         W = self.weights**2
         g = np.append(np.diagonal(inverse), 0.0)  # g_bb is zero at the slack

@@ -83,6 +83,8 @@ class DispatchCase:
             raise InfeasibleDispatch(
                 f"total minimum output {total_min} MW > total demand {total_demand} MW"
             )
+        if not self.generators:  # with no generator, every LMP is an arbitrary dual
+            raise ValidationError("dispatch case has no generator")
 
     def load_by_bus(self) -> dict[BusId, float]:
         out = dict.fromkeys(self.network.buses, 0.0)
@@ -106,6 +108,20 @@ class DispatchResult:
             raise UnknownBus(f"no LMP for unknown bus {bus}") from None
 
 
+def _summed(terms, shape):
+    """The sparse matrix whose every cell sums its (row, column, term) terms in list
+    order, as a dense matrix adds them one by one, with its exact zeros dropped, as
+    the dense to CSC conversion in ``linprog`` drops them."""
+    from scipy.sparse import coo_array
+
+    rows, cols, values = zip(*terms)
+    cells, inverse = np.unique(np.multiply(rows, shape[1]) + cols, return_inverse=True)
+    sums = np.bincount(inverse, values, len(cells))
+    nonzero = sums != 0
+    coords = np.array(np.divmod(cells[nonzero], shape[1]), dtype=np.int32)  # the dense conversion's index type
+    return coo_array((sums[nonzero], coords), shape=shape)
+
+
 def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     """Minimize total generation cost subject to DC flow physics.
 
@@ -127,31 +143,26 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     cost[:ng] = [g.price for g in gens]
     loads = case.load_by_bus()
     b_eq = np.array([loads[bus] for bus in net.buses])
-    A_eq = np.zeros((len(net.buses), nv))
-    for gi, g in enumerate(gens):
-        A_eq[row[g.bus], gi] = 1.0
+    eq = [(row[g.bus], gi, 1.0) for gi, g in enumerate(gens)]  # (row, column, term) of A_eq
 
     # One pass over the branches. The flow's angle terms, (column, d flow / d
     # column) for each end that is not the slack, leave the from-bus balance
-    # row and enter the to-bus row; every entry sums its terms in branch order.
-    limited = []  # (terms, limit) of each branch with a flow limit
+    # row and enter the to-bus row; +flow <= limit, then -flow <= limit, are
+    # the A_ub rows of each branch with a flow limit.
+    ub, limits = [], []
     for br in net.branches:
         coef = net.base_mva / br.x_pu
         terms = [(col[b], s) for b, s in ((br.from_bus, coef), (br.to_bus, -coef)) if b in col]
         for c, s in terms:
-            A_eq[row[br.from_bus], c] -= s
-            A_eq[row[br.to_bus], c] += s
+            eq += [(row[br.from_bus], c, -s), (row[br.to_bus], c, s)]
         if br.limit_mw is not None:
-            limited.append((terms, br.limit_mw))
+            k = 2 * len(limits)
+            ub += [(k, c, s) for c, s in terms] + [(k + 1, c, -s) for c, s in terms]
+            limits.append(br.limit_mw)
 
-    A_ub = b_ub = None
-    if limited:  # +flow <= limit, then -flow <= limit, branch by branch
-        A_ub = np.zeros((2 * len(limited), nv))
-        for k, (terms, _) in enumerate(limited):
-            for c, s in terms:
-                A_ub[2 * k, c], A_ub[2 * k + 1, c] = s, -s
-        b_ub = np.repeat([limit for _, limit in limited], 2)
-
+    A_eq = _summed(eq, (len(net.buses), nv))
+    A_ub = _summed(ub, (2 * len(limits), nv)) if limits else None
+    b_ub = np.repeat(limits, 2) if limits else None
     bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * len(col)
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 2:

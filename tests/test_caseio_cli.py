@@ -256,6 +256,16 @@ def test_cli_minimum_output_above_demand_exits_4_before_any_lp(capsys, tmp_path,
     assert solves == []
 
 
+@pytest.mark.parametrize("network", [{"buses": [1], "branches": [], "slack": 1}, None], ids=["one-bus", "5-bus"])
+def test_cli_opf_without_a_generator_exits_2(capsys, tmp_path, network):
+    # with no generator every LMP is an arbitrary dual, and one bus leaves linprog no variable
+    market = _write(tmp_path / "market.json", {"generators": [], "loads": []})
+    case = _write(tmp_path / "network.json", network) if network else CASES_5BUS / "network.json"
+    assert run_cli(capsys, "opf", "--case", case, "--market", market) == (
+        2, "", "error: stage=parse ValidationError: dispatch case has no generator\n"
+    )
+
+
 def _write(path, doc):
     path.write_text(json.dumps(doc))
     return path

@@ -315,15 +315,17 @@ def test_omega_diagonal_matches_full_omega(h5, w5, system):
     np.testing.assert_allclose(model.omega_diagonal, full, rtol=1e-12, atol=1e-12 * np.max(w.sigmas**2))
 
 
-def test_omega_diagonal_keeps_the_factor_and_no_inverse_gain(h5, z5, w5):
+def test_omega_diagonal_consumes_the_factor_and_keeps_no_inverse_gain(h5, z5, w5):
     model = WlsModel(h5, w5)
     before = model.estimate(z5)
-    factor = model.factor[0].copy()
     model.omega_diagonal
-    after = model.estimate(z5)
-    for field in ("state", "fitted", "residual"):
-        assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
-    assert after.objective == before.objective
-    # the factor is the only n x n array the model holds, and it is unchanged
-    assert np.array_equal(model.factor[0], factor)
-    assert sorted(vars(model)) == ["edges", "factor", "m", "n", "omega_diagonal", "sigmas", "weights"]
+    # potri overwrote the factor with the inverse gain, and the model dropped both
+    assert sorted(vars(model)) == ["edges", "m", "n", "omega_diagonal", "sigmas", "weights"]
+    after = model.estimate(z5)  # factors the gain again
+    fresh = WlsModel(h5, w5)
+    reference = fresh.estimate(z5)
+    for estimate in (before, after):
+        for field in ("state", "fitted", "residual"):
+            assert getattr(estimate, field).tobytes() == getattr(reference, field).tobytes()
+        assert estimate.objective == reference.objective
+    assert model.factor[0].tobytes() == fresh.factor[0].tobytes()

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +128,17 @@ def test_generator_and_load_validation():
     net = NetworkModel(buses=(1,), branches=(), slack=1)
     with pytest.raises(UnknownBus):
         DispatchCase(network=net, generators=(Generator(bus=7, price=1.0, p_max=1.0),), loads=())
+
+
+def test_a_case_without_a_generator_is_refused():
+    # with no generator every LMP is an arbitrary dual; a positive demand is infeasible first
+    net = NetworkModel(buses=(1,), branches=(), slack=1)
+    with pytest.raises(ValidationError, match="^dispatch case has no generator$"):
+        DispatchCase(network=net, generators=(), loads=())
+    with pytest.raises(InfeasibleDispatch, match="total capacity 0 MW < total demand 5.0 MW"):
+        DispatchCase(network=net, generators=(), loads=(Load(bus=1, mw=5.0),))
+    with pytest.raises(ValidationError, match="^dispatch case has no generator$"):
+        DispatchCase(network=two_bus_case().network, generators=(), loads=(Load(bus=2, mw=0.0),))
 
 
 # -- perceived case from an attack -------------------------------------------------
@@ -326,12 +339,22 @@ def result_bits(result):
     )
 
 
+def csc_bits(A):
+    """The CSC arrays of A, dense or sparse, as linprog converts it for HiGHS: shape, then each array's type and bytes."""
+    A = scipy.sparse.csc_array(A)
+    return A.shape, *((x.dtype.str, x.tobytes()) for x in (A.indptr, A.indices, A.data))
+
+
 def assert_pinned_to_reference(case, monkeypatch):
     expected = reference_lp(case)
     lp, result = solve_recording_lp(case, monkeypatch)
     assert lp.keys() == expected.keys()
     for key, want in expected.items():
-        if isinstance(want, np.ndarray):
+        if key in ("A_eq", "A_ub") and want is not None:
+            # sparse, each nonzero cell stored once, and the same CSC as the dense reference's
+            assert scipy.sparse.issparse(lp[key]) and lp[key].nnz == np.count_nonzero(want), key
+            assert csc_bits(lp[key]) == csc_bits(want), key
+        elif isinstance(want, np.ndarray):
             assert isinstance(lp[key], np.ndarray) and np.array_equal(lp[key], want), key
         else:
             assert not isinstance(lp[key], np.ndarray) and lp[key] == want, key
@@ -396,6 +419,86 @@ def test_lp_matches_the_per_bus_assembly_on_the_5_bus_case(network, monkeypatch)
 def test_lp_matches_the_per_bus_assembly_on_random_networks(case):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_pinned_to_reference(case, monkeypatch)
+
+
+def lmp_decomposition_error(case, monkeypatch):
+    """The largest |lambda - lambda_slack - B_red^-1 B_f' mu| over the state buses, and the LMP spread.
+
+    B_red is the bus susceptance matrix on the state buses, and B_f maps their
+    angles to the flows of the limited branches, in branch order; mu is each
+    limited branch's +flow row dual minus its -flow row dual, read off the
+    linprog result that ``solve_dc_opf`` received.
+    """
+    real = scipy.optimize.linprog
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "linprog", lambda c, **kwargs: seen.append(real(c, **kwargs)) or seen[-1])
+        result = solve_dc_opf(case)
+    (res,) = seen
+    net = case.network
+    index = {bus: k for k, bus in enumerate(net.state_buses)}
+    B_red = np.zeros((len(index), len(index)))
+    B_f = []
+    for br in net.branches:
+        incidence = np.zeros(len(index))
+        for bus, sign in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
+            if bus in index:
+                incidence[index[bus]] = sign
+        coef = net.base_mva / br.x_pu
+        B_red += coef * np.outer(incidence, incidence)
+        if br.limit_mw is not None:
+            B_f.append(coef * incidence)
+    mu = res.ineqlin.marginals[0::2] - res.ineqlin.marginals[1::2]
+    congestion = np.linalg.solve(B_red, np.reshape(B_f, (-1, len(index))).T @ mu)
+    lmp = np.array([result.lmp[bus] for bus in net.state_buses])
+    error = np.max(np.abs(lmp - result.lmp[net.slack] - congestion), initial=0.0)
+    return error, max(result.lmp.values()) - min(result.lmp.values())
+
+
+@pytest.mark.parametrize("network", ["network.json", "network_limit34.json", None], ids=["5-bus", "5-bus-limit34", "2-bus"])
+def test_lmps_are_the_slack_price_plus_the_congestion_term(network, monkeypatch):
+    if network is None:  # the congested two-bus case: the import price is the dear unit's
+        case = two_bus_case()
+    else:
+        case = caseio.parse_market(CASES_5BUS / "market.json", caseio.parse_network(CASES_5BUS / network))
+    error, spread = lmp_decomposition_error(case, monkeypatch)
+    assert error <= 1e-9 * max(1.0, spread)
+    assert (spread > 1.0) == (network is None)
+
+
+@MARKET_SETTINGS
+@given(markets())
+def test_lmps_are_the_slack_price_plus_the_congestion_term_on_random_networks(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        error, spread = lmp_decomposition_error(case, monkeypatch)
+    assert error <= 1e-9 * max(1.0, spread)
+
+
+def test_lp_of_1000_buses_is_built_without_a_dense_matrix():
+    # a seeded 1,000-bus tree plus 400 extra lines, half of them limited far above any flow:
+    # the traced peak stays under half of the dense A_eq, buses x (generators + buses - 1) doubles
+    rng = np.random.default_rng(1000)
+    buses = [int(b) for b in rng.permutation(np.arange(1, 1001))]
+    pairs = [(buses[k], buses[rng.integers(k)]) for k in range(1, 1000)]
+    pairs += [tuple(int(b) for b in rng.choice(buses, 2, replace=False)) for _ in range(400)]
+    branches = tuple(
+        Branch(f, t, float(x), 1e6 if rng.random() < 0.5 else None)
+        for (f, t), x in zip(pairs, rng.uniform(0.01, 0.5, len(pairs)))
+    )
+    at = rng.choice(buses, 100, replace=False)
+    case = DispatchCase(
+        network=NetworkModel(tuple(buses), branches, buses[0]),
+        generators=tuple(Generator(bus=int(b), price=float(p), p_max=500.0) for b, p in zip(at, rng.uniform(5, 50, 100))),
+        loads=tuple(Load(bus=b, mw=float(d)) for b, d in zip(buses, rng.uniform(0.0, 40.0, 1000))),
+    )
+    solve_dc_opf(two_bus_case())  # scipy's lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        solve_dc_opf(case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 1000 * (100 + 999) * 8
 
 
 def test_lmps_are_subgradients_of_the_optimal_cost():

@@ -313,7 +313,8 @@ def test_gain_and_fit_from_the_edge_list_match_the_meter_sum_and_a_dense_solve(c
 
 def test_factor_builds_no_m_by_n_array_and_no_second_gain():
     # a 300-bus tree plus 120 extra lines, every line metered, 30% of them both ways:
-    # the gain, factored in place, is the one n x n array, and m x n would be 1.8 n^2
+    # the gain, factored in place and then inverted in place by potri for diag(Omega),
+    # is the one n x n array, and m x n would be 1.8 n^2
     rng = np.random.default_rng(300)
     buses = [int(b) for b in rng.permutation(np.arange(1, 301))]
     pairs = [(buses[k], buses[rng.integers(k)]) for k in range(1, 300)]
@@ -327,6 +328,8 @@ def test_factor_builds_no_m_by_n_array_and_no_second_gain():
     tracemalloc.start()
     try:
         model.factor
+        model.estimate(np.zeros(H.m))
+        model.omega_diagonal
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import warnings
 
@@ -338,3 +339,22 @@ def test_scenario_factors_its_gain_once(factorisations, case, attacked):
 def test_monte_carlo_factors_its_gain_once(factorisations):
     run_monte_carlo(simulated_scenario(GrossErrorSpec(meter=2, magnitude_pu=0.5)), trials=10_000, base_seed=1)
     assert factorisations == [(4, 4)]
+
+
+def test_monte_carlo_past_one_block_factors_once_more_and_keeps_its_reports(factorisations, monkeypatch):
+    # 1,000 trials in blocks of 300: the LNR detector's diag(Omega) consumes the factor
+    # after the first block, so the second block factors the gain again, to the same bits
+    monkeypatch.setattr(scenario, "MC_BLOCK_ELEMENTS", 300 * 6)
+    summary = run_monte_carlo(simulated_scenario(GrossErrorSpec(meter=2, magnitude_pu=0.05)), trials=1000, base_seed=1)
+    assert factorisations == [(4, 4), (4, 4)]
+    assert summary.to_text().splitlines()[1:] == [
+        "  chi_square: detection rate = 558/1000 = 0.558000, mean statistic = 11.370555",
+        "  largest_normalized_residual: detection rate = 708/1000 = 0.708000, mean statistic = 3.140758",
+        "  identification: 485/1000 = 0.485000",
+    ]
+    assert hashlib.sha256(summary.to_text().encode()).hexdigest() == (
+        "ce3f4f55673a6a7c752f8185e7bdacdc7c5ea0e34b853d04905d663d479c6526"
+    )
+    assert hashlib.sha256(summary.to_csv().encode()).hexdigest() == (
+        "5c1cbbf70904b1541727c4e072d9c35caf75e574d2333ae4d9ddc39afdc1ecbe"
+    )
