@@ -147,10 +147,13 @@ def verify_stealth(
 
     Estimates on z and on z + a as one block, then requires (i) equal
     weighted residual norms within 1e-9 * (1 + ||r||) and (ii) identical
-    chi-square and LNR verdicts at the given confidence.
+    chi-square and LNR verdicts at the given confidence. The detectors read
+    diag(Omega) off ``WlsModel.of(H, w)``, so only an H's first call that
+    passes (i) forms it, and that call factors the gain twice, for the fit
+    and for diag(Omega), unless H's model already holds a factor.
     """
-    # A model of its own: one from WlsModel.of would keep the gain factor and
-    # diag(Omega) attached to the caller's H between calls.
+    # The fit runs on a model of its own; H's shared model keeps only diag(Omega),
+    # whose potri consumes that model's factor.
     model = WlsModel(H, w)
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != model.m or atk.a.shape[0] != model.m:
@@ -159,12 +162,14 @@ def verify_stealth(
     with np.errstate(over="ignore"):  # a z + a that overflows fails fit's finiteness check, not with a warning
         block = np.stack((z, z + atk.a))
     both = model.fit(block)  # the clean and the attacked estimate, one solve
+    del model.factor  # so no two n x n factors are alive when H's shared model makes one for diag(Omega)
     norm_clean, norm_attacked = np.linalg.norm(both.residual / model.sigmas, axis=1)
     if abs(norm_attacked - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False
 
+    shared = WlsModel.of(H, w)
     for method in DetectionMethod:
-        detector = Detector.for_model(DetectorSpec(method, confidence), model)
+        detector = Detector.for_model(DetectorSpec(method, confidence), shared)
         clean_fired, attacked_fired = detector.statistics(both)[0] > detector.threshold
         if clean_fired != attacked_fired:
             return False

@@ -9,7 +9,8 @@ and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
 r = z - H x_hat. ``WlsModel`` holds one H, a MeasurementMatrix, and one
 WeightModel, and factors its gain once for every estimate and Omega made
 from it; it estimates one z or a block of them with one solve.
-``wls_estimate`` estimates through ``WlsModel.of``, the one model of a pair.
+``wls_estimate`` estimates through ``WlsModel.of``, the one model of a pair;
+``verify_stealth`` keeps diag(Omega) on it, and fits on a model of its own.
 
 ``scipy.linalg`` is imported by the model's first factorisation, solve or
 diag(Omega), not by ``import fdilab``: building H and weights, and

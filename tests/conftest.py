@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fdilab import caseio
 from fdilab.estimation import WeightModel
@@ -66,3 +67,32 @@ def one_state():
 @pytest.fixture(scope="session")
 def market5(net5):
     return caseio.parse_market(CASES_5BUS / "market.json", net5)
+
+
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` to append the shape of its first argument to the returned list at each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """The shape of each gain Cholesky-factored through fdilab.estimation, in call order.
+
+    The model imports scipy.linalg at its first factorisation and looks
+    cho_factor up on it at each call, so the patch goes on the module itself.
+    """
+    return _counting(monkeypatch, scipy.linalg, "cho_factor")
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The shape of each factor that ``WlsModel.omega_diagonal`` inverts with LAPACK potri, in call order."""
+    return _counting(monkeypatch, scipy.linalg.lapack, "dpotri")

@@ -174,11 +174,28 @@ def test_stealth_sweep_small(h5, w5):
         np.testing.assert_allclose(shift, c, atol=1e-9)
 
 
-def test_gross_error_is_not_stealthy(h5, z5, w5):
+def test_gross_error_is_not_stealthy(net5, meters5, z5, w5, factorisations, inversions):
     spike = np.zeros(6)
     spike[2] = 0.5  # 50 sigma
     atk = AttackVector(a=spike, c=np.zeros(4), support=(2,))
-    assert not verify_stealth(z5, atk, h5, w5)
+    H = build_h_matrix(net5, meters5)  # a first call: H's shared model holds no diag(Omega) yet
+    assert not verify_stealth(z5, atk, H, w5)
+    # the residual norm check fails first, so diag(Omega) is not formed
+    assert factorisations == [(4, 4)]
+    assert inversions == []
+
+
+def test_stealth_checks_on_one_h_invert_its_gain_once(net5, meters5, z5, w5, factorisations, inversions):
+    # each fit factors its own gain; diag(Omega) is formed once, on H's shared model,
+    # whose potri consumes the factor it made, so no n x n array stays on H
+    H = build_h_matrix(net5, meters5)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        assert verify_stealth(z5, attack_from_c(H, rng.normal(scale=0.02, size=4)), H, w5)
+    assert factorisations == [(4, 4)] * 6
+    assert inversions == [(4, 4)]
+    kept = vars(WlsModel.of(H, w5))
+    assert "omega_diagonal" in kept and "factor" not in kept
 
 
 def test_equal_residual_norms_with_different_lnr_verdicts_are_not_stealthy(h5, w5):

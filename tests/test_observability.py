@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 
 from conftest import CASES_5BUS, dense
 from fdilab import caseio
-from fdilab.attack import _null_space, attack_from_c, random_constrained_attack, verify_stealth
+from fdilab.attack import AttackVector, _null_space, attack_from_c, random_constrained_attack, verify_stealth
 from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
-from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
+from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
 from test_golden import write_grid_scenarios
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -223,6 +223,38 @@ def test_stealth_attack_leaves_residual_and_verdicts_and_shifts_the_state_by_c(c
         detector = Detector.for_model(DetectorSpec(method), model)
         assert detector.report(attacked).bad_data_detected == detector.report(clean).bad_data_detected
     assert verify_stealth(z, atk, H, w)
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1))
+@pytest.mark.filterwarnings("ignore:critical meters excluded")
+def test_stealth_checks_sharing_h_give_the_verdicts_and_estimates_of_a_fresh_h(case, seed):
+    # verify_stealth keeps diag(Omega) on H's shared model: stealthy and gross attacks in turn
+    # must judge as on an H that never served a call, and the estimate must keep its bits
+    net, meters = case
+    H = build_or_none(net, meters)
+    assume(H is not None and H.m > H.n)
+    rng = np.random.default_rng(seed)
+    w = WeightModel(rng.uniform(0.005, 0.05, H.m))
+    assume(np.any(WlsModel(H, w).omega_diagonal >= CRITICALITY_FLOOR * w.sigmas**2))
+    z = simulate_measurements(H, rng.normal(scale=0.1, size=H.n), w, seed=rng)
+    before = wls_estimate(H, z, w)
+    model = WlsModel.of(H, w)
+    for k in range(6):
+        if k % 2 == 0:
+            atk = attack_from_c(H, rng.normal(scale=0.1, size=H.n))
+        else:
+            meter = int(rng.integers(H.m))
+            spike = np.zeros(H.m)
+            spike[meter] = 50 * w.sigmas[meter]
+            atk = AttackVector(a=spike, c=np.zeros(H.n), support=(meter,))
+        fresh = MeasurementMatrix(H.state_buses, H.edges, H.weights)
+        assert verify_stealth(z, atk, H, w) == verify_stealth(z, atk, fresh, w)
+    assert WlsModel.of(H, w) is model
+    assert model.omega_diagonal.tobytes() == WlsModel(H, w).omega_diagonal.tobytes()
+    after = wls_estimate(H, z, w)
+    for field in ("state", "fitted", "residual", "objective"):
+        assert np.asarray(getattr(after, field)).tobytes() == np.asarray(getattr(before, field)).tobytes()
 
 
 def scan_omega_diagonal(model, H):

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -303,24 +302,6 @@ def test_monte_carlo_computes_each_threshold_once(monkeypatch):
     monkeypatch.setattr(scenario, "MC_BLOCK_ELEMENTS", 60)
     run_monte_carlo(simulated_scenario(), trials=100, base_seed=1)
     assert len(calls) == 2  # one per detector spec, for 100 trials in 10 blocks
-
-
-@pytest.fixture
-def factorisations(monkeypatch):
-    """The shape of each gain Cholesky-factored through fdilab.estimation, in call order.
-
-    The model imports scipy.linalg at its first factorisation and looks
-    cho_factor up on it at each call, so the patch goes on the module itself.
-    """
-    calls = []
-    original = scipy.linalg.cho_factor
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
-    return calls
 
 
 @pytest.mark.parametrize(
