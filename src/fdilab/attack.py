@@ -24,6 +24,8 @@ Construction routes:
   perceived flow by a chosen amount) and zero-fill the rest, the
   minimum-norm completion.
 
+A meter or state index that is not an integer, such as 1.7, is a ValidationError.
+
 ``verify_stealth`` checks the guarantee end to end: equal residual norms
 and identical detector verdicts before and after the injection.
 """
@@ -61,6 +63,13 @@ def _finalize(H: MeasurementMatrix, c: np.ndarray, scale: float = 1.0) -> Attack
     return AttackVector(a=a, c=c, support=support)
 
 
+def _index(i, what: str) -> int:
+    """``i`` as an int, for a Python or numpy integer; any other value, such as 1.7, is a ValidationError."""
+    if isinstance(i, (int, np.integer)):
+        return int(i)
+    raise ValidationError(f"{what} index {i} is not an integer")
+
+
 def attack_from_c(H: MeasurementMatrix, c) -> AttackVector:
     """Attack vector a = H c for a given state shift c."""
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -84,7 +93,7 @@ def random_constrained_attack(
     or the seed is negative.
     """
     m = H.m
-    controlled = sorted(set(int(i) for i in controlled))
+    controlled = sorted(set(_index(i, "controlled meter") for i in controlled))
     if not controlled:
         raise ValidationError("controlled meter set is empty")
     if controlled[0] < 0 or controlled[-1] >= m:
@@ -133,7 +142,7 @@ def targeted_attack(H: MeasurementMatrix, pinned: Mapping[int, float]) -> Attack
         raise ValidationError("targeted attack needs at least one pinned entry")
     c = np.zeros(n)
     for idx, value in pinned.items():
-        idx = int(idx)
+        idx = _index(idx, "pinned state")
         if not 0 <= idx < n:
             raise DimensionMismatch(f"pinned state index {idx} out of range 0..{n - 1}")
         c[idx] = float(value)
@@ -150,20 +159,18 @@ def verify_stealth(
     chi-square and LNR verdicts at the given confidence. The detectors read
     diag(Omega) off ``WlsModel.of(H, w)``, so only an H's first call that
     passes (i) forms it, and that call factors the gain twice, for the fit
-    and for diag(Omega), unless H's model already holds a factor.
+    and for diag(Omega), unless H's model already holds a factor. The fit's
+    factor is freed before H's model makes its own.
     """
-    # The fit runs on a model of its own; H's shared model keeps only diag(Omega),
-    # whose potri consumes that model's factor.
-    model = WlsModel(H, w)
     z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != model.m or atk.a.shape[0] != model.m:
+    if z.shape[0] != H.m or atk.a.shape[0] != H.m:
         raise DimensionMismatch("z, attack and H disagree on meter count")
 
     with np.errstate(over="ignore"):  # a z + a that overflows fails fit's finiteness check, not with a warning
         block = np.stack((z, z + atk.a))
-    both = model.fit(block)  # the clean and the attacked estimate, one solve
-    del model.factor  # so no two n x n factors are alive when H's shared model makes one for diag(Omega)
-    norm_clean, norm_attacked = np.linalg.norm(both.residual / model.sigmas, axis=1)
+    # both estimates in one solve, on a model that no name keeps: its factor is freed on return
+    both = WlsModel(H, w).fit(block)
+    norm_clean, norm_attacked = np.linalg.norm(both.residual / both.sigmas, axis=1)
     if abs(norm_attacked - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False
 

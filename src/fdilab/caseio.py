@@ -1,4 +1,4 @@
-"""JSON case-file readers and writers.
+"""JSON case-file readers, and the JSON text of the attack echo.
 
 Formats:
 
@@ -145,33 +145,33 @@ def fields(record, table: dict, path, where: str = "", index: int | None = None)
     default where ``record`` lacks it.
 
     ``table`` maps each key of the record's format to (its reader, its default or REQUIRED).
-    A value that its reader refuses is a ParseError at ``where.key``, or at the bare key at
-    the top level. A record that is not a JSON object, lacks a required key or has a key
-    that ``table`` does not list is a ParseError at ``where`` (``where[index]`` given an index).
+    The first fault found is a ParseError: a record that is not a JSON object, then a key that
+    ``table`` does not list, then, key by key in ``table`` order, a missing required key or a value
+    its reader refuses. A value's fault is at ``where.key`` (the bare key at the top level), every
+    other at ``where`` (``where[index]`` given an index).
     """
-    if type(record) is dict and record.keys() <= table.keys():
-        values = []
-        for key, (read, default) in table.items():
-            if key in record:
-                try:
-                    values.append(read(record[key]))
-                except ValueError as exc:
-                    location = where if index is None else f"{where}[{index}]"
-                    raise ParseError(path, f"{location}.{key}" if where else key, str(exc)) from exc
-            elif default is REQUIRED:
-                break
-            else:
-                values.append(default)
-        else:
-            return values
-    location = (where if index is None else f"{where}[{index}]") or "top level"
     if type(record) is not dict:
-        raise ParseError(path, location, f"expected an object, got {type(record).__name__}")
-    for key in record:
-        if key not in table:
-            raise ParseError(path, location, f"unknown field '{key}' (fields: {', '.join(table)})")
-    missing = next(key for key, (_, default) in table.items() if default is REQUIRED and key not in record)
-    raise ParseError(path, location, f"missing required field '{missing}'")
+        raise ParseError(path, _location(where, index), f"expected an object, got {type(record).__name__}")
+    if not record.keys() <= table.keys():
+        unknown = next(key for key in record if key not in table)
+        raise ParseError(path, _location(where, index), f"unknown field '{unknown}' (fields: {', '.join(table)})")
+    values = []
+    for key, (read, default) in table.items():
+        if key in record:
+            try:
+                values.append(read(record[key]))
+            except ValueError as exc:
+                raise ParseError(path, f"{_location(where, index)}.{key}" if where else key, str(exc)) from exc
+        elif default is REQUIRED:
+            raise ParseError(path, _location(where, index), f"missing required field '{key}'")
+        else:
+            values.append(default)
+    return values
+
+
+def _location(where: str, index: int | None) -> str:
+    """``where[index]``, or ``where`` without an index, or the top level; formed only for a fault."""
+    return (where if index is None else f"{where}[{index}]") or "top level"
 
 
 _NETWORK = {"base_mva": (_number, 100.0), "slack": (_integer, REQUIRED), "buses": (_items(_integer), REQUIRED),
@@ -231,6 +231,6 @@ def _write_text(path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def dump_attack(atk, path) -> None:
-    doc = {"c": atk.c.tolist(), "a": atk.a.tolist(), "support": list(atk.support)}
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+def attack_json(atk) -> str:
+    """The JSON text of the attack echo of ``atk``."""
+    return json.dumps({"c": atk.c.tolist(), "a": atk.a.tolist(), "support": list(atk.support)}, indent=2) + "\n"

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: estimate, detect, attack random|targeted, opf, scenario run,
-montecarlo. Text reports go to stdout; ``--out`` writes a CSV with one
-row per (stage, quantity, index, value), all numerics fixed to six
-decimals so repeated runs are byte-identical. Exit codes: 0 success,
+Subcommands: estimate, detect, attack random|targeted, opf, scenario run, montecarlo.
+``_cmd_report`` prints each one's text report and writes its ``--out`` file: the attack
+vector as JSON, or else a CSV with one row per (stage, quantity, index, value), all
+numerics fixed to six decimals so repeated runs are byte-identical. Exit codes: 0 success,
 2 parse/validation error, 3 numerical failure, 4 infeasible problem.
 """
 
@@ -36,20 +36,25 @@ from .scenario import (
 )
 
 
+def _text_and_csv(report):
+    """The text of a scenario or Monte Carlo report, and the renderer of its CSV."""
+    return report.to_text(), report.to_csv
+
+
 def _pipeline_report(args, methods=()):
     """The report of the files argv names, with a detector of each of ``methods`` at ``--confidence``."""
     z = Path(args.measurements)
     scn = Scenario(z.stem, Path(args.case), Path(args.meters), FileSource(z),
                    detectors=tuple(DetectorSpec(method, args.confidence) for method in methods))
-    return run_scenario(scn)
+    return _text_and_csv(run_scenario(scn))
 
 
 def _cmd_report(args) -> int:
-    """Print the report ``args.report`` builds; write its CSV to ``--out`` if given."""
-    report = args.report(args)
-    sys.stdout.write(report.to_text())
+    """Print the text that ``args.report`` returns; write the file its renderer makes to ``--out`` if given."""
+    text, render = args.report(args)
+    sys.stdout.write(text)
     if args.out:
-        caseio._write_text(args.out, report.to_csv())
+        caseio._write_text(args.out, render())
     return 0
 
 
@@ -75,8 +80,8 @@ def _read_options(args) -> None:
                 raise ValidationError(f"--{name}: {exc}") from None
 
 
-def _cmd_attack(args) -> int:
-    """Print the attack vector of ``args.spec``; write it to ``--out`` if given."""
+def _attack_report(args):
+    """The attack vector of ``args.spec``, and the renderer of its JSON echo."""
     _, _, H, _ = _load_model(args.case, args.meters)
     _, atk = _build_attack_vector(args.spec(args), H)
     out = ["[attack vector]", f"  support = {list(atk.support)}"]
@@ -84,13 +89,11 @@ def _cmd_attack(args) -> int:
         out.append(f"  c(bus {bus}) = {_fmt(atk.c[k])} rad")
     for i in range(len(atk.a)):
         out.append(f"  a[{i}] = {_fmt(atk.a[i])} pu")
-    sys.stdout.write("\n".join(out) + "\n")
-    if args.out:
-        caseio.dump_attack(atk, args.out)
-    return 0
+    return "\n".join(out) + "\n", lambda: caseio.attack_json(atk)
 
 
-def _cmd_opf(args) -> int:
+def _opf_report(args):
+    """The dispatch of ``--market`` on ``--case``, and the renderer of its CSV."""
     with _stage("parse"):
         net = caseio.parse_network(args.case)
         case = caseio.parse_market(args.market, net)
@@ -103,10 +106,7 @@ def _cmd_opf(args) -> int:
     for b, flow in enumerate(result.flows):
         out.append(f"  flow {names[b]} = {_fmt(flow)} MW")
     out += _dispatch_lines(result, names)
-    sys.stdout.write("\n".join(out) + "\n")
-    if args.out:
-        caseio._write_text(args.out, _csv(_dispatch_rows("dispatch", result, names)))
-    return 0
+    return "\n".join(out) + "\n", lambda: _csv(_dispatch_rows("dispatch", result, names))
 
 
 def _add_model_args(p, measurements=True):
@@ -114,7 +114,7 @@ def _add_model_args(p, measurements=True):
     p.add_argument("--meters", required=True, help="meter configuration file (JSON)")
     if measurements:
         p.add_argument("--measurements", required=True, help="measurement file (JSON)")
-    p.add_argument("--out", help="write a CSV report here")
+    p.add_argument("--out", help="write a CSV report here" if measurements else "write the attack vector as JSON here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="weighted least-squares state estimate")
     _add_model_args(p)
-    p.set_defaults(func=_cmd_report, report=_pipeline_report)
+    p.set_defaults(report=_pipeline_report)
 
     p = sub.add_parser("detect", help="run both bad-data detectors")
     _add_model_args(p)
     p.add_argument("--confidence", default="0.99")
-    p.set_defaults(func=_cmd_report, report=lambda a: _pipeline_report(a, DetectionMethod))
+    p.set_defaults(report=lambda a: _pipeline_report(a, DetectionMethod))
 
     attack = sub.add_parser("attack", help="synthesize a stealth attack vector")
     attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", required=True, help="comma-separated controlled meter indices")
     p.add_argument("--magnitude", default="0.1", help="norm of the attack vector (pu)")
     p.add_argument("--seed", default="0")
-    p.set_defaults(func=_cmd_attack, spec=lambda a: RandomAttackSpec(a.support, a.seed, a.magnitude))
+    p.set_defaults(report=_attack_report, spec=lambda a: RandomAttackSpec(a.support, a.seed, a.magnitude))
 
     p = attack_sub.add_parser("targeted", help="attack realizing pinned state shifts")
     _add_model_args(p, measurements=False)
@@ -153,20 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BUS=SHIFT_RAD",
         help="pin the angle shift at a bus (repeatable)",
     )
-    p.set_defaults(func=_cmd_attack, spec=lambda a: TargetedAttackSpec(a.pin))
+    p.set_defaults(report=_attack_report, spec=lambda a: TargetedAttackSpec(a.pin))
 
     p = sub.add_parser("opf", help="DC optimal power flow with LMPs")
     p.add_argument("--case", required=True, help="network case file (JSON)")
     p.add_argument("--market", required=True, help="market case file (JSON)")
     p.add_argument("--out", help="write a CSV report here")
-    p.set_defaults(func=_cmd_opf)
+    p.set_defaults(report=_opf_report)
 
     scenario = sub.add_parser("scenario", help="scenario pipelines")
     scenario_sub = scenario.add_subparsers(dest="scenario_kind", required=True)
     p = scenario_sub.add_parser("run", help="run a scenario file end to end")
     p.add_argument("scenario", help="scenario file (JSON)")
     p.add_argument("--out", help="write a CSV report here")
-    p.set_defaults(func=_cmd_report, report=lambda a: run_scenario(parse_scenario(a.scenario)))
+    p.set_defaults(report=lambda a: _text_and_csv(run_scenario(parse_scenario(a.scenario))))
 
     p = sub.add_parser("montecarlo", help="seeded detection-rate experiment")
     p.add_argument("scenario", help="scenario file with simulated measurements")
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0", help="base seed")
     p.add_argument("--out", help="write a CSV report here")
     p.set_defaults(
-        func=_cmd_report, report=lambda a: run_monte_carlo(parse_scenario(a.scenario), a.trials, a.seed)
+        report=lambda a: _text_and_csv(run_monte_carlo(parse_scenario(a.scenario), a.trials, a.seed))
     )
 
     return parser
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _read_options(args)
-        return args.func(args)
+        return _cmd_report(args)
     except FdiLabError as exc:
         stage = getattr(exc, "stage", None)
         where = f" stage={stage}" if stage else ""

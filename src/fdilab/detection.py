@@ -179,9 +179,11 @@ def residual_covariance(H, w) -> np.ndarray:
     """Omega = R - H (H' R^-1 H)^-1 H', the covariance of the residual vector.
 
     Diagonal entries are the residual variances used to normalize the LNR
-    statistic; Omega R^-1 is the (idempotent) residual projector.
+    statistic; Omega R^-1 is the (idempotent) residual projector. Returned symmetrised.
     """
-    return WlsModel(H, w).omega
+    dense = H.dot(np.eye(H.n)).T  # each entry exactly +-w or 0
+    omega = np.diag(w.sigmas**2) - dense @ WlsModel(H, w).solve(dense.T)
+    return 0.5 * (omega + omega.T)  # strip asymmetric round-off
 
 
 def lnr_test(

@@ -7,10 +7,11 @@ The WLS estimate solves the normal equations
 
 and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
 r = z - H x_hat. ``WlsModel`` holds one H, a MeasurementMatrix, and one
-WeightModel, and factors its gain once for every estimate and Omega made
-from it; it estimates one z or a block of them with one solve.
+WeightModel, and factors its gain once for every estimate and diag(Omega)
+made from it; it estimates one z or a block of them with one solve.
 ``wls_estimate`` estimates through ``WlsModel.of``, the one model of a pair;
-``verify_stealth`` keeps diag(Omega) on it, and fits on a model of its own.
+``verify_stealth`` keeps diag(Omega) on it, and fits on a model of its own,
+which is freed with its factor when the fit returns.
 
 ``scipy.linalg`` is imported by the model's first factorisation, solve or
 diag(Omega), not by ``import fdilab``: building H and weights, and
@@ -70,11 +71,11 @@ class WlsModel:
 
     Holds ``H.edges`` and ``H.weights``, not H, whose memo holds the model (no
     reference cycle). The gain H' R^-1 H and H' R^-1 z are read off the edge
-    list, so no m x n array is made but the dense H of ``omega``. The gain's
-    Cholesky factor, Omega = R - H (H' R^-1 H)^-1 H' and its diagonal are each
-    worked out on first use and then kept, so every estimate and Omega made from
-    one model shares one factorisation, and a caller pays only for what it uses.
-    diag(Omega) is formed in the factor's buffer, so a solve after it factors again.
+    list, so the model makes no m x n array. The gain's Cholesky factor and
+    diag(Omega), Omega = R - H (H' R^-1 H)^-1 H', are each worked out on first
+    use and then kept, so every estimate made from one model shares one
+    factorisation, and a caller pays only for what it uses. diag(Omega) is
+    formed in the factor's buffer, so a solve after it factors again.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
@@ -154,13 +155,6 @@ class WlsModel:
         if not np.all(np.isfinite(objective)):
             raise NumericalError("the weighted measurements or residuals overflow a float")
         return EstimationResult(state, fitted, residual, objective, self.sigmas)
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Omega = R - H (H' R^-1 H)^-1 H', symmetrised."""
-        H = _dot(self.edges, self.weights, np.eye(self.n)).T  # each entry exactly +-w or 0
-        omega = np.diag(self.sigmas**2) - H @ self.solve(H.T)
-        return 0.5 * (omega + omega.T)  # strip asymmetric round-off
 
     @cached_property
     def omega_diagonal(self) -> np.ndarray:

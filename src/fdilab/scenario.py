@@ -288,47 +288,43 @@ class ScenarioReport:
 
     def csv_rows(self) -> list[tuple[str, str, str, str]]:
         rows: list[tuple[str, str, str, str]] = []
-
-        def add(stage, quantity, index, value):
-            rows.append(_row(stage, quantity, index, value))
-
         for k, bus in enumerate(self.state_buses):
-            add("estimation", "state_rad", bus, self.observed.state[k])
+            rows.append(_row("estimation", "state_rad", bus, self.observed.state[k]))
         for i in range(len(self.measured)):
-            add("estimation", "measured_pu", i, self.measured[i])
-            add("estimation", "fitted_pu", i, self.observed.fitted[i])
-            add("estimation", "residual_pu", i, self.observed.residual[i])
-        add("estimation", "objective", "", self.observed.objective)
-        add("estimation", "weighted_residual_norm", "", np.sqrt(self.observed.objective))
+            rows.append(_row("estimation", "measured_pu", i, self.measured[i]))
+            rows.append(_row("estimation", "fitted_pu", i, self.observed.fitted[i]))
+            rows.append(_row("estimation", "residual_pu", i, self.observed.residual[i]))
+        rows.append(_row("estimation", "objective", "", self.observed.objective))
+        rows.append(_row("estimation", "weighted_residual_norm", "", np.sqrt(self.observed.objective)))
         if self.clean is not None:
             for k, bus in enumerate(self.state_buses):
-                add("estimation_clean", "state_rad", bus, self.clean.state[k])
-            add("estimation_clean", "objective", "", self.clean.objective)
+                rows.append(_row("estimation_clean", "state_rad", bus, self.clean.state[k]))
+            rows.append(_row("estimation_clean", "objective", "", self.clean.objective))
         if self.attack_vector is not None:
             for k, bus in enumerate(self.state_buses):
-                add("attack", "c_rad", bus, self.attack_vector.c[k])
+                rows.append(_row("attack", "c_rad", bus, self.attack_vector.c[k]))
             for i in range(len(self.attack_vector.a)):
-                add("attack", "a_pu", i, self.attack_vector.a[i])
+                rows.append(_row("attack", "a_pu", i, self.attack_vector.a[i]))
             for i in self.attack_vector.support:
-                add("attack", "support", i, 1.0)
+                rows.append(_row("attack", "support", i, 1.0))
         if self.gross_error is not None:
-            add("attack", "gross_error_pu", self.gross_error.meter, self.gross_error.magnitude_pu)
+            rows.append(_row("attack", "gross_error_pu", self.gross_error.meter, self.gross_error.magnitude_pu))
         for rep in self.detections:
             stage = f"detection.{rep.method.value}"
-            add(stage, "statistic", "", rep.statistic)
-            add(stage, "threshold", "", rep.threshold)
-            add(stage, "confidence", "", rep.confidence)
-            add(stage, "detected", "", 1.0 if rep.bad_data_detected else 0.0)
+            rows.append(_row(stage, "statistic", "", rep.statistic))
+            rows.append(_row(stage, "threshold", "", rep.threshold))
+            rows.append(_row(stage, "confidence", "", rep.confidence))
+            rows.append(_row(stage, "detected", "", 1.0 if rep.bad_data_detected else 0.0))
             if rep.suspect_meter is not None:
-                add(stage, "suspect_meter", rep.suspect_meter, 1.0)
+                rows.append(_row(stage, "suspect_meter", rep.suspect_meter, 1.0))
         for label, result in (("market.before", self.market_before), ("market.after", self.market_after)):
             if result is None:
                 continue
             rows.extend(_dispatch_rows(label, result, self.branch_names))
             for b in result.binding_lines:
-                add(label, "binding", self.branch_names[b], 1.0)
+                rows.append(_row(label, "binding", self.branch_names[b], 1.0))
         if self.profit_per_h is not None:
-            add("market", "profit_per_h", "", self.profit_per_h)
+            rows.append(_row("market", "profit_per_h", "", self.profit_per_h))
         return rows
 
     def to_csv(self) -> str:

@@ -12,6 +12,7 @@ from fdilab.attack import (
     targeted_attack,
     verify_stealth,
 )
+from fdilab.detection import residual_covariance
 from fdilab.errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from fdilab.estimation import WlsModel, wls_estimate
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
@@ -72,6 +73,27 @@ def test_random_attack_argument_checks(h5):
         random_constrained_attack(h5, [0, 99], seed=0)
     with pytest.raises(ValidationError):
         random_constrained_attack(h5, [0, 1, 2], seed=0, magnitude=0.0)
+
+
+@pytest.mark.parametrize("controlled, index", [
+    ([0.5, 2.9, 3], "0.5"), ([0, 2, 3.0], "3.0"), (np.array([0.0, 2.0, 3.0]), "0.0"), ([0, "2", 3], "2"),
+])
+def test_random_attack_refuses_a_meter_index_that_is_not_an_integer(h5, controlled, index):
+    with pytest.raises(ValidationError, match=rf"^controlled meter index {re.escape(index)} is not an integer$"):
+        random_constrained_attack(h5, controlled, seed=1)
+
+
+def test_attacks_take_numpy_integer_indices(h5):
+    foothold = np.array([0, 2, 3])
+    np.testing.assert_array_equal(random_constrained_attack(h5, foothold, seed=1).a,
+                                  random_constrained_attack(h5, [0, 2, 3], seed=1).a)
+    np.testing.assert_array_equal(targeted_attack(h5, {np.int64(1): 0.1}).c, targeted_attack(h5, {1: 0.1}).c)
+
+
+@pytest.mark.parametrize("index", [1.7, 1.0, np.float64(2.0), "1"])
+def test_targeted_attack_refuses_a_state_index_that_is_not_an_integer(h5, index):
+    with pytest.raises(ValidationError, match=rf"^pinned state index {re.escape(str(index))} is not an integer$"):
+        targeted_attack(h5, {index: 0.1})
 
 
 def test_null_space_is_exact_whatever_the_reactances():
@@ -203,7 +225,7 @@ def test_equal_residual_norms_with_different_lnr_verdicts_are_not_stealthy(h5, w
     # sqrt(9.21), so the norm check passes. Spread over meters 0 and 3, the clean
     # one has normalized residuals of at most 2.07; along meter 3's own residual
     # direction, the attacked one reads sqrt(7) there, over the LNR threshold 2.576.
-    omega = WlsModel(h5, w5).omega
+    omega = residual_covariance(h5, w5)
     spread = omega[:, 0] / np.sqrt(omega[0, 0]) + omega[:, 3] / np.sqrt(omega[3, 3])
     clean, attacked = (np.sqrt(7) * 0.01 * r / np.linalg.norm(r) for r in (spread, omega[:, 3]))
     atk = AttackVector(a=attacked - clean, c=np.zeros(4), support=tuple(range(6)))

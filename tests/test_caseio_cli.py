@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import CASES_5BUS, dense
 from fdilab import caseio
-from fdilab.cli import main
+from fdilab.cli import build_parser, main
 from fdilab.errors import ParseError, ValidationError
 
 
@@ -98,13 +99,11 @@ def test_meter_on_missing_branch(tmp_path, net5):
         caseio.parse_meters(p, net5)
 
 
-def test_attack_round_trip(tmp_path, h5):
+def test_attack_round_trip(h5):
     from fdilab.attack import random_constrained_attack
 
     atk = random_constrained_attack(h5, [0, 2, 3], seed=5)
-    p = tmp_path / "attack.json"
-    caseio.dump_attack(atk, p)
-    loaded = json.loads(p.read_text())
+    loaded = json.loads(caseio.attack_json(atk))
     np.testing.assert_allclose(loaded["a"], atk.a, atol=1e-15)
     np.testing.assert_allclose(loaded["c"], atk.c, atol=1e-15)
     assert tuple(loaded["support"]) == atk.support
@@ -162,6 +161,27 @@ def test_cli_attack_random(capsys, tmp_path):
     doc = json.loads(out_json.read_text())
     assert set(doc["support"]) <= {0, 2, 3}
     assert np.linalg.norm(doc["a"]) == pytest.approx(0.1, rel=1e-9)
+
+
+def _leaf_parsers(parser, names=()):
+    """(subcommand words, parser) of each subcommand that ``parser`` runs."""
+    subparsers = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(names), parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*names, name))
+
+
+def test_each_out_help_names_what_the_subcommand_writes():
+    helps = {
+        command: next(action.help for action in parser._actions if "--out" in action.option_strings)
+        for command, parser in _leaf_parsers(build_parser())
+    }
+    assert len(helps) == 7
+    for command, text in helps.items():
+        written = "JSON" if command.startswith("attack ") else "CSV"
+        assert re.findall(r"JSON|CSV", text) == [written], (command, text)
 
 
 def test_cli_attack_targeted(capsys):
@@ -1043,6 +1063,28 @@ def _run_edited(directory, name, keys, edit):
 def _parse_error_line(directory, name, location, reason):
     """The one stderr line of a ParseError at ``location`` of ``name``, whatever stage it is tagged with."""
     return rf"error: (stage=\w+ )?ParseError: {re.escape(str(directory / name))}: {re.escape(location)}: {reason}\n"
+
+
+@pytest.mark.parametrize("record, location, reason", [
+    # not an object comes first
+    ([{"from": 1}], "branches[3]", "expected an object, got list"),
+    # an unknown key, before a missing key or a bad value
+    ({"from": 1, "to": 2, "bogus": 0}, "branches[3]", "unknown field 'bogus' (fields: from, to, x_pu, limit_mw)"),
+    ({"from": "x", "bogus": 0}, "branches[3]", "unknown field 'bogus' (fields: from, to, x_pu, limit_mw)"),
+    # then each key in table order: a bad value before a missing key, a missing key before a bad value
+    ({"from": "x", "to": 2}, "branches[3].from", "'x' is not an integer"),
+    ({"to": 2, "x_pu": "x"}, "branches[3]", "missing required field 'from'"),
+    ({"from": 1, "to": 2, "limit_mw": "x"}, "branches[3]", "missing required field 'x_pu'"),
+])
+def test_a_record_with_two_faults_reports_the_first_in_order(record, location, reason):
+    with pytest.raises(ParseError) as caught:
+        caseio.fields(record, caseio._BRANCH, "network.json", "branches", 3)
+    assert (caught.value.location, caught.value.reason) == (location, reason)
+
+
+def test_a_top_level_record_that_is_not_an_object_is_reported_at_the_top_level():
+    with pytest.raises(ParseError, match=r"^network\.json: top level: expected an object, got str$"):
+        caseio.fields("buses", caseio._NETWORK, "network.json")
 
 
 def test_records_cover_every_format():

@@ -311,7 +311,7 @@ def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
 def test_omega_diagonal_matches_full_omega(h5, w5, system):
     H, w = {"5bus": lambda: (h5, w5), "critical": critical_meter_system}[system]()
     model = WlsModel(H, w)
-    full = np.diag(model.omega)
+    full = np.diag(residual_covariance(H, w))
     np.testing.assert_allclose(model.omega_diagonal, full, rtol=1e-12, atol=1e-12 * np.max(w.sigmas**2))
 
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import CASES_5BUS, dense
 from fdilab import caseio
 from fdilab.attack import AttackVector, _null_space, attack_from_c, random_constrained_attack, verify_stealth
-from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec
+from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec, residual_covariance
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
 from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
@@ -343,10 +343,8 @@ def test_gain_and_fit_from_the_edge_list_match_the_meter_sum_and_a_dense_solve(c
     np.testing.assert_allclose(block.objective, np.sum((residual / sigmas) ** 2, axis=1), rtol=1e-8, atol=1e-12)
 
 
-def test_factor_builds_no_m_by_n_array_and_no_second_gain():
-    # a 300-bus tree plus 120 extra lines, every line metered, 30% of them both ways:
-    # the gain, factored in place and then inverted in place by potri for diag(Omega),
-    # is the one n x n array, and m x n would be 1.8 n^2
+def seeded_300_bus_h() -> MeasurementMatrix:
+    """H of a 300-bus tree plus 120 extra lines, every line metered, 30% of them both ways."""
     rng = np.random.default_rng(300)
     buses = [int(b) for b in rng.permutation(np.arange(1, 301))]
     pairs = [(buses[k], buses[rng.integers(k)]) for k in range(1, 300)]
@@ -355,7 +353,13 @@ def test_factor_builds_no_m_by_n_array_and_no_second_gain():
     net = NetworkModel(tuple(buses), tuple(Branch(f, t, float(x)) for (f, t), x in zip(pairs, reactances)), buses[0])
     resolve = net.branch_resolver()
     reads = [resolve(*pair) for f, t in pairs for pair in ([(f, t), (t, f)] if rng.random() < 0.3 else [(f, t)])]
-    H = build_h_matrix(net, MeterConfig(tuple(Meter(branch=i, orientation=o) for i, o in reads)))
+    return build_h_matrix(net, MeterConfig(tuple(Meter(branch=i, orientation=o) for i, o in reads)))
+
+
+def test_factor_builds_no_m_by_n_array_and_no_second_gain():
+    # the gain, factored in place and then inverted in place by potri for diag(Omega),
+    # is the one n x n array, and m x n would be 1.8 n^2
+    H = seeded_300_bus_h()
     model = WlsModel(H, WeightModel(np.full(H.m, 0.01)))
     tracemalloc.start()
     try:
@@ -368,6 +372,27 @@ def test_factor_builds_no_m_by_n_array_and_no_second_gain():
     assert H.m > 1.5 * H.n and peak < 1.5 * H.n**2 * 8
 
 
+@pytest.mark.filterwarnings("ignore:critical meters excluded")
+def test_first_stealthy_check_frees_the_fit_factor_before_forming_diag_omega():
+    # The fit runs on a model of its own, and H's shared model then factors the gain again
+    # for diag(Omega). With the fit's model freed first, one n x n array is alive at a time,
+    # and the peak reads about 1.24 n^2 doubles; a fit's factor still alive makes it about 2.22.
+    import scipy.special  # noqa: F401  the first threshold imports it, and that import is not the check's memory
+
+    H = seeded_300_bus_h()
+    w = WeightModel(np.full(H.m, 0.01))
+    z = simulate_measurements(H, np.zeros(H.n), w, seed=1)
+    atk = attack_from_c(H, np.random.default_rng(1).normal(scale=0.01, size=H.n))
+    tracemalloc.start()
+    try:
+        stealthy = verify_stealth(z, atk, H, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stealthy and "omega_diagonal" in vars(WlsModel.of(H, w))
+    assert peak < 1.5 * H.n**2 * 8, peak / (H.n**2 * 8)
+
+
 @PROPERTY_SETTINGS
 @given(networks(), st.integers(0, 2**32 - 1))
 def test_omega_diagonal_from_the_inverse_gain_matches_the_full_omega(case, seed):
@@ -376,8 +401,9 @@ def test_omega_diagonal_from_the_inverse_gain_matches_the_full_omega(case, seed)
     assume(H is not None)
     m, n = H.m, H.n
     sigmas = np.random.default_rng(seed).uniform(0.005, 0.05, m)
-    model = WlsModel(H, WeightModel(sigmas))
-    full = model.omega
+    w = WeightModel(sigmas)
+    model = WlsModel(H, w)
+    full = residual_covariance(H, w)
     assert np.array_equal(model.omega_diagonal, scan_omega_diagonal(model, H))
     np.testing.assert_allclose(model.omega_diagonal, np.diag(full), rtol=1e-10, atol=1e-12 * np.max(sigmas**2))
     critical = CRITICALITY_FLOOR * sigmas**2
