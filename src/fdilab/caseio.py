@@ -17,6 +17,9 @@ value its key's reader refuses is a ParseError naming the file, the object and t
 such as ``meters.json: meters[0].sigma: '0.01' is not a number``. A bus id "x", a number
 written as a string ("2") or a boolean, a scenario ``name`` that is not a string and
 ``detectors`` that are not a list are such values. Semantic problems raise the domain's errors.
+
+``_decimal`` and ``_real`` read a number written as text, such as a CLI option's value: ASCII
+digits only, as strictly as the readers above read a JSON number.
 """
 
 from __future__ import annotations
@@ -221,14 +224,6 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
     loads = tuple(Load(*fields(rec, _LOAD, path, "loads", i)) for i, rec in enumerate(loads))
     return DispatchCase(net, generators, loads)
-
-
-def _write_text(path, text: str) -> None:
-    """Write a file; a path that cannot be written is a ValidationError."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def attack_json(atk) -> str:

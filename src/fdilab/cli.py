@@ -1,10 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: it reads argv, then writes a report to stdout and ``--out``.
 
 Subcommands: estimate, detect, attack random|targeted, opf, scenario run, montecarlo.
-``_cmd_report`` prints each one's text report and writes its ``--out`` file: the attack
-vector as JSON, or else a CSV with one row per (stage, quantity, index, value), all
-numerics fixed to six decimals so repeated runs are byte-identical. Exit codes: 0 success,
-2 parse/validation error, 3 numerical failure, 4 infeasible problem.
+argparse reads each numeric option once, as strictly as a case file reads a number.
+``scenario`` renders every report, and ``_cmd_report`` prints its text and writes its
+``--out`` file. Exit codes: 0 success, 2 parse/validation error, 3 numerical failure,
+4 infeasible problem.
 """
 
 from __future__ import annotations
@@ -16,20 +16,13 @@ from pathlib import Path
 from . import caseio
 from .detection import DetectionMethod, DetectorSpec
 from .errors import FdiLabError, ValidationError
-from .market import solve_dc_opf
 from .scenario import (
     FileSource,
     RandomAttackSpec,
     Scenario,
     TargetedAttackSpec,
-    _branch_names,
-    _build_attack_vector,
-    _csv,
-    _dispatch_lines,
-    _dispatch_rows,
-    _fmt,
-    _load_model,
-    _stage,
+    attack_report,
+    dispatch_report,
     parse_scenario,
     run_monte_carlo,
     run_scenario,
@@ -54,7 +47,10 @@ def _cmd_report(args) -> int:
     text, render = args.report(args)
     sys.stdout.write(text)
     if args.out:
-        caseio._write_text(args.out, render())
+        try:
+            Path(args.out).write_text(render())
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return 0
 
 
@@ -63,50 +59,23 @@ def _pin(text: str) -> tuple[int, float]:
     return caseio._decimal(bus), caseio._real(shift)
 
 
-# option -> reader of its text, as strict as a case file: int and float, and so argparse's
-# type=int and type=float, would also read blanks, underscores and non-ASCII digits
-_OPTION_READERS = {"confidence": caseio._real, "magnitude": caseio._real, "seed": caseio._decimal,
-                   "trials": caseio._decimal, "pin": lambda texts: tuple(map(_pin, texts)),
-                   "support": lambda text: tuple(caseio._decimal(i) for i in text.split(","))}
+def _support(text: str) -> tuple[int, ...]:
+    return tuple(caseio._decimal(i) for i in text.split(","))
 
 
-def _read_options(args) -> None:
-    """Replace the text of each option ``_OPTION_READERS`` lists by its value, or raise a ValidationError."""
-    for name, read in _OPTION_READERS.items():
-        if hasattr(args, name):
-            try:
-                setattr(args, name, read(getattr(args, name)))
-            except ValueError as exc:
-                raise ValidationError(f"--{name}: {exc}") from None
+def _add_number(p, flag: str, read, **kwargs) -> None:
+    """Add the option ``flag``, whose text ``read`` reads; a text it refuses is a ValidationError.
 
-
-def _attack_report(args):
-    """The attack vector of ``args.spec``, and the renderer of its JSON echo."""
-    _, _, H, _ = _load_model(args.case, args.meters)
-    _, atk = _build_attack_vector(args.spec(args), H)
-    out = ["[attack vector]", f"  support = {list(atk.support)}"]
-    for k, bus in enumerate(H.state_buses):
-        out.append(f"  c(bus {bus}) = {_fmt(atk.c[k])} rad")
-    for i in range(len(atk.a)):
-        out.append(f"  a[{i}] = {_fmt(atk.a[i])} pu")
-    return "\n".join(out) + "\n", lambda: caseio.attack_json(atk)
-
-
-def _opf_report(args):
-    """The dispatch of ``--market`` on ``--case``, and the renderer of its CSV."""
-    with _stage("parse"):
-        net = caseio.parse_network(args.case)
-        case = caseio.parse_market(args.market, net)
-    with _stage("market"):
-        result = solve_dc_opf(case)
-    names = _branch_names(net)
-    out = ["[dispatch]"]
-    for g, gen in enumerate(case.generators):
-        out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")
-    for b, flow in enumerate(result.flows):
-        out.append(f"  flow {names[b]} = {_fmt(flow)} MW")
-    out += _dispatch_lines(result, names)
-    return "\n".join(out) + "\n", lambda: _csv(_dispatch_rows("dispatch", result, names))
+    The readers are as strict as a case file: int and float, and so argparse's type=int and
+    type=float, would also read blanks, underscores and non-ASCII digits. argparse catches
+    only ValueError, TypeError and ArgumentTypeError, so the ValidationError leaves parse_args.
+    """
+    def typed(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise ValidationError(f"{flag}: {exc}") from None
+    p.add_argument(flag, type=typed, **kwargs)
 
 
 def _add_model_args(p, measurements=True):
@@ -131,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run both bad-data detectors")
     _add_model_args(p)
-    p.add_argument("--confidence", default="0.99")
+    _add_number(p, "--confidence", caseio._real, default="0.99")
     p.set_defaults(report=lambda a: _pipeline_report(a, DetectionMethod))
 
     attack = sub.add_parser("attack", help="synthesize a stealth attack vector")
@@ -139,27 +108,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = attack_sub.add_parser("random", help="random attack confined to controlled meters")
     _add_model_args(p, measurements=False)
-    p.add_argument("--support", required=True, help="comma-separated controlled meter indices")
-    p.add_argument("--magnitude", default="0.1", help="norm of the attack vector (pu)")
-    p.add_argument("--seed", default="0")
-    p.set_defaults(report=_attack_report, spec=lambda a: RandomAttackSpec(a.support, a.seed, a.magnitude))
+    _add_number(p, "--support", _support, required=True, help="comma-separated controlled meter indices")
+    _add_number(p, "--magnitude", caseio._real, default="0.1", help="norm of the attack vector (pu)")
+    _add_number(p, "--seed", caseio._decimal, default="0")
+    p.set_defaults(report=lambda a: attack_report(a.case, a.meters, RandomAttackSpec(a.support, a.seed, a.magnitude)))
 
     p = attack_sub.add_parser("targeted", help="attack realizing pinned state shifts")
     _add_model_args(p, measurements=False)
-    p.add_argument(
+    _add_number(
+        p,
         "--pin",
+        _pin,
         action="append",
         required=True,
         metavar="BUS=SHIFT_RAD",
         help="pin the angle shift at a bus (repeatable)",
     )
-    p.set_defaults(report=_attack_report, spec=lambda a: TargetedAttackSpec(a.pin))
+    p.set_defaults(report=lambda a: attack_report(a.case, a.meters, TargetedAttackSpec(tuple(a.pin))))
 
     p = sub.add_parser("opf", help="DC optimal power flow with LMPs")
     p.add_argument("--case", required=True, help="network case file (JSON)")
     p.add_argument("--market", required=True, help="market case file (JSON)")
     p.add_argument("--out", help="write a CSV report here")
-    p.set_defaults(report=_opf_report)
+    p.set_defaults(report=lambda a: dispatch_report(a.case, a.market))
 
     scenario = sub.add_parser("scenario", help="scenario pipelines")
     scenario_sub = scenario.add_subparsers(dest="scenario_kind", required=True)
@@ -170,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="seeded detection-rate experiment")
     p.add_argument("scenario", help="scenario file with simulated measurements")
-    p.add_argument("--trials", required=True)
-    p.add_argument("--seed", default="0", help="base seed")
+    _add_number(p, "--trials", caseio._decimal, required=True)
+    _add_number(p, "--seed", caseio._decimal, default="0", help="base seed")
     p.add_argument("--out", help="write a CSV report here")
     p.set_defaults(
         report=lambda a: _text_and_csv(run_monte_carlo(parse_scenario(a.scenario), a.trials, a.seed))
@@ -181,10 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _read_options(args)
-        return _cmd_report(args)
+        return _cmd_report(build_parser().parse_args(argv))
     except FdiLabError as exc:
         stage = getattr(exc, "stage", None)
         where = f" stage={stage}" if stage else ""

@@ -78,10 +78,6 @@ class AllMetersCritical(NumericalError):
     """Every residual variance is structurally zero; LNR test undefined."""
 
 
-class UnboundedProblem(NumericalError):
-    pass
-
-
 # -- infeasibility (exit code 4) ----------------------------------------------
 
 class InfeasibleError(FdiLabError):

@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     InfeasibleDispatch,
     NumericalError,
-    UnboundedProblem,
     UnknownBus,
     ValidationError,
 )
@@ -167,8 +166,6 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 2:
         raise InfeasibleDispatch(f"no feasible dispatch: {res.message}")
-    if res.status == 3:
-        raise UnboundedProblem(f"dispatch problem unbounded: {res.message}")
     if res.status != 0:
         raise NumericalError(f"LP solve failed (status {res.status}): {res.message}")
 

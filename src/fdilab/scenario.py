@@ -7,10 +7,15 @@ executes the pipeline
 
     measurements -> attack -> estimate -> detect -> dispatch/profit
 
-and returns a report whose text and CSV renderings are byte-for-byte
-deterministic given identical inputs and seeds. ``run_monte_carlo``
-repeats the pipeline over independently seeded noise realizations, a
-block of trials at a time, and aggregates detection rates.
+and returns its report. ``run_monte_carlo`` repeats the pipeline over
+independently seeded noise realizations, a block of trials at a time, and
+aggregates detection rates. ``attack_report`` and ``dispatch_report`` run
+an attack alone and a dispatch alone.
+
+Every report is rendered here, as text and as the file the CLI writes to
+``--out``: the attack vector as JSON, or else a CSV with one row per
+(stage, quantity, index, value). Each number has six decimals, so the
+renderings are byte-for-byte deterministic given identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -425,6 +430,35 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
     )
 
 
+def attack_report(network_path, meters_path, spec: RandomAttackSpec | TargetedAttackSpec):
+    """The text of the attack vector that ``spec`` makes on a network's meters, and the renderer of its JSON echo."""
+    _, _, H, _ = _load_model(network_path, meters_path)
+    _, atk = _build_attack_vector(spec, H)
+    out = ["[attack vector]", f"  support = {list(atk.support)}"]
+    for k, bus in enumerate(H.state_buses):
+        out.append(f"  c(bus {bus}) = {_fmt(atk.c[k])} rad")
+    for i in range(len(atk.a)):
+        out.append(f"  a[{i}] = {_fmt(atk.a[i])} pu")
+    return "\n".join(out) + "\n", lambda: caseio.attack_json(atk)
+
+
+def dispatch_report(network_path, market_path):
+    """The text of a market's least-cost dispatch on a network, and the renderer of its CSV."""
+    with _stage("parse"):
+        net = caseio.parse_network(network_path)
+        case = caseio.parse_market(market_path, net)
+    with _stage("market"):
+        result = solve_dc_opf(case)
+    names = _branch_names(net)
+    out = ["[dispatch]"]
+    for g, gen in enumerate(case.generators):
+        out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")
+    for b, flow in enumerate(result.flows):
+        out.append(f"  flow {names[b]} = {_fmt(flow)} MW")
+    out += _dispatch_lines(result, names)
+    return "\n".join(out) + "\n", lambda: _csv(_dispatch_rows("dispatch", result, names))
+
+
 # -- Monte Carlo ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -446,7 +480,7 @@ class MonteCarloSummary:
     trials: int
     base_seed: int
     rates: tuple[DetectorRate, ...]
-    identified: int | None  # trials where all detectors fired and LNR named the bad meter
+    identified: int | None  # trials all detectors fired and LNR named the bad meter; None without a gross error or LNR
 
     @property
     def identification_accuracy(self) -> float | None:
@@ -604,7 +638,8 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     detectors = []  # built after the first block's fit, as run_scenario detects after it estimates
     counts = [0] * len(scn.detectors)
     stat_sums = [0.0] * len(scn.detectors)
-    identified = 0 if target_meter is not None else None
+    lnr = any(spec.method is DetectionMethod.LNR for spec in scn.detectors)
+    identified = 0 if target_meter is not None and lnr else None  # only an LNR detector names a suspect
     block = max(1, MC_BLOCK_ELEMENTS // H.m)
     for first in range(0, trials, block):
         noise = np.empty((min(block, trials - first), H.m))
@@ -615,7 +650,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
         with _stage("detect"):
             detectors = detectors or [Detector.for_model(spec, model) for spec in scn.detectors]
         all_fired = np.ones(len(noise), dtype=bool)
-        suspects = None  # of the last LNR detector; without one nothing is identified
+        suspects = None  # of the last LNR detector
         for d, detector in enumerate(detectors):
             statistic, suspect = detector.statistics(estimates)
             fired = statistic > detector.threshold
@@ -625,7 +660,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
             all_fired &= fired
             if suspect is not None:
                 suspects = suspect
-        if identified is not None and suspects is not None:
+        if identified is not None:
             identified += int(np.count_nonzero(all_fired & (suspects == target_meter)))
 
     rates = tuple(

@@ -522,6 +522,25 @@ OPTION_COMMANDS = [
     ("seed", ["montecarlo", CASES_5BUS / "mc_clean.json", "--trials", "5"]),
     ("trials", ["montecarlo", CASES_5BUS / "mc_clean.json"]),
 ]
+def test_parsed_options_arrive_typed():
+    parse, model = build_parser().parse_args, [*map(str, MODEL_FILES)]
+    random = parse(["attack", "random", *model, "--support", "0,2,3"])
+    assert (random.support, random.seed, random.magnitude) == ((0, 2, 3), 0, 0.1)  # defaults are read too
+    assert (type(random.seed), type(random.magnitude)) == (int, float)
+    targeted = parse(["attack", "targeted", *model, "--pin", "3=0.05", "--pin", "2=-1e-3"])
+    assert targeted.pin == [(3, 0.05), (2, -0.001)]
+    assert [tuple(map(type, pair)) for pair in targeted.pin] == [(int, float), (int, float)]
+    for argv, confidence in (([], 0.99), (["--confidence", "0.95"], 0.95)):
+        detect = parse(["detect", *model, "--measurements", "z.json", *argv])
+        assert type(detect.confidence) is float and detect.confidence == confidence
+    mc = parse(["montecarlo", "mc.json", "--trials", "7", "--seed", "3"])
+    assert (mc.trials, mc.seed) == (7, 3) and type(mc.trials) is type(mc.seed) is int
+    # a malformed value leaves parse_args as it is read, before argparse misses --trials
+    for argv in (["--trials", "7", "--seed", " 7"], ["--seed", " 7"]):
+        with pytest.raises(ValidationError, match="^--seed: ' 7' is not a decimal integer$"):
+            parse(["montecarlo", "mc.json", *argv])
+
+
 NUMBER = st.one_of(st.integers(-2, 7), st.floats(allow_nan=False), st.floats(-1, 1)).map(str)
 OPTION_TEXT = st.one_of(
     NUMBER,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import CASES_5BUS
 from fdilab import caseio
 from fdilab.attack import targeted_attack
-from fdilab.errors import DimensionMismatch, InfeasibleDispatch, UnknownBus, ValidationError
+from fdilab.errors import DimensionMismatch, InfeasibleDispatch, NumericalError, UnknownBus, ValidationError
 from fdilab.estimation import WeightModel, wls_estimate
 from fdilab.market import (
     DispatchCase,
@@ -116,6 +116,16 @@ def test_infeasible_by_line_limit():
     )
     with pytest.raises(InfeasibleDispatch):
         solve_dc_opf(case)
+
+
+def test_an_lp_status_other_than_solved_or_infeasible_is_a_numerical_error(monkeypatch):
+    # such as HiGHS's 3, unbounded, which this LP cannot be: prices are >= 0, outputs lie in
+    # [p_min, p_max] and the angles cost nothing
+    unbounded = scipy.optimize.OptimizeResult(status=3, message="The problem is unbounded.")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: unbounded)
+    with pytest.raises(NumericalError, match=r"^LP solve failed \(status 3\): The problem is unbounded\.$") as info:
+        solve_dc_opf(single_bus_case())
+    assert info.value.exit_code == 3
 
 
 def test_generator_and_load_validation():

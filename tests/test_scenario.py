@@ -179,7 +179,8 @@ def reference_monte_carlo(scn, trials, base_seed):
         ).a
     omega = residual_covariance(H, w)
     counts, sums = [0] * len(scn.detectors), [0.0] * len(scn.detectors)
-    identified = 0 if isinstance(scn.attack, GrossErrorSpec) else None
+    lnr = any(spec.method is DetectionMethod.LNR for spec in scn.detectors)
+    identified = 0 if isinstance(scn.attack, GrossErrorSpec) and lnr else None
     for trial in range(trials):
         z = simulate_measurements(H, scn.measurements.x_true, w, seed=np.random.default_rng([base_seed, trial]))
         if perturbation is not None:
@@ -196,7 +197,7 @@ def reference_monte_carlo(scn, trials, base_seed):
             sums[d] += rep.statistic
         suspects = [rep.suspect_meter for rep in reports if rep.method is DetectionMethod.LNR]
         if identified is not None and all(rep.bad_data_detected for rep in reports):
-            identified += bool(suspects) and suspects[-1] == scn.attack.meter
+            identified += suspects[-1] == scn.attack.meter
     rates = [(spec.method, spec.confidence, counts[d], trials) for d, spec in enumerate(scn.detectors)]
     return rates, [total / trials for total in sums], identified
 
@@ -230,6 +231,15 @@ def test_monte_carlo_matches_per_trial_reference(monkeypatch, attack, detectors,
     # a block takes matrix-matrix products where one trial takes matrix-vector
     # ones, so each statistic may differ in its last few bits
     assert [r.mean_statistic for r in summary.rates] == pytest.approx(means, rel=1e-12)
+
+
+@pytest.mark.parametrize("detectors", [CHI_ONLY, ()], ids=["chi-only", "none"])
+def test_monte_carlo_without_lnr_reports_no_identification(detectors):
+    # only an LNR detector names a suspect: without one, identification is not reported, not reported as 0
+    scn = dataclasses.replace(simulated_scenario(GrossErrorSpec(meter=2, magnitude_pu=0.5)), detectors=detectors)
+    summary = run_monte_carlo(scn, trials=200, base_seed=0)
+    assert summary.identified is None and summary.identification_accuracy is None
+    assert "identification" not in summary.to_text() + summary.to_csv()
 
 
 def test_monte_carlo_reference_sees_detections():
