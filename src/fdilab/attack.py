@@ -157,10 +157,12 @@ def verify_stealth(
     Estimates on z and on z + a as one block, then requires (i) equal
     weighted residual norms within 1e-9 * (1 + ||r||) and (ii) identical
     chi-square and LNR verdicts at the given confidence. The detectors read
-    diag(Omega) off ``WlsModel.of(H, w)``, so only an H's first call that
-    passes (i) forms it, and that call factors the gain twice, for the fit
-    and for diag(Omega), unless H's model already holds a factor. The fit's
-    factor is freed before H's model makes its own.
+    diag(Omega) off ``WlsModel.of(H, w)``, which forms it only when neither H's
+    model nor the memo of the last meter set holds it: so only the first call
+    on a meter set that passes (i) forms it, even over fresh H, and that call
+    factors the gain twice, for the fit and for diag(Omega), unless H's model
+    already holds a factor. The fit's factor is freed before H's model makes
+    its own.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != H.m or atk.a.shape[0] != H.m:

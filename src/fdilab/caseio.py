@@ -24,6 +24,7 @@ digits only, as strictly as the readers above read a JSON number.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -50,6 +51,7 @@ def load_json(path) -> dict:
     def unique(pairs: list) -> dict:
         record = dict(pairs)
         if len(record) < len(pairs):
+            _locate_repeated_key(text)  # raises, unless the objects nest too deep for json's Python scanner
             repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
             raise ParseError(path, "-", f"duplicate key '{repeated}'")
         return record
@@ -60,6 +62,29 @@ def load_json(path) -> dict:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
     except ValueError as exc:  # an integer of more digits than int() reads, 4,300 by default
         raise ParseError(path, "-", str(exc)) from exc
+
+
+def _locate_repeated_key(text: str) -> None:
+    """Raise a JSONDecodeError at the '{' of the first object in ``text`` to close that repeats a key.
+
+    json's C scanner hands ``object_pairs_hook`` no position, so the text is read again by its
+    Python scanner, whose object parser gets the offset just past each object's '{'. Objects
+    nested too deep for its recursion raise nothing."""
+    decoder = json.JSONDecoder(object_pairs_hook=list)
+
+    def parse_object(s_and_end, *args):
+        pairs, end = json.decoder.JSONObject(s_and_end, *args)
+        keys = set()
+        for key, _ in pairs:
+            if key in keys:
+                raise json.JSONDecodeError(f"duplicate key '{key}'", s_and_end[0], s_and_end[1] - 1)
+            keys.add(key)
+        return pairs, end
+
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    with contextlib.suppress(RecursionError):
+        decoder.decode(text)
 
 
 # -- readers: each takes a JSON value and returns what it stands for, or raises a ValueError

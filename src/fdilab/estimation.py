@@ -11,7 +11,10 @@ WeightModel, and factors its gain once for every estimate and diag(Omega)
 made from it; it estimates one z or a block of them with one solve.
 ``wls_estimate`` estimates through ``WlsModel.of``, the one model of a pair;
 ``verify_stealth`` keeps diag(Omega) on it, and fits on a model of its own,
-which is freed with its factor when the fit returns.
+which is freed with its factor when the fit returns. The last diag(Omega)
+formed is kept for its meter set too, so a fresh H parsed from the same
+files, as each scenario, Monte Carlo run and stealth check of one grid
+makes, reads it and runs no potri.
 
 ``scipy.linalg`` is imported by the model's first factorisation, solve or
 diag(Omega), not by ``import fdilab``: building H and weights, and
@@ -66,6 +69,11 @@ def _rng(seed) -> np.random.Generator:
         raise ValidationError(f"seed {seed} must be a non-negative integer") from None
 
 
+# (meter-set key, diag(Omega)) of the last diag(Omega) a WlsModel formed, so a fresh H parsed
+# from the same files, as each scenario and Monte Carlo run of one grid makes, runs no potri.
+_last_omega: tuple = (None, None)
+
+
 class WlsModel:
     """The weighted normal equations of one meter set, solved for any z.
 
@@ -75,7 +83,8 @@ class WlsModel:
     diag(Omega), Omega = R - H (H' R^-1 H)^-1 H', are each worked out on first
     use and then kept, so every estimate made from one model shares one
     factorisation, and a caller pays only for what it uses. diag(Omega) is
-    formed in the factor's buffer, so a solve after it factors again.
+    formed in the factor's buffer, so a solve after it factors again, unless
+    the model read diag(Omega) from the memo of the last meter set.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
@@ -158,14 +167,22 @@ class WlsModel:
 
     @cached_property
     def omega_diagonal(self) -> np.ndarray:
-        """diag(Omega): sigma_i^2 - h_i G^-1 h_i' for each row h_i of H, G the gain.
+        """diag(Omega): sigma_i^2 - h_i G^-1 h_i' for each row h_i of H, G the gain; read-only.
 
-        LAPACK potri forms G^-1, in about (2/3) n^3 flops, in the factor's own
-        buffer, and the factor is dropped: a later solve factors the gain again,
-        to the same bits. Row i holds +-w, its weight, at the columns a < b of
-        its edge, so h_i G^-1 h_i' = W g_aa + W g_bb - 2 W g_ab, W = w^2, every
-        g term at the slack, b = n, being zero. Omega is never formed.
+        A model of the meter set whose diag(Omega) was formed last, its
+        ``(n, edges, weights, sigmas)`` equal byte for byte, returns that array
+        and leaves its factor alone. Otherwise LAPACK potri forms G^-1, in about
+        (2/3) n^3 flops, in the factor's own buffer, and the factor is dropped:
+        a later solve factors the gain again, to the same bits. Row i holds +-w,
+        its weight, at the columns a < b of its edge, so h_i G^-1 h_i' =
+        W g_aa + W g_bb - 2 W g_ab, W = w^2, every g term at the slack, b = n,
+        being zero. Omega is never formed.
         """
+        global _last_omega
+        key = (self.n, self.edges.tobytes(), self.weights.tobytes(), self.sigmas.tobytes())
+        last_key, last_diagonal = _last_omega  # one read: another thread may replace the entry
+        if last_key == key:
+            return last_diagonal
         import scipy.linalg
 
         factor, lower = self.factor
@@ -176,7 +193,10 @@ class WlsModel:
         g = np.append(np.diagonal(inverse), 0.0)  # g_bb is zero at the slack
         tri = inverse if lower else inverse.T  # potri fills one triangle: g_ab at [b, a]
         g_ab = np.where(b < self.n, tri[np.minimum(b, self.n - 1), a], 0.0)
-        return self.sigmas**2 - (W * g[a] + W * g[b] - 2 * (W * g_ab))
+        diagonal = self.sigmas**2 - (W * g[a] + W * g[b] - 2 * (W * g_ab))
+        diagonal.flags.writeable = False
+        _last_omega = (key, diagonal)
+        return diagonal
 
 
 def wls_estimate(H: MeasurementMatrix, z, w: WeightModel) -> EstimationResult:

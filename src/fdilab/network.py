@@ -75,6 +75,8 @@ class NetworkModel:
         for b in self.buses:
             if not isinstance(b, int) or b <= 0:
                 raise ValidationError(f"bus id {b!r} must be a positive integer")
+            if b >= 2**63:  # reports keep bus ids in int64 arrays
+                raise ValidationError(f"bus id {b} must be below 2**63")
             if b in node:
                 raise DuplicateBus(f"bus id {b} appears more than once")
             node[b] = len(node)

@@ -40,7 +40,7 @@ from .estimation import (
     wls_estimate,
 )
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, MeterConfig, NetworkModel, build_h_matrix
+from .network import MeasurementMatrix, MeterConfig, NetworkModel, _read_only, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -65,9 +65,14 @@ def _csv(rows) -> str:
     return "\n".join(["stage,quantity,index,value", *(",".join(row) for row in rows)]) + "\n"
 
 
-def _branch_names(net: NetworkModel) -> tuple[str, ...]:
-    """The "from-to" name of each branch, as reports print it."""
-    return tuple(f"{br.from_bus}-{br.to_bus}" for br in net.branches)
+def _branch_ends(branches) -> np.ndarray:
+    """The (from, to) buses of each branch, as a read-only (branches, 2) int array."""
+    return _read_only([(br.from_bus, br.to_bus) for br in branches], int).reshape(-1, 2)
+
+
+def _branch_names(ends: np.ndarray) -> tuple[str, ...]:
+    """The "from-to" name of each branch of ``_branch_ends``, as reports print it."""
+    return tuple(f"{a}-{b}" for a, b in ends.tolist())
 
 
 def _dispatch_rows(stage: str, result: DispatchResult, names: tuple[str, ...]) -> list:
@@ -272,14 +277,15 @@ def _attacked(z: np.ndarray, perturbation: np.ndarray | None) -> np.ndarray:
 class ScenarioReport:
     """Full record of one pipeline run; renders to text or CSV rows.
 
-    Of the network it keeps only what the renderers print: the state buses,
-    and the branch names when a market ran, since only the market sections
-    name branches. A kept report holds no Branch objects.
+    Of the network it keeps only what the renderers print, as read-only int
+    arrays: the state buses, and the branch ends when a market ran, since only
+    the market sections name branches. A kept report holds no Branch objects
+    and no branch names; ``branch_names`` forms them when a report renders.
     """
 
     name: str
-    state_buses: tuple[int, ...]            # bus of each state entry, in column order
-    branch_names: tuple[str, ...]           # "from-to" of each branch; () without a market
+    state_buses: np.ndarray                 # bus of each state entry, in column order
+    branch_ends: np.ndarray                 # (from, to) bus of each branch; (0, 2) without a market
     measured: np.ndarray                    # what the operator received (post-attack)
     observed: EstimationResult              # estimate on `measured`
     clean: EstimationResult | None          # pre-attack estimate when an attack ran
@@ -291,9 +297,15 @@ class ScenarioReport:
     market_after: DispatchResult | None = None
     profit_per_h: float | None = None
 
+    @property
+    def branch_names(self) -> tuple[str, ...]:
+        """The "from-to" name of each branch; () without a market."""
+        return _branch_names(self.branch_ends)
+
     def csv_rows(self) -> list[tuple[str, str, str, str]]:
         rows: list[tuple[str, str, str, str]] = []
-        for k, bus in enumerate(self.state_buses):
+        buses, names = self.state_buses.tolist(), self.branch_names
+        for k, bus in enumerate(buses):
             rows.append(_row("estimation", "state_rad", bus, self.observed.state[k]))
         for i in range(len(self.measured)):
             rows.append(_row("estimation", "measured_pu", i, self.measured[i]))
@@ -302,11 +314,11 @@ class ScenarioReport:
         rows.append(_row("estimation", "objective", "", self.observed.objective))
         rows.append(_row("estimation", "weighted_residual_norm", "", np.sqrt(self.observed.objective)))
         if self.clean is not None:
-            for k, bus in enumerate(self.state_buses):
+            for k, bus in enumerate(buses):
                 rows.append(_row("estimation_clean", "state_rad", bus, self.clean.state[k]))
             rows.append(_row("estimation_clean", "objective", "", self.clean.objective))
         if self.attack_vector is not None:
-            for k, bus in enumerate(self.state_buses):
+            for k, bus in enumerate(buses):
                 rows.append(_row("attack", "c_rad", bus, self.attack_vector.c[k]))
             for i in range(len(self.attack_vector.a)):
                 rows.append(_row("attack", "a_pu", i, self.attack_vector.a[i]))
@@ -325,9 +337,9 @@ class ScenarioReport:
         for label, result in (("market.before", self.market_before), ("market.after", self.market_after)):
             if result is None:
                 continue
-            rows.extend(_dispatch_rows(label, result, self.branch_names))
+            rows.extend(_dispatch_rows(label, result, names))
             for b in result.binding_lines:
-                rows.append(_row(label, "binding", self.branch_names[b], 1.0))
+                rows.append(_row(label, "binding", names[b], 1.0))
         if self.profit_per_h is not None:
             rows.append(_row("market", "profit_per_h", "", self.profit_per_h))
         return rows
@@ -338,14 +350,15 @@ class ScenarioReport:
     def to_text(self) -> str:
         out = [f"scenario: {self.name}"]
         out.append("[estimation]")
-        for k, bus in enumerate(self.state_buses):
+        buses = self.state_buses.tolist()
+        for k, bus in enumerate(buses):
             out.append(f"  angle(bus {bus}) = {_fmt(self.observed.state[k])} rad")
         out.append(f"  objective J = {_fmt(self.observed.objective)}")
         out.append(f"  weighted residual norm = {_fmt(np.sqrt(self.observed.objective))}")
         if self.clean is not None:
             shift = self.observed.state - self.clean.state
             out.append("[attack effect]")
-            for k, bus in enumerate(self.state_buses):
+            for k, bus in enumerate(buses):
                 out.append(f"  estimate shift(bus {bus}) = {_fmt(shift[k])} rad")
         if self.attack_vector is not None:
             out.append("[attack]")
@@ -368,12 +381,13 @@ class ScenarioReport:
             if rep.suspect_meter is not None:
                 line += f" (suspect meter {rep.suspect_meter})"
             out.append(line)
+        names = self.branch_names
         for label, result in (("market before", self.market_before), ("market after", self.market_after)):
             if result is None:
                 continue
             out.append(f"[{label}]")
             out.append(f"  generation MW = {' '.join(_fmt(v) for v in result.gen_output)}")
-            out += _dispatch_lines(result, self.branch_names)
+            out += _dispatch_lines(result, names)
         if self.profit_per_h is not None:
             out.append(
                 f"[profit] buy bus {self.market.buy_bus} before, sell bus {self.market.sell_bus} after, "
@@ -415,8 +429,8 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
 
     return ScenarioReport(
         name=scn.name,
-        state_buses=net.state_buses,
-        branch_names=_branch_names(net) if scn.market is not None else (),
+        state_buses=_read_only(net.state_buses, int),
+        branch_ends=_branch_ends(net.branches if scn.market is not None else ()),
         measured=z_observed,
         observed=observed,
         clean=clean,
@@ -449,7 +463,7 @@ def dispatch_report(network_path, market_path):
         case = caseio.parse_market(market_path, net)
     with _stage("market"):
         result = solve_dc_opf(case)
-    names = _branch_names(net)
+    names = _branch_names(_branch_ends(net.branches))
     out = ["[dispatch]"]
     for g, gen in enumerate(case.generators):
         out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fdilab import caseio
+from fdilab import caseio, estimation
 from fdilab.estimation import WeightModel
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
@@ -67,6 +67,18 @@ def one_state():
 @pytest.fixture(scope="session")
 def market5(net5):
     return caseio.parse_market(CASES_5BUS / "market.json", net5)
+
+
+def empty_omega_memo():
+    """Forget the diag(Omega) that ``WlsModel.omega_diagonal`` formed last, so the next one is computed."""
+    estimation._last_omega = (None, None)
+
+
+@pytest.fixture(autouse=True)
+def cold_omega_memo():
+    """Each test starts with an empty diag(Omega) memo, so its ``factorisations`` and
+    ``inversions`` counts do not depend on the tests that ran before it."""
+    empty_omega_memo()
 
 
 def _counting(monkeypatch, module, name):

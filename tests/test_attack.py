@@ -220,6 +220,19 @@ def test_stealth_checks_on_one_h_invert_its_gain_once(net5, meters5, z5, w5, fac
     assert "omega_diagonal" in kept and "factor" not in kept
 
 
+def test_stealth_check_on_a_fresh_h_of_a_seen_meter_set_runs_no_potri(net5, meters5, z5, w5, factorisations,
+                                                                       inversions):
+    # the second H reads diag(Omega) from the memo, so its shared model never factors the gain
+    c = np.random.default_rng(7).normal(scale=0.02, size=4)
+    for _ in range(2):
+        H = build_h_matrix(net5, meters5)
+        assert verify_stealth(z5, attack_from_c(H, c), H, w5)
+    assert inversions == [(4, 4)]
+    assert factorisations == [(4, 4)] * 3  # each fit, and the first H's diag(Omega)
+    kept = vars(WlsModel.of(H, w5))
+    assert "omega_diagonal" in kept and "factor" not in kept
+
+
 def test_equal_residual_norms_with_different_lnr_verdicts_are_not_stealthy(h5, w5):
     # Both residuals have weighted norm sqrt(7), under the chi-square threshold
     # sqrt(9.21), so the norm check passes. Spread over meters 0 and 3, the clean

@@ -354,7 +354,23 @@ def test_load_json_rejects_non_finite_numbers(tmp_path, token):
 def test_load_json_rejects_a_repeated_key(tmp_path):
     p = tmp_path / "doc.json"
     p.write_text('{"meters": [{"branch": [1, 2], "sigma": 0.01, "sigma": 0.02}]}')
-    with pytest.raises(ParseError, match=f"^{p}: -: duplicate key 'sigma'$"):
+    with pytest.raises(ParseError, match=f"^{p}: line 1 column 13: duplicate key 'sigma'$"):
+        caseio.load_json(p)
+
+
+def test_load_json_names_the_innermost_object_that_repeats_a_key(tmp_path):
+    # an object closes before the one that holds it, so its repeat is the one reported
+    p = tmp_path / "doc.json"
+    p.write_text('{"a": 1,\n "b": {"c": [2, {"d": 3, "d": 4}]},\n "a": 5}')
+    with pytest.raises(ParseError, match=f"^{p}: line 2 column 17: duplicate key 'd'$"):
+        caseio.load_json(p)
+
+
+def test_load_json_reports_a_repeated_key_nested_too_deep_to_locate(tmp_path):
+    # json's Python scanner, which locates a repeat, recurses about four frames per level
+    p = tmp_path / "doc.json"
+    p.write_text("[" * 500 + '{"a": 1, "a": 2}' + "]" * 500)
+    with pytest.raises(ParseError, match=f"^{p}: -: duplicate key 'a'$"):
         caseio.load_json(p)
 
 
@@ -367,7 +383,7 @@ def test_cli_repeated_pinned_key_exits_2(capsys, tmp_path):
     assert path.read_text() != text
     code, out, err = run_cli(capsys, "scenario", "run", path)
     assert code == 2
-    assert err == f"error: ParseError: {path}: -: duplicate key '3'\n"
+    assert err == f"error: ParseError: {path}: line 6 column 44: duplicate key '3'\n"
     assert out == ""
 
 
@@ -890,6 +906,10 @@ INPUT_FAULTS = {
     "bus id 0": (
         "network_limit34.json", lambda d: d.update(buses=[0, 2, 3, 4, 5]),
         "stage=parse ValidationError: bus id 0 must be a positive integer",
+    ),
+    "bus id 2**63": (
+        "network_limit34.json", lambda d: d.update(buses=[1, 2, 3, 4, 2**63]),
+        "stage=parse ValidationError: bus id 9223372036854775808 must be below 2**63",
     ),
     "pinned {}": (
         "profit.json", lambda d: d["attack"].update(pinned={}),

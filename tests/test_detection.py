@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fdilab
-from conftest import dense
+from conftest import CASES_5BUS, dense
+from fdilab import caseio
 from fdilab.detection import (
     DetectionMethod,
     Detector,
@@ -329,3 +330,56 @@ def test_omega_diagonal_consumes_the_factor_and_keeps_no_inverse_gain(h5, z5, w5
             assert getattr(estimate, field).tobytes() == getattr(reference, field).tobytes()
         assert estimate.objective == reference.objective
     assert model.factor[0].tobytes() == fresh.factor[0].tobytes()
+
+
+def parsed_model(directory=CASES_5BUS):
+    """``WlsModel.of`` the H and weights of a network and meter set parsed afresh from ``directory``."""
+    net = caseio.parse_network(directory / "network.json")
+    meters = caseio.parse_meters(directory / "meters.json", net)
+    return WlsModel.of(build_h_matrix(net, meters), WeightModel(meters.sigmas))
+
+
+def test_two_h_of_the_same_files_invert_the_gain_once(inversions):
+    first, second = parsed_model(), parsed_model()
+    assert first is not second
+    diagonals = first.omega_diagonal, second.omega_diagonal
+    assert inversions == [(4, 4)]
+    assert diagonals[0].tobytes() == diagonals[1].tobytes()
+    for diagonal in diagonals:
+        with pytest.raises(ValueError, match="read-only"):
+            diagonal[0] = 0.0
+
+
+# an edit to one meter of the 5-bus files, and whether it moves diag(Omega): its sigma, its
+# branch's reactance, or its orientation, which flips the sign of its weight w and keeps w^2
+METER_SET_EDITS = {
+    "sigma": ("meters.json", '{"branch": [2, 4], "sigma": 0.01}', '{"branch": [2, 4], "sigma": 0.02}', True),
+    "reactance": ("network.json", '"from": 2, "to": 4, "x_pu": 0.05', '"from": 2, "to": 4, "x_pu": 0.06', True),
+    "orientation": ("meters.json", '{"branch": [2, 4], "sigma": 0.01}', '{"branch": [4, 2], "sigma": 0.01}', False),
+}
+
+
+@pytest.mark.parametrize("name, old, new, moves", METER_SET_EDITS.values(), ids=list(METER_SET_EDITS))
+def test_a_changed_meter_set_misses_the_memo_and_evicts_the_last(tmp_path, inversions, name, old, new, moves):
+    for file in ("network.json", "meters.json"):
+        text = (CASES_5BUS / file).read_text()
+        (tmp_path / file).write_text(text.replace(old, new) if file == name else text)
+    assert (tmp_path / name).read_text() != (CASES_5BUS / name).read_text()
+    original = parsed_model().omega_diagonal
+    edited = parsed_model(tmp_path).omega_diagonal
+    assert inversions == [(4, 4)] * 2
+    # the edited set took the memo's one entry, so the original set is worked out again, to the same bits
+    assert parsed_model().omega_diagonal.tobytes() == original.tobytes()
+    assert inversions == [(4, 4)] * 3
+    assert (edited.tobytes() != original.tobytes()) == moves
+
+
+def test_a_memo_hit_leaves_the_factor_of_its_model(h5, z5, w5, factorisations, inversions):
+    WlsModel(h5, w5).omega_diagonal
+    model = WlsModel(h5, w5)
+    before = model.estimate(z5)
+    model.omega_diagonal
+    assert "factor" in vars(model)
+    after = model.estimate(z5)
+    assert factorisations == [(4, 4)] * 2 and inversions == [(4, 4)]
+    assert after.state.tobytes() == before.state.tobytes()

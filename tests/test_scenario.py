@@ -1,18 +1,20 @@
 import dataclasses
 import hashlib
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES_5BUS, TABLE_XHAT
+from conftest import CASES_5BUS, TABLE_XHAT, empty_omega_memo
 from fdilab import caseio, detection, scenario
 from fdilab.attack import random_constrained_attack
 from fdilab.detection import DetectionMethod, chi_square_test, lnr_test, residual_covariance
-from fdilab.errors import DimensionMismatch, ValidationError
+from fdilab.errors import DimensionMismatch, FdiLabError, ValidationError
 from fdilab.estimation import WeightModel, simulate_measurements, wls_estimate
 from fdilab.network import build_h_matrix
 from fdilab.scenario import (
@@ -349,3 +351,95 @@ def test_monte_carlo_past_one_block_factors_once_more_and_keeps_its_reports(fact
     assert hashlib.sha256(summary.to_csv().encode()).hexdigest() == (
         "5c1cbbf70904b1541727c4e072d9c35caf75e574d2333ae4d9ddc39afdc1ecbe"
     )
+
+
+def test_monte_carlo_past_one_block_on_a_warm_memo_factors_once(factorisations, inversions, monkeypatch):
+    # the second run reads diag(Omega) from the memo, so no block's fit loses its factor
+    monkeypatch.setattr(scenario, "MC_BLOCK_ELEMENTS", 300 * 6)
+    scn = simulated_scenario(GrossErrorSpec(meter=2, magnitude_pu=0.05))
+    cold = run_monte_carlo(scn, trials=1000, base_seed=1)
+    factorisations.clear()
+    warm = run_monte_carlo(scn, trials=1000, base_seed=1)
+    assert factorisations == [(4, 4)] and inversions == [(4, 4)]
+    assert (warm.to_text(), warm.to_csv()) == (cold.to_text(), cold.to_csv())
+
+
+def test_runs_on_one_grid_invert_its_gain_once(inversions):
+    first, second = (run_scenario(parse_scenario(CASES_5BUS / "case1.json")) for _ in range(2))
+    assert inversions == [(4, 4)]
+    assert (first.to_text(), first.to_csv()) == (second.to_text(), second.to_csv())
+    run_monte_carlo(parse_scenario(CASES_5BUS / "mc_clean.json"), trials=100, base_seed=1)
+    assert inversions == [(4, 4)]
+
+
+def write_random_grid(directory, seed: int, buses: int) -> list:
+    """A random grid of ``buses`` buses with its meters and market, and one scenario file per
+    pipeline kind, the market-free detect scenario last; returns their paths.
+
+    The network is a random tree over buses 1..N, bus 1 the slack, plus up to N extra lines.
+    Every branch is metered a random way round, and about 30% of them both ways. Pins are
+    small and every bus has a large load, so no perceived load goes negative.
+    """
+    rng = np.random.default_rng([seed, buses])
+    pairs = [(k, int(rng.integers(1, k))) for k in range(2, buses + 1)]
+    pairs += [tuple(int(b) for b in rng.choice(np.arange(1, buses + 1), 2, replace=False))
+              for _ in range(int(rng.integers(0, buses + 1)))]
+    meters = []
+    for f, t in pairs:
+        ends = [f, t] if rng.random() < 0.5 else [t, f]
+        for pair in [ends, ends[::-1]] if rng.random() < 0.3 else [ends]:
+            meters.append({"branch": pair, "sigma": float(rng.choice([0.005, 0.01, 0.02]))})
+    m, n = len(meters), buses - 1
+    reactances = rng.uniform(0.05, 0.5, len(pairs))
+    network = {"base_mva": 100, "slack": 1, "buses": list(range(1, buses + 1)),
+               "branches": [{"from": f, "to": t, "x_pu": float(x)} for (f, t), x in zip(pairs, reactances)]}
+    market = {"generators": [{"bus": 1, "price": 10, "pmax": 200 * buses, "pmin": 0},
+                             {"bus": int(rng.integers(1, buses + 1)), "price": 20, "pmax": 100, "pmin": 0}],
+              "loads": [{"bus": b, "mw": 100} for b in range(1, buses + 1)]}
+    for name, doc in (("network", network), ("meters", {"meters": meters}), ("market", market)):
+        (directory / f"{name}.json").write_text(json.dumps(doc))
+    leg = {"file": "market.json", "buy_bus": 1, "sell_bus": int(rng.integers(2, buses + 1))}
+    pinned = {str(int(rng.integers(2, buses + 1))): 0.001}
+    kinds = {
+        "estimate": ({"type": "none"}, [], None),
+        "gross": ({"type": "gross_error", "meter": int(rng.integers(m)), "magnitude_pu": 0.5}, None, None),
+        "random": ({"type": "random", "support": sorted(rng.choice(m, m - n + 1, replace=False).tolist()),
+                    "seed": 7, "magnitude": 0.1}, None, None),
+        "targeted": ({"type": "targeted", "pinned": pinned}, None, leg),
+        "detect+market": ({"type": "none"}, None, leg),
+        "detect": ({"type": "none"}, None, None),
+    }
+    x_true = rng.normal(scale=0.05, size=n).tolist()
+    paths = []
+    for kind, (attack, detectors, market_leg) in kinds.items():
+        doc = {"name": kind, "network": "network.json", "meters": "meters.json",
+               "measurements": {"simulate": {"x_true": x_true, "seed": 11}}, "attack": attack, "market": market_leg}
+        if detectors is not None:
+            doc["detectors"] = detectors
+        paths.append(directory / f"{kind}.json")
+        paths[-1].write_text(json.dumps(doc))
+    return paths
+
+
+def report_bytes(path):
+    """The text and CSV of a scenario's report and of a 20-trial Monte Carlo of it, or the error either raises."""
+    try:
+        scn = parse_scenario(path)
+        report, summary = run_scenario(scn), run_monte_carlo(scn, trials=20, base_seed=3)
+        return report.to_text(), report.to_csv(), summary.to_text(), summary.to_csv()
+    except FdiLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), buses=st.integers(2, 16))
+@pytest.mark.filterwarnings("ignore:critical meters excluded")
+def test_reports_on_a_warm_memo_keep_the_bytes_of_a_cold_one(seed, buses):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_random_grid(Path(tmp), seed, buses)
+        cold = []
+        for path in paths:
+            empty_omega_memo()
+            cold.append(report_bytes(path))
+        # the memo now holds the grid's diag(Omega), unless the last run formed none
+        assert [report_bytes(path) for path in paths] == cold
