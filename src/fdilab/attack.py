@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .detection import DetectionMethod, Detector, DetectorSpec
+from .detection import DetectionMethod, Detector, DetectorSpec, _check_probability
 from .errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from .estimation import WeightModel, WlsModel, _rng
 from .network import MeasurementMatrix, _components
@@ -156,29 +156,27 @@ def verify_stealth(
 
     Estimates on z and on z + a as one block, then requires (i) equal
     weighted residual norms within 1e-9 * (1 + ||r||) and (ii) identical
-    chi-square and LNR verdicts at the given confidence. The detectors read
-    diag(Omega) off ``WlsModel.of(H, w)``, which forms it only when neither H's
-    model nor the memo of the last meter set holds it: so only the first call
-    on a meter set that passes (i) forms it, even over fresh H, and that call
-    factors the gain twice, for the fit and for diag(Omega), unless H's model
-    already holds a factor. The fit's factor is freed before H's model makes
-    its own.
+    chi-square and LNR verdicts at the given confidence, judged on the
+    fit's own model: so a check on a meter set the diag(Omega) memo does
+    not hold factors the gain once, for the fit, and forms diag(Omega) in
+    that factor's buffer. A confidence outside (0, 1) is a ValidationError
+    before any fit.
     """
+    _check_probability(confidence)
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != H.m or atk.a.shape[0] != H.m:
         raise DimensionMismatch("z, attack and H disagree on meter count")
 
     with np.errstate(over="ignore"):  # a z + a that overflows fails fit's finiteness check, not with a warning
         block = np.stack((z, z + atk.a))
-    # both estimates in one solve, on a model that no name keeps: its factor is freed on return
-    both = WlsModel(H, w).fit(block)
-    norm_clean, norm_attacked = np.linalg.norm(both.residual / both.sigmas, axis=1)
+    model = WlsModel(H, w)
+    both = model.fit(block)
+    norm_clean, norm_attacked = np.sqrt(both.objective)
     if abs(norm_attacked - norm_clean) > 1e-9 * (1.0 + norm_clean):
         return False
 
-    shared = WlsModel.of(H, w)
     for method in DetectionMethod:
-        detector = Detector.for_model(DetectorSpec(method, confidence), shared)
+        detector = Detector.for_model(DetectorSpec(method, confidence), model)
         clean_fired, attacked_fired = detector.statistics(both)[0] > detector.threshold
         if clean_fired != attacked_fired:
             return False

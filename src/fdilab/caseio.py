@@ -1,4 +1,4 @@
-"""JSON case-file readers, and the JSON text of the attack echo.
+"""JSON case-file readers.
 
 Formats:
 
@@ -9,7 +9,6 @@ Formats:
 * measurements: {"values_pu": [0.91, ...]}  in meter order
 * market:       {"generators": [{"bus": 1, "price": 10, "pmax": 250, "pmin": 0}, ...],
                  "loads": [{"bus": 1, "mw": 100}, ...]}
-* attack echo:  {"c": [...], "a": [...], "support": [...]}  (written only)
 
 Every reader reads each JSON object with ``fields``, against its format's table of each
 key's reader and default. A missing required key, a key the format does not list or a
@@ -249,8 +248,3 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
     loads = tuple(Load(*fields(rec, _LOAD, path, "loads", i)) for i, rec in enumerate(loads))
     return DispatchCase(net, generators, loads)
-
-
-def attack_json(atk) -> str:
-    """The JSON text of the attack echo of ``atk``."""
-    return json.dumps({"c": atk.c.tolist(), "a": atk.a.tolist(), "support": list(atk.support)}, indent=2) + "\n"

@@ -7,14 +7,11 @@ The WLS estimate solves the normal equations
 
 and the goodness-of-fit objective is J = sum_i (r_i / sigma_i)^2 with
 r = z - H x_hat. ``WlsModel`` holds one H, a MeasurementMatrix, and one
-WeightModel, and factors its gain once for every estimate and diag(Omega)
-made from it; it estimates one z or a block of them with one solve.
-``wls_estimate`` estimates through ``WlsModel.of``, the one model of a pair;
-``verify_stealth`` keeps diag(Omega) on it, and fits on a model of its own,
-which is freed with its factor when the fit returns. The last diag(Omega)
-formed is kept for its meter set too, so a fresh H parsed from the same
-files, as each scenario, Monte Carlo run and stealth check of one grid
-makes, reads it and runs no potri.
+WeightModel, and factors its gain once for every estimate made from it; it
+estimates one z or a block of them with one solve. Two caches, one job each:
+``WlsModel.of`` shares one model, factor included, among the estimates and
+detection of one H; the last diag(Omega) formed is kept for its meter set,
+so a fresh H parsed from the same files reads it and runs no potri.
 
 ``scipy.linalg`` is imported by the model's first factorisation, solve or
 diag(Omega), not by ``import fdilab``: building H and weights, and
@@ -69,8 +66,7 @@ def _rng(seed) -> np.random.Generator:
         raise ValidationError(f"seed {seed} must be a non-negative integer") from None
 
 
-# (meter-set key, diag(Omega)) of the last diag(Omega) a WlsModel formed, so a fresh H parsed
-# from the same files, as each scenario and Monte Carlo run of one grid makes, runs no potri.
+# (meter-set key, diag(Omega)) of the last diag(Omega) a WlsModel formed: its one home.
 _last_omega: tuple = (None, None)
 
 
@@ -79,12 +75,11 @@ class WlsModel:
 
     Holds ``H.edges`` and ``H.weights``, not H, whose memo holds the model (no
     reference cycle). The gain H' R^-1 H and H' R^-1 z are read off the edge
-    list, so the model makes no m x n array. The gain's Cholesky factor and
-    diag(Omega), Omega = R - H (H' R^-1 H)^-1 H', are each worked out on first
-    use and then kept, so every estimate made from one model shares one
-    factorisation, and a caller pays only for what it uses. diag(Omega) is
-    formed in the factor's buffer, so a solve after it factors again, unless
-    the model read diag(Omega) from the memo of the last meter set.
+    list, so the model makes no m x n array. The gain's Cholesky factor is
+    worked out on first use and then kept, so every estimate made from one
+    model shares one factorisation. diag(Omega), Omega = R - H (H' R^-1 H)^-1 H',
+    is read from the memo of the last meter set or formed in the factor's
+    buffer, so a solve after a miss factors again.
     """
 
     def __init__(self, H: MeasurementMatrix, w: WeightModel):
@@ -95,9 +90,9 @@ class WlsModel:
 
     @classmethod
     def of(cls, H: MeasurementMatrix, w: WeightModel) -> WlsModel:
-        """The model of H and w, shared while H lives: H keeps the model of the last
-        WeightModel it served, compared by identity and held strongly, so that
-        identity is never reused; both arrays are read-only."""
+        """The model of H and w, whose factor the estimates and detection of one H share
+        while H lives: H keeps the model of the last WeightModel it served, compared by
+        identity and held strongly, so that identity is never reused; both arrays are read-only."""
         if H._model is None or H._model[0] is not w:
             object.__setattr__(H, "_model", (w, cls(H, w)))
         return H._model[1]
@@ -165,18 +160,18 @@ class WlsModel:
             raise NumericalError("the weighted measurements or residuals overflow a float")
         return EstimationResult(state, fitted, residual, objective, self.sigmas)
 
-    @cached_property
+    @property
     def omega_diagonal(self) -> np.ndarray:
         """diag(Omega): sigma_i^2 - h_i G^-1 h_i' for each row h_i of H, G the gain; read-only.
 
-        A model of the meter set whose diag(Omega) was formed last, its
-        ``(n, edges, weights, sigmas)`` equal byte for byte, returns that array
-        and leaves its factor alone. Otherwise LAPACK potri forms G^-1, in about
-        (2/3) n^3 flops, in the factor's own buffer, and the factor is dropped:
-        a later solve factors the gain again, to the same bits. Row i holds +-w,
-        its weight, at the columns a < b of its edge, so h_i G^-1 h_i' =
-        W g_aa + W g_bb - 2 W g_ab, W = w^2, every g term at the slack, b = n,
-        being zero. Omega is never formed.
+        The memo's array when its meter set ``(n, edges, weights, sigmas)``
+        equals this model's byte for byte, leaving the factor alone. Otherwise
+        LAPACK potri forms G^-1, in about (2/3) n^3 flops, in the factor's own
+        buffer, the factor is dropped (a later solve factors the gain again, to
+        the same bits) and the memo takes the result. Row i holds +-w, its
+        weight, at the columns a < b of its edge, so h_i G^-1 h_i' = W g_aa +
+        W g_bb - 2 W g_ab, W = w^2, every g term at the slack, b = n, being
+        zero. Omega is never formed.
         """
         global _last_omega
         key = (self.n, self.edges.tobytes(), self.weights.tobytes(), self.sigmas.tobytes())

@@ -13,14 +13,16 @@ aggregates detection rates. ``attack_report`` and ``dispatch_report`` run
 an attack alone and a dispatch alone.
 
 Every report is rendered here, as text and as the file the CLI writes to
-``--out``: the attack vector as JSON, or else a CSV with one row per
-(stage, quantity, index, value). Each number has six decimals, so the
-renderings are byte-for-byte deterministic given identical inputs and seeds.
+``--out``: the attack vector as JSON, ``{"c": [...], "a": [...], "support":
+[...]}``, or else a CSV with one row per (stage, quantity, index, value).
+Each number has six decimals, so the renderings are byte-for-byte
+deterministic given identical inputs and seeds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -415,7 +417,7 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
     with _stage("detect"):
         model = WlsModel.of(H, weights)
         detections = tuple(Detector.for_model(spec, model).report(observed) for spec in scn.detectors)
-    del H, weights, model  # the model's gain factor and diag(Omega) too: the market needs none
+    del H, weights, model  # the model's gain factor too: the market needs none
 
     market_before = market_after = profit = None
     if scn.market is not None:
@@ -448,12 +450,11 @@ def attack_report(network_path, meters_path, spec: RandomAttackSpec | TargetedAt
     """The text of the attack vector that ``spec`` makes on a network's meters, and the renderer of its JSON echo."""
     _, _, H, _ = _load_model(network_path, meters_path)
     _, atk = _build_attack_vector(spec, H)
-    out = ["[attack vector]", f"  support = {list(atk.support)}"]
-    for k, bus in enumerate(H.state_buses):
-        out.append(f"  c(bus {bus}) = {_fmt(atk.c[k])} rad")
-    for i in range(len(atk.a)):
-        out.append(f"  a[{i}] = {_fmt(atk.a[i])} pu")
-    return "\n".join(out) + "\n", lambda: caseio.attack_json(atk)
+    echo = {"c": atk.c.tolist(), "a": atk.a.tolist(), "support": list(atk.support)}
+    out = ["[attack vector]", f"  support = {echo['support']}"]
+    out += [f"  c(bus {bus}) = {_fmt(c)} rad" for bus, c in zip(H.state_buses, atk.c)]
+    out += [f"  a[{i}] = {_fmt(a)} pu" for i, a in enumerate(atk.a)]
+    return "\n".join(out) + "\n", lambda: json.dumps(echo, indent=2) + "\n"
 
 
 def dispatch_report(network_path, market_path):
@@ -646,7 +647,7 @@ def run_monte_carlo(scn: Scenario, trials: int, base_seed: int) -> MonteCarloSum
     with _stage("measurements"):
         noiseless = _true_flows(H, scn.measurements.x_true)
     perturbation, _ = _build_attack_vector(scn.attack, H)
-    model = WlsModel.of(H, weights)
+    model = WlsModel(H, weights)
     target_meter = scn.attack.meter if isinstance(scn.attack, GrossErrorSpec) else None
 
     detectors = []  # built after the first block's fit, as run_scenario detects after it estimates

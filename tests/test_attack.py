@@ -14,7 +14,7 @@ from fdilab.attack import (
 )
 from fdilab.detection import residual_covariance
 from fdilab.errors import DimensionMismatch, InfeasibleSupport, ValidationError
-from fdilab.estimation import WlsModel, wls_estimate
+from fdilab.estimation import wls_estimate
 from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 
@@ -200,37 +200,48 @@ def test_gross_error_is_not_stealthy(net5, meters5, z5, w5, factorisations, inve
     spike = np.zeros(6)
     spike[2] = 0.5  # 50 sigma
     atk = AttackVector(a=spike, c=np.zeros(4), support=(2,))
-    H = build_h_matrix(net5, meters5)  # a first call: H's shared model holds no diag(Omega) yet
+    H = build_h_matrix(net5, meters5)  # the memo holds no diag(Omega)
     assert not verify_stealth(z5, atk, H, w5)
     # the residual norm check fails first, so diag(Omega) is not formed
     assert factorisations == [(4, 4)]
     assert inversions == []
 
 
+@pytest.mark.parametrize("confidence", [2.0, 0.0, float("nan")])
+@pytest.mark.parametrize("stealthy", [True, False])
+def test_stealth_check_rejects_a_confidence_outside_0_1_before_it_fits(h5, z5, w5, factorisations, confidence,
+                                                                        stealthy):
+    # a gross error fails the norm test, which must not answer for a confidence the detectors refuse
+    spike = np.zeros(6)
+    spike[2] = 0.5
+    atk = attack_from_c(h5, [0.01, 0.0, 0.0, 0.0]) if stealthy else AttackVector(spike, np.zeros(4), (2,))
+    with pytest.raises(ValidationError, match="^probability .* must lie strictly between 0 and 1$"):
+        verify_stealth(z5, atk, h5, w5, confidence)
+    assert factorisations == []
+
+
 def test_stealth_checks_on_one_h_invert_its_gain_once(net5, meters5, z5, w5, factorisations, inversions):
-    # each fit factors its own gain; diag(Omega) is formed once, on H's shared model,
-    # whose potri consumes the factor it made, so no n x n array stays on H
+    # each fit factors its own gain; the first check forms diag(Omega) in its fit's factor
+    # buffer, and the other four read it from the memo, so H's shared model is never made
     H = build_h_matrix(net5, meters5)
     rng = np.random.default_rng(7)
     for _ in range(5):
         assert verify_stealth(z5, attack_from_c(H, rng.normal(scale=0.02, size=4)), H, w5)
-    assert factorisations == [(4, 4)] * 6
+    assert factorisations == [(4, 4)] * 5
     assert inversions == [(4, 4)]
-    kept = vars(WlsModel.of(H, w5))
-    assert "omega_diagonal" in kept and "factor" not in kept
+    assert H._model is None
 
 
 def test_stealth_check_on_a_fresh_h_of_a_seen_meter_set_runs_no_potri(net5, meters5, z5, w5, factorisations,
                                                                        inversions):
-    # the second H reads diag(Omega) from the memo, so its shared model never factors the gain
+    # the second H reads diag(Omega) from the memo, so each check factors the gain once, for its fit
     c = np.random.default_rng(7).normal(scale=0.02, size=4)
     for _ in range(2):
         H = build_h_matrix(net5, meters5)
         assert verify_stealth(z5, attack_from_c(H, c), H, w5)
     assert inversions == [(4, 4)]
-    assert factorisations == [(4, 4)] * 3  # each fit, and the first H's diag(Omega)
-    kept = vars(WlsModel.of(H, w5))
-    assert "omega_diagonal" in kept and "factor" not in kept
+    assert factorisations == [(4, 4)] * 2
+    assert H._model is None
 
 
 def test_equal_residual_norms_with_different_lnr_verdicts_are_not_stealthy(h5, w5):

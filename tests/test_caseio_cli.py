@@ -101,9 +101,11 @@ def test_meter_on_missing_branch(tmp_path, net5):
 
 def test_attack_round_trip(h5):
     from fdilab.attack import random_constrained_attack
+    from fdilab.scenario import RandomAttackSpec, attack_report
 
     atk = random_constrained_attack(h5, [0, 2, 3], seed=5)
-    loaded = json.loads(caseio.attack_json(atk))
+    _, render = attack_report(CASES_5BUS / "network.json", CASES_5BUS / "meters.json", RandomAttackSpec((0, 2, 3), 5))
+    loaded = json.loads(render())
     np.testing.assert_allclose(loaded["a"], atk.a, atol=1e-15)
     np.testing.assert_allclose(loaded["c"], atk.c, atol=1e-15)
     assert tuple(loaded["support"]) == atk.support

@@ -10,7 +10,7 @@ import pytest
 
 import fdilab
 from conftest import CASES_5BUS, dense
-from fdilab import caseio
+from fdilab import caseio, estimation
 from fdilab.detection import (
     DetectionMethod,
     Detector,
@@ -297,7 +297,7 @@ def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
     model = WlsModel(h5, w5)
     res = model.estimate(z5)
     chi = Detector.for_model(DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95), model).report(res)
-    assert "omega_diagonal" not in vars(model)
+    assert estimation._last_omega == (None, None)
     assert chi == chi_square_test(res, 6, 4, 0.95)
     both = [Detector.for_model(DetectorSpec(m), model).report(res) for m in DetectionMethod]
     # only the diagonal is built, by another route than the full Omega, so the
@@ -305,7 +305,7 @@ def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
     reference = lnr_test(res, residual_covariance(h5, w5))
     assert both[1].statistic == pytest.approx(reference.statistic, rel=1e-12)
     assert dataclasses.replace(both[1], statistic=reference.statistic) == reference
-    assert "omega_diagonal" in vars(model) and "omega" not in vars(model)
+    assert estimation._last_omega[1] is model.omega_diagonal and "omega" not in vars(model)
 
 
 @pytest.mark.parametrize("system", ["5bus", "critical"])
@@ -319,9 +319,10 @@ def test_omega_diagonal_matches_full_omega(h5, w5, system):
 def test_omega_diagonal_consumes_the_factor_and_keeps_no_inverse_gain(h5, z5, w5):
     model = WlsModel(h5, w5)
     before = model.estimate(z5)
-    model.omega_diagonal
-    # potri overwrote the factor with the inverse gain, and the model dropped both
-    assert sorted(vars(model)) == ["edges", "m", "n", "omega_diagonal", "sigmas", "weights"]
+    diagonal = model.omega_diagonal
+    # potri overwrote the factor with the inverse gain, the model dropped both, and the memo keeps diag(Omega)
+    assert sorted(vars(model)) == ["edges", "m", "n", "sigmas", "weights"]
+    assert estimation._last_omega[1] is diagonal
     after = model.estimate(z5)  # factors the gain again
     fresh = WlsModel(h5, w5)
     reference = fresh.estimate(z5)

@@ -18,11 +18,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES_5BUS, dense, empty_omega_memo
-from fdilab import caseio
+from fdilab import caseio, estimation
 from fdilab.attack import AttackVector, _null_space, attack_from_c, random_constrained_attack, verify_stealth
 from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec, residual_covariance
 from fdilab.errors import UnknownBranch, UnobservableConfiguration
@@ -229,8 +229,9 @@ def test_stealth_attack_leaves_residual_and_verdicts_and_shifts_the_state_by_c(c
 @given(networks(), st.integers(0, 2**32 - 1))
 @pytest.mark.filterwarnings("ignore:critical meters excluded")
 def test_stealth_checks_sharing_h_give_the_verdicts_and_estimates_of_a_fresh_h(case, seed):
-    # verify_stealth keeps diag(Omega) on H's shared model: stealthy and gross attacks in turn
-    # must judge as on an H that never served a call, and the estimate must keep its bits
+    # verify_stealth reads diag(Omega) from the memo that the checks before it filled: stealthy
+    # and gross attacks in turn must judge as on an H that never served a call with a cold memo,
+    # and H's shared model must be left alone, its estimate keeping its bits
     net, meters = case
     H = build_or_none(net, meters)
     assume(H is not None and H.m > H.n)
@@ -254,7 +255,9 @@ def test_stealth_checks_sharing_h_give_the_verdicts_and_estimates_of_a_fresh_h(c
         assert shared == verify_stealth(z, atk, fresh, w)
     assert WlsModel.of(H, w) is model
     empty_omega_memo()
-    assert model.omega_diagonal.tobytes() == WlsModel(H, w).omega_diagonal.tobytes()
+    shared = model.omega_diagonal
+    empty_omega_memo()
+    assert shared.tobytes() == WlsModel(H, w).omega_diagonal.tobytes()
     after = wls_estimate(H, z, w)
     for field in ("state", "fitted", "residual", "objective"):
         assert np.asarray(getattr(after, field)).tobytes() == np.asarray(getattr(before, field)).tobytes()
@@ -377,9 +380,9 @@ def test_factor_builds_no_m_by_n_array_and_no_second_gain():
 
 @pytest.mark.filterwarnings("ignore:critical meters excluded")
 def test_first_stealthy_check_frees_the_fit_factor_before_forming_diag_omega():
-    # The fit runs on a model of its own, and H's shared model then factors the gain again
-    # for diag(Omega). With the fit's model freed first, one n x n array is alive at a time,
-    # and the peak reads about 1.24 n^2 doubles; a fit's factor still alive makes it about 2.22.
+    # The fit and the detectors share one model, whose potri forms diag(Omega) in the fit's
+    # factor buffer, so one n x n array is alive at a time; a second factor alive beside the
+    # fit's, as a second model would make, takes the peak to about 2.2 n^2 doubles.
     import scipy.special  # noqa: F401  the first threshold imports it, and that import is not the check's memory
 
     H = seeded_300_bus_h()
@@ -392,8 +395,38 @@ def test_first_stealthy_check_frees_the_fit_factor_before_forming_diag_omega():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stealthy and "omega_diagonal" in vars(WlsModel.of(H, w))
+    assert stealthy and H._model is None
+    key, diagonal = estimation._last_omega
+    assert key[0] == H.n and diagonal.shape == (H.m,)
     assert peak < 1.5 * H.n**2 * 8, peak / (H.n**2 * 8)
+
+
+@settings(PROPERTY_SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(networks(), st.integers(0, 2**32 - 1))
+@pytest.mark.filterwarnings("ignore:critical meters excluded")
+def test_cold_stealth_check_factors_once_and_judges_as_a_warm_one(factorisations, inversions, case, seed):
+    # On a meter set the memo does not hold, the check factors the gain for its fit and
+    # inverts that factor for diag(Omega); a second check reads the memo and factors once.
+    net, meters = case
+    H = build_or_none(net, meters)
+    assume(H is not None and H.m > H.n)
+    rng = np.random.default_rng(seed)
+    w = WeightModel(rng.uniform(0.005, 0.05, H.m))
+    assume(np.any(WlsModel(H, w).omega_diagonal >= CRITICALITY_FLOOR * w.sigmas**2))
+    z = simulate_measurements(H, rng.normal(scale=0.1, size=H.n), w, seed=rng)
+    meter = int(rng.integers(H.m))
+    spike = np.zeros(H.m)
+    spike[meter] = 50 * w.sigmas[meter]
+    attacks = [attack_from_c(H, rng.normal(scale=0.1, size=H.n)), AttackVector(spike, np.zeros(H.n), (meter,))]
+    for atk in attacks:
+        empty_omega_memo()
+        factorisations.clear()
+        inversions.clear()
+        cold = verify_stealth(z, atk, H, w)
+        formed = estimation._last_omega[1] is not None
+        assert factorisations == [(H.n, H.n)] and inversions == [(H.n, H.n)] * formed
+        warm = verify_stealth(z, atk, H, w)
+        assert warm == cold and factorisations == [(H.n, H.n)] * 2 and inversions == [(H.n, H.n)] * formed
 
 
 @PROPERTY_SETTINGS
