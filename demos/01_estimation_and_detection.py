@@ -37,7 +37,7 @@ print("objective J =", round(result.objective, 4))
 omega = residual_covariance(H, weights)
 for label, data in (("clean readings", z), ("meter 2 skewed by 0.5 pu", z + 0.5 * np.eye(6)[2])):
     est = wls_estimate(H, data, weights)
-    chi = chi_square_test(est, H.m, H.n, confidence=0.99)
+    chi = chi_square_test(est, confidence=0.99)
     lnr = lnr_test(est, omega, confidence=0.99)
     print(f"\n{label}:")
     print(f"  chi-square: J = {chi.statistic:9.4f} vs {chi.threshold:.4f} -> "

@@ -235,12 +235,9 @@ def parse_meters(path, net: NetworkModel) -> MeterConfig:
     return MeterConfig(meters=tuple(meters))
 
 
-def parse_measurements(path, expected_count: int | None = None) -> np.ndarray:
+def parse_measurements(path) -> np.ndarray:
     (values,) = fields(load_json(path), _MEASUREMENTS, path)
-    z = np.array(values, dtype=float)  # finite: _number refuses the rest
-    if expected_count is not None and z.shape[0] != expected_count:
-        raise ValidationError(f"{path}: expected {expected_count} measurement values, got {z.shape[0]}")
-    return z
+    return np.array(values, dtype=float)  # finite: _number refuses the rest
 
 
 def parse_market(path, net: NetworkModel) -> DispatchCase:

@@ -13,7 +13,8 @@ Two tests are provided, both at a configurable certainty level (default
 
 A meter whose residual variance is structurally zero (a critical
 measurement, removal of which destroys observability) carries no bad-data
-information and is excluded from the LNR statistic.
+information: its normalized residual reads 0, so it never sets the LNR
+statistic.
 
 A ``Detector`` is one test made ready for one meter set: its threshold is
 computed once, and it judges a single estimate or a block of them from
@@ -32,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AllMetersCritical, DegenerateFreedom, DimensionMismatch, ValidationError
+from .errors import AllMetersCritical, DegenerateFreedom, ValidationError
 from .estimation import EstimationResult, WlsModel
 
 # Omega_ii below this multiple of the meter variance marks a critical measurement.
@@ -92,14 +93,14 @@ def _check_probability(p: float):
 class Detector:
     """One detector spec made ready to judge estimates from one meter set.
 
-    ``threshold`` is computed once. An LNR detector also holds the usable
-    meters and sqrt(Omega_ii) of each; a chi-square detector holds neither.
+    ``threshold`` is computed once. An LNR detector also holds ``scale``,
+    sqrt(Omega_ii) of each meter and inf at a critical meter, whose
+    normalized residual therefore reads 0; a chi-square detector holds none.
     Build one with ``Detector.for_model``.
     """
 
     spec: DetectorSpec
     threshold: float
-    usable: np.ndarray | None = None
     scale: np.ndarray | None = None
 
     @classmethod
@@ -113,12 +114,12 @@ class Detector:
         """(statistic, suspect meter) of one estimate, or of each row of a block.
 
         Chi-square: J and no suspect. LNR: the largest normalized residual
-        |r_i| / sqrt(Omega_ii) over the usable meters, and the lowest meter
+        |r_i| / sqrt(Omega_ii), 0 at a critical meter, and the lowest meter
         whose normalized residual is within LNR_TIE_TOLERANCE of it.
         """
-        if self.usable is None:
+        if self.scale is None:
             return np.asarray(result.objective), None
-        normalized = np.where(self.usable, np.abs(result.residual) / self.scale, -np.inf)
+        normalized = np.abs(result.residual) / self.scale
         statistic = normalized.max(axis=-1)
         suspect = np.argmax(normalized >= statistic[..., None] * (1.0 - LNR_TIE_TOLERANCE), axis=-1)
         return statistic, suspect
@@ -159,20 +160,13 @@ def _lnr_detector(confidence: float, diag: np.ndarray, variances: np.ndarray) ->
         warnings.warn(f"critical meters excluded from LNR test: {skipped}", stacklevel=3)
     # two-sided: residual sign carries no information
     threshold = gaussian_quantile(1.0 - (1.0 - confidence) / 2.0)
-    return Detector(
-        DetectorSpec(DetectionMethod.LNR, confidence), threshold, usable, np.sqrt(np.where(usable, diag, 1.0))
-    )
+    return Detector(DetectorSpec(DetectionMethod.LNR, confidence), threshold, np.sqrt(np.where(usable, diag, np.inf)))
 
 
-def chi_square_test(res: EstimationResult, m: int, n: int, confidence: float = 0.99) -> DetectionReport:
-    """Compare J with the chi-square(m - n) quantile at the given confidence."""
-    detector = _chi_square_detector(confidence, m, n)
-    if m != len(res.residual) or n != len(res.state):
-        raise DimensionMismatch(
-            f"m={m}, n={n} disagree with an estimate of {len(res.state)} states "
-            f"from {len(res.residual)} meters"
-        )
-    return detector.report(res)
+def chi_square_test(res: EstimationResult, confidence: float = 0.99) -> DetectionReport:
+    """Compare J with the chi-square(m - n) quantile at the given confidence, m and n
+    being the estimate's meters and states."""
+    return _chi_square_detector(confidence, len(res.residual), len(res.state)).report(res)
 
 
 def residual_covariance(H, w) -> np.ndarray:

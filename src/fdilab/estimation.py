@@ -180,14 +180,14 @@ class WlsModel:
             return last_diagonal
         import scipy.linalg
 
-        factor, lower = self.factor
+        factor, _ = self.factor
         del self.factor
-        inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=True)
+        inverse, _ = scipy.linalg.lapack.dpotri(factor, overwrite_c=True)
         a, b = self.edges.T
         W = self.weights**2
         g = np.append(np.diagonal(inverse), 0.0)  # g_bb is zero at the slack
-        tri = inverse if lower else inverse.T  # potri fills one triangle: g_ab at [b, a]
-        g_ab = np.where(b < self.n, tri[np.minimum(b, self.n - 1), a], 0.0)
+        # cho_factor's default factor is upper, so potri fills the upper triangle: g_ab at [a, b], a < b
+        g_ab = np.where(b < self.n, inverse[a, np.minimum(b, self.n - 1)], 0.0)
         diagonal = self.sigmas**2 - (W * g[a] + W * g[b] - 2 * (W * g_ab))
         diagonal.flags.writeable = False
         _last_omega = (key, diagonal)

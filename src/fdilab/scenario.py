@@ -405,7 +405,9 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
         market_case = caseio.parse_market(scn.market.market_path, net) if scn.market is not None else None
     with _stage("measurements"):
         if isinstance(scn.measurements, FileSource):
-            z = caseio.parse_measurements(scn.measurements.path, expected_count=H.m)
+            z = caseio.parse_measurements(scn.measurements.path)
+            if len(z) != H.m:
+                raise ValidationError(f"{scn.measurements.path}: expected {H.m} measurement values, got {len(z)}")
         else:
             x_true = np.asarray(scn.measurements.x_true, dtype=float)
             z = simulate_measurements(H, x_true, weights, seed=scn.measurements.seed)

@@ -64,11 +64,11 @@ def _stealth_sweep(h5, w5, trials=1000):
         clean = wls_estimate(h5, z, w5)
         attacked = wls_estimate(h5, z + atk.a, w5)
         verdicts_clean = (
-            chi_square_test(clean, 6, 4, 0.99).bad_data_detected,
+            chi_square_test(clean, 0.99).bad_data_detected,
             lnr_test(clean, omega, 0.99).bad_data_detected,
         )
         verdicts_attacked = (
-            chi_square_test(attacked, 6, 4, 0.99).bad_data_detected,
+            chi_square_test(attacked, 0.99).bad_data_detected,
             lnr_test(attacked, omega, 0.99).bad_data_detected,
         )
         yield c, clean, attacked, verdicts_clean, verdicts_attacked
@@ -141,7 +141,7 @@ def test_criterion_4_three_cases(h5, z5, w5):
     for trial in range(1000):
         atk = random_constrained_attack(h5, (0, 2, 3), seed=trial, magnitude=0.1)
         est = wls_estimate(h5, z5 + atk.a, w5)
-        ok = not chi_square_test(est, 6, 4, 0.99).bad_data_detected
+        ok = not chi_square_test(est, 0.99).bad_data_detected
         ok &= not lnr_test(est, omega, 0.99).bad_data_detected
         passed += ok
     assert passed == 1000, f"stealth attacks passed {passed}/1000"

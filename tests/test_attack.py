@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from itertools import combinations
 
@@ -114,8 +115,8 @@ def test_null_space_is_exact_whatever_the_reactances():
 
 
 def test_degenerate_draw_is_decided_by_one_draw():
-    # both meters read a branch of reactance 1e300, so |a| = |c| / 1e300 is
-    # below the degeneracy floor for every draw of c
+    # both meters read a branch of reactance 1e300, so |a| = |c| / 1e300, whose
+    # square underflows: ||a|| reads exactly 0 for every draw of c
     net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1e300),), slack=1)
     H = build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=0, orientation=-1))))
     rng = np.random.default_rng(3)
@@ -124,6 +125,22 @@ def test_degenerate_draw_is_decided_by_one_draw():
     replay = np.random.default_rng(3)
     replay.standard_normal(1)
     assert rng.standard_normal() == replay.standard_normal()
+
+
+@pytest.mark.parametrize("foothold", [[0, 3, 5], [1, 3, 5], [2, 3, 5]])
+def test_foothold_at_the_bound_yields_an_attack_however_small_its_flows(net5, meters5, foothold):
+    # branches 2-5 and 4-5 at x_pu 1e13 give ||H c|| about 1e-13, which is small but not 0,
+    # so each foothold of m - n + 1 = 3 meters admits a stealthy a = Hc of the asked magnitude
+    branches = tuple(
+        dataclasses.replace(br, x_pu=1e13) if (br.from_bus, br.to_bus) in ((2, 5), (4, 5)) else br
+        for br in net5.branches
+    )
+    H = build_h_matrix(dataclasses.replace(net5, branches=branches), meters5)
+    for seed in range(5):
+        atk = random_constrained_attack(H, foothold, seed=seed, magnitude=0.1)
+        assert set(atk.support) <= set(foothold)
+        assert atk.a.tobytes() == H.dot(atk.c).tobytes()
+        assert np.linalg.norm(atk.a) == pytest.approx(0.1, rel=1e-12)
 
 
 @pytest.mark.parametrize("magnitude", [float("inf"), float("nan")])

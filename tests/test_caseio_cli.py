@@ -646,6 +646,15 @@ def test_cli_targeted_pin_whose_attack_overflows_exits_2(capsys, tmp_path):
     assert not echo.exists()
 
 
+def test_cli_random_attack_whose_norm_overflows_exits_2(capsys, tmp_path):
+    # branch 2-5 at x_pu 1e-300 weighs its meter 1e300, so ||Hc||**2 overflows; scaling c by
+    # magnitude / inf would give an all-zero attack
+    net = _edited_copy(tmp_path, "network.json", lambda d: d["branches"][3].update(x_pu=1e-300))
+    result = run_cli(capsys, "attack", "random", "--case", net, "--meters", CASES_5BUS / "meters.json",
+                     "--support", "0,3,5")
+    assert result == (2, "", "error: stage=attack ValidationError: the norm of the attack a = Hc overflows a float\n")
+
+
 # arguments after the command -> (exit code, stderr after "error: "); `attack` and `opf` tag a fault
 # with the stage that `scenario run` gives it
 COMMAND_FAULTS = {

@@ -24,7 +24,6 @@ from fdilab.detection import (
 from fdilab.errors import (
     AllMetersCritical,
     DegenerateFreedom,
-    DimensionMismatch,
     ValidationError,
 )
 from fdilab.estimation import WeightModel, WlsModel, wls_estimate
@@ -100,14 +99,14 @@ def test_quantile_domain_checks():
 
 def test_chi_square_perfect_fit_not_detected(h5, w5):
     res = wls_estimate(h5, dense(h5) @ np.zeros(4), w5)
-    report = chi_square_test(res, m=6, n=4, confidence=0.99)
+    report = chi_square_test(res, confidence=0.99)
     assert not report.bad_data_detected
     assert report.statistic == pytest.approx(0.0, abs=1e-20)
 
 
 def test_chi_square_uses_two_degrees_of_freedom(h5, z5, w5):
     res = wls_estimate(h5, z5, w5)
-    report = chi_square_test(res, m=6, n=4, confidence=0.99)
+    report = chi_square_test(res, confidence=0.99)
     assert report.threshold == pytest.approx(CHI2_99_2, abs=1e-6)
     assert report.method is DetectionMethod.CHI_SQUARE
 
@@ -115,13 +114,13 @@ def test_chi_square_uses_two_degrees_of_freedom(h5, z5, w5):
 def test_chi_square_degenerate_freedom(one_state):
     res = wls_estimate(one_state(), [0.5], WeightModel([1.0]))
     with pytest.raises(DegenerateFreedom):
-        chi_square_test(res, m=1, n=1, confidence=0.99)
+        chi_square_test(res, confidence=0.99)
 
 
 def test_detection_decision_matches_invariant(h5, z5, w5):
     res = wls_estimate(h5, z5, w5)
     for confidence in (0.5, 0.9, 0.99, 0.999):
-        rep = chi_square_test(res, 6, 4, confidence)
+        rep = chi_square_test(res, confidence)
         assert rep.bad_data_detected == (rep.statistic > rep.threshold)
 
 
@@ -130,7 +129,7 @@ def test_confidence_monotonicity(h5, z5, w5):
     res = wls_estimate(h5, z5 + np.array([0.03, 0, 0, 0, 0, 0]), w5)
     omega = residual_covariance(h5, w5)
     grid = [0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
-    chi_flags = [chi_square_test(res, 6, 4, c).bad_data_detected for c in grid]
+    chi_flags = [chi_square_test(res, c).bad_data_detected for c in grid]
     lnr_flags = [lnr_test(res, omega, c).bad_data_detected for c in grid]
     for flags in (chi_flags, lnr_flags):
         for earlier, later in zip(flags, flags[1:]):
@@ -281,16 +280,8 @@ def test_noise_free_passes_any_confidence(h5, w5):
     res = wls_estimate(h5, dense(h5) @ np.full(4, 0.01), w5)
     omega = residual_covariance(h5, w5)
     for confidence in (0.5, 0.9, 0.99, 0.9999):
-        assert not chi_square_test(res, 6, 4, confidence).bad_data_detected
+        assert not chi_square_test(res, confidence).bad_data_detected
         assert not lnr_test(res, omega, confidence).bad_data_detected
-
-
-def test_chi_square_dimensions_must_match_result(h5, z5, w5):
-    res = wls_estimate(h5, z5, w5)
-    with pytest.raises(DimensionMismatch):
-        chi_square_test(res, 7, 4)
-    with pytest.raises(DimensionMismatch):
-        chi_square_test(res, 6, 3)
 
 
 def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
@@ -298,7 +289,7 @@ def test_run_detectors_builds_omega_only_for_lnr(h5, z5, w5):
     res = model.estimate(z5)
     chi = Detector.for_model(DetectorSpec(DetectionMethod.CHI_SQUARE, 0.95), model).report(res)
     assert estimation._last_omega == (None, None)
-    assert chi == chi_square_test(res, 6, 4, 0.95)
+    assert chi == chi_square_test(res, 0.95)
     both = [Detector.for_model(DetectorSpec(m), model).report(res) for m in DetectionMethod]
     # only the diagonal is built, by another route than the full Omega, so the
     # statistic agrees with lnr_test to round-off

@@ -24,8 +24,16 @@ from hypothesis import strategies as st
 from conftest import CASES_5BUS, dense, empty_omega_memo
 from fdilab import caseio, estimation
 from fdilab.attack import AttackVector, _null_space, attack_from_c, random_constrained_attack, verify_stealth
-from fdilab.detection import CRITICALITY_FLOOR, DetectionMethod, Detector, DetectorSpec, residual_covariance
-from fdilab.errors import UnknownBranch, UnobservableConfiguration
+from fdilab.detection import (
+    CRITICALITY_FLOOR,
+    DetectionMethod,
+    Detector,
+    DetectorSpec,
+    chi_square_quantile,
+    chi_square_test,
+    residual_covariance,
+)
+from fdilab.errors import DegenerateFreedom, UnknownBranch, UnobservableConfiguration
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
 from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
 from test_golden import write_grid_scenarios
@@ -223,6 +231,27 @@ def test_stealth_attack_leaves_residual_and_verdicts_and_shifts_the_state_by_c(c
         detector = Detector.for_model(DetectorSpec(method), model)
         assert detector.report(attacked).bad_data_detected == detector.report(clean).bad_data_detected
     assert verify_stealth(z, atk, H, w)
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.9, 0.99, 0.999]))
+def test_chi_square_test_reads_m_and_n_off_the_estimate(case, seed, confidence):
+    net, meters = case
+    H = build_or_none(net, meters)
+    assume(H is not None)
+    rng = np.random.default_rng(seed)
+    w = WeightModel(rng.uniform(0.005, 0.05, H.m))
+    z = simulate_measurements(H, rng.normal(scale=0.1, size=H.n), w, seed=rng)
+    z[rng.integers(H.m)] += rng.choice([0.0, 0.5])  # a gross error in about half the examples
+    res = wls_estimate(H, z, w)
+    if H.m == H.n:
+        with pytest.raises(DegenerateFreedom):
+            chi_square_test(res, confidence)
+        return
+    report = chi_square_test(res, confidence)
+    assert report.threshold == chi_square_quantile(confidence, H.m - H.n)
+    spec = DetectorSpec(DetectionMethod.CHI_SQUARE, confidence)
+    assert report == Detector.for_model(spec, WlsModel(H, w)).report(res)
 
 
 @PROPERTY_SETTINGS

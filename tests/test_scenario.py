@@ -189,7 +189,7 @@ def reference_monte_carlo(scn, trials, base_seed):
             z = z + perturbation
         res = wls_estimate(H, z, w)
         reports = [
-            chi_square_test(res, H.m, H.n, spec.confidence)
+            chi_square_test(res, spec.confidence)
             if spec.method is DetectionMethod.CHI_SQUARE
             else lnr_test(res, omega, spec.confidence)
             for spec in scn.detectors
@@ -443,3 +443,15 @@ def test_reports_on_a_warm_memo_keep_the_bytes_of_a_cold_one(seed, buses):
             cold.append(report_bytes(path))
         # the memo now holds the grid's diag(Omega), unless the last run formed none
         assert [report_bytes(path) for path in paths] == cold
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="the attack leaves about -2.8e-14 MW of round-off at a bus with no load, "
+                          "which the market refuses as a negative demand")
+def test_targeted_market_scenario_dispatches_with_a_bus_that_has_no_load(tmp_path):
+    write_random_grid(tmp_path, 1, 9)
+    market = json.loads((tmp_path / "market.json").read_text())
+    market["loads"] = [load for load in market["loads"] if load["bus"] != 1]
+    (tmp_path / "market.json").write_text(json.dumps(market))
+    report = run_scenario(parse_scenario(tmp_path / "targeted.json"))
+    assert report.market_after is not None
