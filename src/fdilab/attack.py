@@ -89,9 +89,10 @@ def random_constrained_attack(
     isotropic Gaussian on that null space; B depends only on which meters
     are controlled and on the meter graph ``H.edges``, so the draw is fixed
     by topology and seed. Raises InfeasibleSupport when the null space is
-    trivial or the draw's ||a|| = ||H c|| reads exactly 0, and
-    ValidationError when the magnitude is not finite and > 0, the seed is
-    negative or ||H c|| overflows a float, which would scale c to 0.
+    trivial or the draw's a = H c is exactly 0, and ValidationError when the
+    magnitude is not finite and > 0, the seed is negative or ||H c||
+    overflows a float, which would scale c to 0. ||H c|| is taken on H c
+    scaled by a power of two, so a tiny nonzero a is not degenerate.
     """
     m = H.m
     controlled = sorted(set(_index(i, "controlled meter") for i in controlled))
@@ -113,9 +114,14 @@ def random_constrained_attack(
     # One draw decides: H B g vanishes for every g when H B = 0, and for almost no g otherwise.
     c = basis @ _rng(seed).standard_normal(basis.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a flow or norm that overflows is an error below
-        norm_a = float(np.linalg.norm(H.dot(c)))  # a float, so a scale that overflows is inf, not a warning
-    if norm_a == 0:
-        raise InfeasibleSupport("random draws produced only degenerate attacks")
+        a = H.dot(c)
+        peak = np.abs(a).max()
+        if peak == 0:
+            raise InfeasibleSupport("random draws produced only degenerate attacks")
+        # ||a|| of a scaled exactly, by a power of two, to a peak in [0.5, 1): its squares neither
+        # overflow nor all underflow; a float, so a norm that overflows is inf, not a warning
+        exponent = np.frexp(peak)[1]
+        norm_a = float(np.ldexp(np.linalg.norm(np.ldexp(a, -exponent)), exponent))
     if not np.isfinite(norm_a):  # magnitude / inf would scale c to 0
         raise ValidationError("the norm of the attack a = Hc overflows a float")
     return _finalize(H, c, magnitude / norm_a)

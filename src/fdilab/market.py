@@ -22,10 +22,15 @@ from .errors import (
     UnknownBus,
     ValidationError,
 )
-from .network import BusId, MeterConfig, NetworkModel
+from .network import BusId, MeterConfig, NetworkModel, _meter_branches
 
 # |flow| within this many MW of the limit counts as binding.
 BINDING_TOLERANCE_MW = 1e-6
+
+
+def _fault(value) -> str:
+    """What is wrong with a price or demand that is not finite and >= 0."""
+    return "< 0" if value < 0 else "must be finite"
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,8 @@ class Generator:
                 f"generator at bus {self.bus}: need 0 <= p_min <= p_max, "
                 f"got ({self.p_min}, {self.p_max})"
             )
-        if self.price < 0:
-            raise ValidationError(f"generator at bus {self.bus}: price {self.price} < 0")
+        if not 0 <= self.price < np.inf:
+            raise ValidationError(f"generator at bus {self.bus}: price {self.price} {_fault(self.price)}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,8 @@ class Load:
     mw: float
 
     def __post_init__(self):
-        if self.mw < 0:
-            raise ValidationError(f"load at bus {self.bus}: demand {self.mw} < 0")
+        if not 0 <= self.mw < np.inf:
+            raise ValidationError(f"load at bus {self.bus}: demand {self.mw} {_fault(self.mw)}")
 
 
 @dataclass(frozen=True)
@@ -107,15 +112,14 @@ class DispatchResult:
             raise UnknownBus(f"no LMP for unknown bus {bus}") from None
 
 
-def _summed(terms, shape):
-    """The sparse matrix whose every cell sums its (row, column, term) terms in list
-    order, as a dense matrix adds them one by one, with its exact zeros dropped, as
-    the dense to CSC conversion in ``linprog`` drops them."""
+def _summed(shape, rows, cols, values, keep):
+    """The sparse matrix whose every cell sums its (row, column, value) terms where ``keep``
+    holds, read row-major, as a dense matrix adds them one by one, with its exact zeros
+    dropped, as the dense to CSC conversion in ``linprog`` drops them."""
     from scipy.sparse import coo_array
 
-    rows, cols, values = zip(*terms)
-    cells, inverse = np.unique(np.multiply(rows, shape[1]) + cols, return_inverse=True)
-    sums = np.bincount(inverse, values, len(cells))
+    cells, inverse = np.unique(rows[keep] * shape[1] + cols[keep], return_inverse=True)
+    sums = np.bincount(inverse, values[keep], len(cells))
     nonzero = sums != 0
     coords = np.array(np.divmod(cells[nonzero], shape[1]), dtype=np.int32)  # the dense conversion's index type
     return coo_array((sums[nonzero], coords), shape=shape)
@@ -131,60 +135,50 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     # scipy.optimize is loaded by the first OPF, not by ``import fdilab``
     from scipy.optimize import linprog
 
-    net = case.network
-    gens = case.generators
-    ng = len(gens)
-    row = {bus: k for k, bus in enumerate(net.buses)}
-    col = {bus: ng + k for k, bus in enumerate(net.state_buses)}  # angle columns
-    nv = ng + len(col)
-
-    cost = np.zeros(nv)
+    net, gens = case.network, case.generators
+    ng, n = len(gens), len(net.state_buses)
+    cost = np.zeros(ng + n)
     cost[:ng] = [g.price for g in gens]
-    loads = case.load_by_bus()
-    b_eq = np.array([loads[bus] for bus in net.buses])
-    eq = [(row[g.bus], gi, 1.0) for gi, g in enumerate(gens)]  # (row, column, term) of A_eq
+    b_eq = np.fromiter(case.load_by_bus().values(), float, len(net.buses))
 
-    # One pass over the branches. The flow's angle terms, (column, d flow / d
-    # column) for each end that is not the slack, leave the from-bus balance
-    # row and enter the to-bus row; +flow <= limit, then -flow <= limit, are
-    # the A_ub rows of each branch with a flow limit.
-    ub, limits = [], []
-    for br in net.branches:
-        coef = net.base_mva / br.x_pu
-        terms = [(col[b], s) for b, s in ((br.from_bus, coef), (br.to_bus, -coef)) if b in col]
-        for c, s in terms:
-            eq += [(row[br.from_bus], c, -s), (row[br.to_bus], c, s)]
-        if br.limit_mw is not None:
-            k = 2 * len(limits)
-            ub += [(k, c, s) for c, s in terms] + [(k + 1, c, -s) for c, s in terms]
-            limits.append(br.limit_mw)
-
-    A_eq = _summed(eq, (len(net.buses), nv))
-    A_ub = _summed(ub, (2 * len(limits), nv)) if limits else None
-    b_ub = np.repeat(limits, 2) if limits else None
-    bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * len(col)
+    # A branch's flow, coef * (theta_from - theta_to), has an angle term at each end that is
+    # not the slack, (column, d flow / d column): the from end's, then the to end's. A_eq has
+    # a 1 per generator in the row of its bus, then, branch by branch, each term out of the
+    # from-bus balance row and into the to-bus row, so a cell sums its terms as a dense matrix
+    # would. The k-th branch with a flow limit has +flow <= limit and -flow <= limit as A_ub
+    # rows 2k and 2k + 1.
+    order = np.argsort(net.buses)
+    gen_rows = order[np.searchsorted(net.buses, [g.bus for g in gens], sorter=order)]
+    coef = net.base_mva / net.reactances
+    cols = net.columns[:, [0, 0, 1, 1]]  # each term's angle column, once per balance row
+    rows = np.concatenate((gen_rows, net.ends[:, [0, 1, 0, 1]].ravel()))
+    values = np.concatenate((np.ones(ng), (coef[:, None] * [-1.0, 1.0, 1.0, -1.0]).ravel()))
+    keep = np.concatenate((np.ones(ng, dtype=bool), cols.ravel() < n))
+    A_eq = _summed((len(net.buses), ng + n), rows, np.concatenate((np.arange(ng), ng + cols.ravel())), values, keep)
+    A_ub = b_ub = None
+    limited = np.flatnonzero(~np.isnan(net.limits_mw))
+    if limited.size:
+        cols = net.columns[limited][:, [0, 1, 0, 1]]
+        rows = 2 * np.arange(limited.size)[:, None] + [0, 0, 1, 1]
+        values = coef[limited, None] * [1.0, -1.0, -1.0, 1.0]
+        A_ub = _summed((2 * limited.size, ng + n), rows, ng + cols, values, cols < n)
+        b_ub = np.repeat(net.limits_mw[limited], 2)
+    bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * n
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 2:
         raise InfeasibleDispatch(f"no feasible dispatch: {res.message}")
     if res.status != 0:
         raise NumericalError(f"LP solve failed (status {res.status}): {res.message}")
 
-    theta = {net.slack: 0.0, **{b: res.x[c] for b, c in col.items()}}
-    flows = np.array(
-        [net.base_mva / br.x_pu * (theta[br.from_bus] - theta[br.to_bus]) for br in net.branches]
-    )
-    binding = tuple(
-        i
-        for i, br in enumerate(net.branches)
-        if br.limit_mw is not None and abs(flows[i]) >= br.limit_mw - BINDING_TOLERANCE_MW
-    )
-    lmp = {bus: float(res.eqlin.marginals[k]) for bus, k in row.items()}
+    theta = np.append(res.x[ng:], 0.0)  # the slack's angle at column n
+    flows = coef * (theta[net.columns[:, 0]] - theta[net.columns[:, 1]])
+    binding = np.flatnonzero(np.abs(flows) >= net.limits_mw - BINDING_TOLERANCE_MW)  # NaN, no limit, never binds
     return DispatchResult(
         gen_output=res.x[:ng].copy(),
         flows=flows,
-        lmp=lmp,
+        lmp=dict(zip(net.buses, res.eqlin.marginals.tolist())),
         objective=float(res.fun),
-        binding_lines=binding,
+        binding_lines=tuple(binding.tolist()),
     )
 
 
@@ -200,7 +194,8 @@ def perceived_case_from_attack(
     amount so the perceived case reproduces what the operator would
     redispatch against. A branch counts once, through its first meter:
     fitted flows are H x_hat, so every meter of one branch reads the same
-    flow, and a reversed duplicate must not shift it twice.
+    flow, and a reversed duplicate must not shift it twice. Each bus sums
+    its shifts in meter order.
     """
     before = np.asarray(flows_before, dtype=float).reshape(-1)
     after = np.asarray(flows_after, dtype=float).reshape(-1)
@@ -208,23 +203,15 @@ def perceived_case_from_attack(
         raise DimensionMismatch("flow vectors must both be dimensioned to the meter set")
 
     net = case.network
-    delta_inj = dict.fromkeys(net.buses, 0.0)
-    counted = set()
-    for meter, d_pu in zip(meters.meters, after - before):
-        if meter.branch in counted:
-            continue
-        counted.add(meter.branch)
-        br = net.branches[meter.branch]
-        d_mw = meter.orientation * d_pu * net.base_mva  # delta of the from->to flow
-        delta_inj[br.from_bus] += d_mw
-        delta_inj[br.to_bus] -= d_mw
+    branch, orientation = _meter_branches(net, meters)
+    first = np.sort(np.unique(branch, return_index=True)[1])  # each branch's first meter, in meter order
+    d_mw = orientation[first] * (after - before)[first] * net.base_mva  # delta of each from->to flow
+    delta_inj = np.bincount(net.ends[branch[first]].ravel(), (d_mw[:, None] * [1.0, -1.0]).ravel(), len(net.buses))
 
-    loads = case.load_by_bus()
-    new_loads = tuple(
-        Load(bus=b, mw=loads[b] - delta_inj[b])
-        for b in net.buses
-        if loads[b] != 0.0 or delta_inj[b] != 0.0
-    )
+    loads = np.fromiter(case.load_by_bus().values(), float, len(net.buses))
+    shown = np.flatnonzero((loads != 0.0) | (delta_inj != 0.0)).tolist()
+    mw = (loads - delta_inj).tolist()
+    new_loads = tuple(Load(bus=net.buses[k], mw=mw[k]) for k in shown)
     return DispatchCase(network=net, generators=case.generators, loads=new_loads)
 
 

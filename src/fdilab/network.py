@@ -61,12 +61,21 @@ class Branch:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Validated, immutable bus/branch graph with a designated slack bus."""
+    """Validated, immutable bus/branch graph with a designated slack bus.
+
+    The numeric layers read the branches as read-only arrays, one row per branch in
+    input order: ``ends``, the positions in ``buses`` of its (from, to) buses;
+    ``columns``, their state columns, the slack being column n; ``reactances``; and
+    ``limits_mw``, NaN for an unlimited line."""
 
     buses: tuple[BusId, ...]
     branches: tuple[Branch, ...]
     slack: BusId
     base_mva: float = 100.0
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    reactances: np.ndarray = field(init=False, repr=False, compare=False)
+    limits_mw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))
@@ -84,16 +93,24 @@ class NetworkModel:
             raise ValidationError(f"slack bus {self.slack} is not in the bus list")
         if not (self.base_mva > 0 and all(math.isfinite(self.base_mva / br.x_pu) for br in self.branches)):
             raise ValidationError(f"base_mva {self.base_mva} must be > 0, and finite over every reactance")
-        try:
-            edges = [(node[br.from_bus], node[br.to_bus]) for br in self.branches]
+        try:  # each branch's (from, to) nodes, flat: numpy reads a flat list far faster than pairs
+            nodes = [node[b] for br in self.branches for b in (br.from_bus, br.to_bus)]
         except KeyError as exc:
             bus = exc.args[0]  # the first branch with this bus is the one that raised
             br = next(br for br in self.branches if bus in (br.from_bus, br.to_bus))
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {bus}") from None
-        label = _components(len(node), edges)
+        label = _components(len(node), zip(nodes[::2], nodes[1::2]))
         if any(label):  # not every node is in node 0's component
             missing = sorted(b for b, k in zip(node, label) if k != label[node[self.slack]])
             raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {self.slack}")
+        ends, slack = np.array(nodes, dtype=np.intp).reshape(-1, 2), node[self.slack]
+        columns = ends - (ends > slack)
+        columns[ends == slack] = len(node) - 1  # the slack's column, n
+        reactances = np.array([br.x_pu for br in self.branches], dtype=float)
+        limits = np.array([math.nan if br.limit_mw is None else br.limit_mw for br in self.branches], dtype=float)
+        for name, values in ("ends", ends), ("columns", columns), ("reactances", reactances), ("limits_mw", limits):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def state_buses(self) -> tuple[BusId, ...]:
@@ -255,17 +272,11 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     """
     state = net.state_buses
     n = len(state)
-    col = {b: k for k, b in enumerate((*state, net.slack))}  # the slack, node n, has no column of H
-    edges, weights = [], []
-    for row, meter in enumerate(meters.meters):
-        if not 0 <= meter.branch < len(net.branches):
-            raise UnknownBranch(f"meter {row} references branch index {meter.branch}")
-        br = net.branches[meter.branch]
-        w = meter.orientation / br.x_pu
-        i, j = col[br.from_bus], col[br.to_bus]
-        edges.append((i, j) if i < j else (j, i))
-        weights.append(w if i < j else -w)
-    label = _components(n + 1, edges)
+    branch, orientation = _meter_branches(net, meters)
+    edges = net.columns[branch]  # each meter's (from, to) columns, put in order below
+    weights = np.where(edges[:, 0] < edges[:, 1], orientation, -orientation) / net.reactances[branch]
+    edges.sort(axis=1)
+    label = _components(n + 1, edges.tolist())
     if any(label):  # not every node is in column 0's component
         unobserved = sorted(state[k] for k in range(n) if label[k] != label[n])
         raise UnobservableConfiguration(
@@ -273,3 +284,15 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
             f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
     return MeasurementMatrix(state, edges, weights)
+
+
+def _meter_branches(net: NetworkModel, meters: MeterConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The branch index and the orientation of each meter, as arrays; an index that names no
+    branch of ``net``, such as 1.5 or an int of any size, is an UnknownBranch naming the first
+    such meter."""
+    valid = range(len(net.branches))
+    branch = np.array([m.branch if m.branch in valid else -1 for m in meters.meters], dtype=np.intp)
+    row = int(branch.argmin())  # the first -1, if any
+    if branch[row] < 0:
+        raise UnknownBranch(f"meter {row} references branch index {meters.meters[row].branch}")
+    return branch, np.array([m.orientation for m in meters.meters], dtype=float)

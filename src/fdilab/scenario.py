@@ -67,9 +67,9 @@ def _csv(rows) -> str:
     return "\n".join(["stage,quantity,index,value", *(",".join(row) for row in rows)]) + "\n"
 
 
-def _branch_ends(branches) -> np.ndarray:
-    """The (from, to) buses of each branch, as a read-only (branches, 2) int array."""
-    return _read_only([(br.from_bus, br.to_bus) for br in branches], int).reshape(-1, 2)
+def _branch_ends(net: NetworkModel, count: int | None = None) -> np.ndarray:
+    """The (from, to) buses of the first ``count`` branches, or of all, as a read-only (branches, 2) int array."""
+    return _read_only(np.array(net.buses)[net.ends[:count]], int)
 
 
 def _branch_names(ends: np.ndarray) -> tuple[str, ...]:
@@ -434,7 +434,7 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
     return ScenarioReport(
         name=scn.name,
         state_buses=_read_only(net.state_buses, int),
-        branch_ends=_branch_ends(net.branches if scn.market is not None else ()),
+        branch_ends=_branch_ends(net, None if scn.market is not None else 0),
         measured=z_observed,
         observed=observed,
         clean=clean,
@@ -466,7 +466,7 @@ def dispatch_report(network_path, market_path):
         case = caseio.parse_market(market_path, net)
     with _stage("market"):
         result = solve_dc_opf(case)
-    names = _branch_names(_branch_ends(net.branches))
+    names = _branch_names(_branch_ends(net))
     out = ["[dispatch]"]
     for g, gen in enumerate(case.generators):
         out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")

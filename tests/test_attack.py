@@ -16,7 +16,7 @@ from fdilab.attack import (
 from fdilab.detection import residual_covariance
 from fdilab.errors import DimensionMismatch, InfeasibleSupport, ValidationError
 from fdilab.estimation import wls_estimate
-from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
+from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, build_h_matrix
 
 
 # -- direct construction ----------------------------------------------------------
@@ -115,16 +115,35 @@ def test_null_space_is_exact_whatever_the_reactances():
 
 
 def test_degenerate_draw_is_decided_by_one_draw():
-    # both meters read a branch of reactance 1e300, so |a| = |c| / 1e300, whose
-    # square underflows: ||a|| reads exactly 0 for every draw of c
-    net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1e300),), slack=1)
-    H = build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=0, orientation=-1))))
+    # uncontrolled meter 0 pins state 0 to the slack's angle, and no meter reads state 1, so
+    # the controlled meter 1 sees no free state: a = Hc is exactly 0 for every draw of c
+    H = MeasurementMatrix((2, 3), [[0, 2], [0, 2]], [1.0, 1.0])
     rng = np.random.default_rng(3)
     with pytest.raises(InfeasibleSupport, match="^random draws produced only degenerate attacks$"):
-        random_constrained_attack(H, [0, 1], seed=rng)
+        random_constrained_attack(H, [1], seed=rng)
     replay = np.random.default_rng(3)
     replay.standard_normal(1)
     assert rng.standard_normal() == replay.standard_normal()
+
+
+def test_attack_whose_norm_squared_underflows_is_found():
+    # both meters read a branch of reactance 1e300, so |a| = |c| / 1e300, whose square
+    # underflows; a scaled by a power of two before its norm still scales c to ||a|| = 0.1
+    net = NetworkModel(buses=(1, 2), branches=(Branch(1, 2, 1e300),), slack=1)
+    H = build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=0, orientation=-1))))
+    atk = random_constrained_attack(H, [0, 1], seed=3)
+    assert atk.support == (0, 1)
+    assert atk.a.tobytes() == H.dot(atk.c).tobytes()
+    assert np.linalg.norm(atk.a) == pytest.approx(0.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("weight", [1.7e308, 8e307])
+def test_random_attack_whose_norm_overflows_is_rejected(weight):
+    # three meters read one state, and seed 3 draws c of about 2.04: at weight 1.7e308, a = Hc
+    # overflows itself; at 8e307, a is finite and ||a|| = sqrt(3) |a| overflows
+    H = MeasurementMatrix((2,), [[0, 1]] * 3, [weight] * 3)
+    with pytest.raises(ValidationError, match="^the norm of the attack a = Hc overflows a float$"):
+        random_constrained_attack(H, [0, 1, 2], seed=3)
 
 
 @pytest.mark.parametrize("foothold", [[0, 3, 5], [1, 3, 5], [2, 3, 5]])

@@ -646,13 +646,25 @@ def test_cli_targeted_pin_whose_attack_overflows_exits_2(capsys, tmp_path):
     assert not echo.exists()
 
 
-def test_cli_random_attack_whose_norm_overflows_exits_2(capsys, tmp_path):
-    # branch 2-5 at x_pu 1e-300 weighs its meter 1e300, so ||Hc||**2 overflows; scaling c by
-    # magnitude / inf would give an all-zero attack
+def test_cli_random_attack_whose_norm_squared_overflows_exits_0(capsys, tmp_path):
+    # branch 2-5 at x_pu 1e-300 weighs its meter 1e300, so ||Hc||**2 overflows; ||Hc|| is taken
+    # on Hc scaled by a power of two, so c scales to an attack of magnitude 0.1 on meters 3 and 5
     net = _edited_copy(tmp_path, "network.json", lambda d: d["branches"][3].update(x_pu=1e-300))
-    result = run_cli(capsys, "attack", "random", "--case", net, "--meters", CASES_5BUS / "meters.json",
-                     "--support", "0,3,5")
-    assert result == (2, "", "error: stage=attack ValidationError: the norm of the attack a = Hc overflows a float\n")
+    code, out, err = run_cli(capsys, "attack", "random", "--case", net, "--meters", CASES_5BUS / "meters.json",
+                             "--support", "0,3,5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["[attack vector]", "  support = [3, 5]"]
+    assert "  a[3] = -0.100000 pu" in out.splitlines()
+
+
+def test_cli_profit_scenario_pinned_at_1_2_rad_fails_on_a_negative_perceived_load(capsys, tmp_path):
+    # ROADMAP item 4's known defect: the perceived case turns bus 3's load negative. The bench
+    # recognises the defect by its stage, type and "load at bus" prefix, so the line is pinned
+    # byte for byte until the fix lands.
+    path = _edited_copy(tmp_path, "profit.json", lambda d: d["attack"]["pinned"].update({"3": 1.2}))
+    assert run_cli(capsys, "scenario", "run", path) == (
+        2, "", "error: stage=market ValidationError: load at bus 3: demand -4599.999999999998 < 0\n"
+    )
 
 
 # arguments after the command -> (exit code, stderr after "error: "); `attack` and `opf` tag a fault

@@ -135,6 +135,15 @@ def test_generator_and_load_validation():
         Generator(bus=1, price=-1.0, p_max=5.0)
     with pytest.raises(ValidationError):
         Load(bus=1, mw=-2.0)
+    with pytest.raises(ValidationError, match="^generator at bus 1: price -inf < 0$"):
+        Generator(bus=1, price=-np.inf, p_max=5.0)
+    with pytest.raises(ValidationError, match="^load at bus 2: demand -inf < 0$"):
+        Load(bus=2, mw=-np.inf)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match=f"^generator at bus 1: price {value} must be finite$"):
+            Generator(bus=1, price=value, p_max=5.0)
+        with pytest.raises(ValidationError, match=f"^load at bus 2: demand {value} must be finite$"):
+            Load(bus=2, mw=value)
     net = NetworkModel(buses=(1,), branches=(), slack=1)
     with pytest.raises(UnknownBus):
         DispatchCase(network=net, generators=(Generator(bus=7, price=1.0, p_max=1.0),), loads=())
@@ -195,6 +204,53 @@ def test_reversed_duplicate_meter_leaves_perceived_loads_unchanged(net5_limited,
     single, duplicated = perceived
     assert (single[3], single[4]) == pytest.approx((80.0, 100.0), abs=1e-9)
     assert duplicated == pytest.approx(single, abs=1e-9)
+
+
+def reference_perceived_loads(case, meters, before, after):
+    """The perceived loads by a loop over the meters, each branch through its first meter only,
+    as (bus, MW) pairs in bus order, or the message of the first negative demand."""
+    net = case.network
+    delta_inj = dict.fromkeys(net.buses, 0.0)
+    counted = set()
+    for meter, d_pu in zip(meters.meters, after - before):
+        if meter.branch in counted:
+            continue
+        counted.add(meter.branch)
+        br = net.branches[meter.branch]
+        d_mw = meter.orientation * d_pu * net.base_mva
+        delta_inj[br.from_bus] += d_mw
+        delta_inj[br.to_bus] -= d_mw
+    loads = case.load_by_bus()
+    pairs = [(b, loads[b] - delta_inj[b]) for b in net.buses if loads[b] != 0.0 or delta_inj[b] != 0.0]
+    negative = [f"load at bus {b}: demand {mw} < 0" for b, mw in pairs if mw < 0]
+    return negative[0] if negative else [(b, float(mw).hex()) for b, mw in pairs]
+
+
+@settings(MARKET_SETTINGS, max_examples=400)  # cheap examples; a bus needs 3 shifts for order to show
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_perceived_loads_equal_the_per_meter_loop_bit_for_bit(case, seed):
+    # networks() puts reversed duplicates on some metered branches and its slack anywhere, so
+    # some metered branches end at the slack; about half the buses carry no load, and some
+    # meters see no change, so buses with neither are left out
+    net, meters = case
+    rng = np.random.default_rng(seed)
+    net = NetworkModel(net.buses, net.branches, net.slack, base_mva=float(rng.choice([100.0, 37.5, 1e3])))
+    demand = np.where(rng.random(len(net.buses)) < 0.5, rng.uniform(0.0, 300.0, len(net.buses)), 0.0)
+    market = DispatchCase(
+        network=net,
+        generators=(Generator(bus=net.slack, price=10.0, p_max=1e9),),
+        loads=tuple(Load(bus=b, mw=float(d)) for b, d in zip(net.buses, demand) if d > 0 or rng.random() < 0.2),
+    )
+    before = rng.normal(size=len(meters))
+    shift = rng.normal(size=len(meters)) * 10.0 ** rng.uniform(-4, 4, len(meters))  # sums that round
+    after = before + np.where(rng.random(len(meters)) < 0.7, shift, 0.0)
+    try:
+        perceived = perceived_case_from_attack(market, meters, before, after)
+    except ValidationError as exc:
+        got = str(exc)
+    else:
+        got = [(load.bus, float(load.mw).hex()) for load in perceived.loads]
+    assert got == reference_perceived_loads(market, meters, before, after)
 
 
 def test_profit_scenario_congestion(net5_limited, meters5, h5, z5, w5):

@@ -200,6 +200,12 @@ def test_measurement_matrices_compare_by_identity(net5, meters5, h5):
 def test_unknown_branch_in_meter_config(net5):
     with pytest.raises(UnknownBranch):
         build_h_matrix(net5, MeterConfig((Meter(branch=99),)))
+    # the 5-bus case has branches 0..5; the first meter whose index names none is reported,
+    # whatever its int size, never as numpy's OverflowError, and 1.5 is not read as branch 1
+    for index in (6, -1, 2**63, -(2**70), 10**30, 1.5):
+        meters = MeterConfig((Meter(branch=0), Meter(branch=index), Meter(branch=-5)))
+        with pytest.raises(UnknownBranch, match=f"^meter 1 references branch index {index}$"):
+            build_h_matrix(net5, meters)
 
 
 def test_unobservable_meter_placement(net5):
