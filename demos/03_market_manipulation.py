@@ -50,7 +50,7 @@ print("\nattack support:", list(atk.support),
 clean = wls_estimate(H, z, weights)
 fooled = wls_estimate(H, z + atk.a, weights)
 perceived = perceived_case_from_attack(market, meters, clean.fitted, fooled.fitted)
-print("perceived loads (MW):", {b: round(float(mw), 1) for b, mw in perceived.load_by_bus().items()})
+print("perceived loads (MW):", {b: round(mw, 1) for b, mw in zip(net.buses, perceived.demand.tolist())})
 
 after = solve_dc_opf(perceived)
 show("\nafter injection", after)

@@ -32,7 +32,6 @@ from .market import (
     DispatchCase,
     DispatchResult,
     Generator,
-    Load,
     arbitrage_profit,
     perceived_case_from_attack,
     solve_dc_opf,
@@ -65,7 +64,6 @@ __all__ = [
     "DispatchResult",
     "EstimationResult",
     "Generator",
-    "Load",
     "MeasurementMatrix",
     "Meter",
     "MeterConfig",

@@ -24,7 +24,7 @@ Construction routes:
   perceived flow by a chosen amount) and zero-fill the rest, the
   minimum-norm completion.
 
-A meter or state index that is not an integer, such as 1.7, is a ValidationError.
+A meter or state index that is not an integer, such as 1.7 or True, is a ValidationError.
 
 ``verify_stealth`` checks the guarantee end to end: equal residual norms
 and identical detector verdicts before and after the injection.
@@ -64,8 +64,8 @@ def _finalize(H: MeasurementMatrix, c: np.ndarray, scale: float = 1.0) -> Attack
 
 
 def _index(i, what: str) -> int:
-    """``i`` as an int, for a Python or numpy integer; any other value, such as 1.7, is a ValidationError."""
-    if isinstance(i, (int, np.integer)):
+    """``i`` as an int, for a Python or numpy integer; any other value, such as 1.7 or True, is a ValidationError."""
+    if isinstance(i, (int, np.integer)) and type(i) is not bool:
         return int(i)
     raise ValidationError(f"{what} index {i} is not an integer")
 

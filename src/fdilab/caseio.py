@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, UnknownBranch, ValidationError
-from .market import DispatchCase, Generator, Load
+from .errors import ParseError, UnknownBus, ValidationError
+from .market import DispatchCase, Generator
 from .network import Branch, Meter, MeterConfig, NetworkModel
 
 
@@ -222,17 +222,22 @@ def parse_network(path) -> NetworkModel:
 
 
 def parse_meters(path, net: NetworkModel) -> MeterConfig:
+    """Read a meter file: each listed bus pair names the first branch in input order that joins
+    the two buses, whichever way it is stored, read from the pair's first bus to its second."""
     (records,) = fields(load_json(path), _METERS, path)
-    resolve = net.branch_resolver()
+    branches = net.branches
+    first: dict[tuple[int, int], int] = {}  # each bus pair's first branch, keyed (lower id, higher id)
+    for i, br in enumerate(branches):
+        f, t = br.from_bus, br.to_bus
+        first.setdefault((f, t) if f < t else (t, f), i)
     meters = []
     for i, rec in enumerate(records):
-        pair, sigma = fields(rec, _METER, path, "meters", i)
-        try:
-            index, orientation = resolve(*pair)
-        except UnknownBranch as exc:
-            raise ValidationError(f"meters[{i}]: {exc}") from exc
-        meters.append(Meter(index, orientation, sigma))
-    return MeterConfig(meters=tuple(meters))
+        (f, t), sigma = fields(rec, _METER, path, "meters", i)
+        index = first.get((f, t) if f < t else (t, f))
+        if index is None:
+            raise ValidationError(f"meters[{i}]: no branch joins buses {f} and {t}")
+        meters.append(Meter(index, 1 if branches[index].from_bus == f else -1, sigma))
+    return MeterConfig(tuple(meters))
 
 
 def parse_measurements(path) -> np.ndarray:
@@ -241,7 +246,17 @@ def parse_measurements(path) -> np.ndarray:
 
 
 def parse_market(path, net: NetworkModel) -> DispatchCase:
+    """Read a market file; each bus's demand sums its load records in file order. A record's
+    negative demand is refused, though the bus's sum may be >= 0."""
     generators, loads = fields(load_json(path), _MARKET, path)
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
-    loads = tuple(Load(*fields(rec, _LOAD, path, "loads", i)) for i, rec in enumerate(loads))
-    return DispatchCase(net, generators, loads)
+    row = {bus: k for k, bus in enumerate(net.buses)}
+    demand = [0.0] * len(row)
+    for i, rec in enumerate(loads):
+        bus, mw = fields(rec, _LOAD, path, "loads", i)
+        if mw < 0:  # finite: _number refuses the rest
+            raise ValidationError(f"load at bus {bus}: demand {mw} < 0")
+        if bus not in row:
+            raise UnknownBus(f"load references unknown bus {bus}")
+        demand[row[bus]] += mw
+    return DispatchCase(net, generators, demand)

@@ -11,7 +11,7 @@ congestion makes it expensive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     UnknownBus,
     ValidationError,
 )
-from .network import BusId, MeterConfig, NetworkModel, _meter_branches
+from .network import _BOOLS, BusId, MeterConfig, NetworkModel, _meter_branches, _read_only
 
 # |flow| within this many MW of the limit counts as binding.
 BINDING_TOLERANCE_MW = 1e-6
@@ -50,35 +50,33 @@ class Generator:
             raise ValidationError(f"generator at bus {self.bus}: price {self.price} {_fault(self.price)}")
 
 
-@dataclass(frozen=True)
-class Load:
-    bus: BusId
-    mw: float
-
-    def __post_init__(self):
-        if not 0 <= self.mw < np.inf:
-            raise ValidationError(f"load at bus {self.bus}: demand {self.mw} {_fault(self.mw)}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispatchCase:
+    """Generators and ``demand``, each bus's MW in ``network.buses`` order as a read-only float
+    copy. A demand must be finite and >= 0. The case compares by identity, as it holds an array."""
+
     network: NetworkModel
     generators: tuple[Generator, ...]
-    loads: tuple[Load, ...]
+    demand: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        buses = self.network.buses
+        demand = _read_only(self.demand)
+        if demand.shape != (len(buses),):
+            raise DimensionMismatch(f"demand has shape {demand.shape}, not ({len(buses)},): one value per bus")
+        values = demand.tolist()
+        for bus, value in zip(buses, values):
+            if not 0 <= value < np.inf:
+                raise ValidationError(f"load at bus {bus}: demand {value} {_fault(value)}")
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "loads", tuple(self.loads))
-        buses = set(self.network.buses)
+        object.__setattr__(self, "demand", demand)
+        known = set(buses)
         for g in self.generators:
-            if g.bus not in buses:
+            if type(g.bus) in _BOOLS or g.bus not in known:
                 raise UnknownBus(f"generator references unknown bus {g.bus}")
-        for l in self.loads:
-            if l.bus not in buses:
-                raise UnknownBus(f"load references unknown bus {l.bus}")
         total_cap = sum(g.p_max for g in self.generators)
         total_min = sum(g.p_min for g in self.generators)
-        total_demand = sum(l.mw for l in self.loads)
+        total_demand = sum(values)
         if total_cap < total_demand:
             raise InfeasibleDispatch(
                 f"total capacity {total_cap} MW < total demand {total_demand} MW"
@@ -89,12 +87,6 @@ class DispatchCase:
             )
         if not self.generators:  # with no generator, every LMP is an arbitrary dual
             raise ValidationError("dispatch case has no generator")
-
-    def load_by_bus(self) -> dict[BusId, float]:
-        out = dict.fromkeys(self.network.buses, 0.0)
-        for l in self.loads:
-            out[l.bus] += l.mw
-        return out
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,6 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     ng, n = len(gens), len(net.state_buses)
     cost = np.zeros(ng + n)
     cost[:ng] = [g.price for g in gens]
-    b_eq = np.fromiter(case.load_by_bus().values(), float, len(net.buses))
 
     # A branch's flow, coef * (theta_from - theta_to), has an angle term at each end that is
     # not the slack, (column, d flow / d column): the from end's, then the to end's. A_eq has
@@ -164,7 +155,7 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
         A_ub = _summed((2 * limited.size, ng + n), rows, ng + cols, values, cols < n)
         b_ub = np.repeat(net.limits_mw[limited], 2)
     bounds = [(g.p_min, g.p_max) for g in gens] + [(None, None)] * n
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=case.demand, bounds=bounds, method="highs")
     if res.status == 2:
         raise InfeasibleDispatch(f"no feasible dispatch: {res.message}")
     if res.status != 0:
@@ -190,8 +181,8 @@ def perceived_case_from_attack(
     ``flows_before``/``flows_after`` are fitted meter readings (per-unit)
     from the clean and attacked estimates. Each metered branch's flow delta
     shifts the apparent net injection of its endpoints (+ at the sending
-    bus, - at the receiving bus); bus loads are adjusted by the opposite
-    amount so the perceived case reproduces what the operator would
+    bus, - at the receiving bus); each bus's demand moves by the opposite
+    amount, so the perceived case is the demand vector the operator would
     redispatch against. A branch counts once, through its first meter:
     fitted flows are H x_hat, so every meter of one branch reads the same
     flow, and a reversed duplicate must not shift it twice. Each bus sums
@@ -207,12 +198,7 @@ def perceived_case_from_attack(
     first = np.sort(np.unique(branch, return_index=True)[1])  # each branch's first meter, in meter order
     d_mw = orientation[first] * (after - before)[first] * net.base_mva  # delta of each from->to flow
     delta_inj = np.bincount(net.ends[branch[first]].ravel(), (d_mw[:, None] * [1.0, -1.0]).ravel(), len(net.buses))
-
-    loads = np.fromiter(case.load_by_bus().values(), float, len(net.buses))
-    shown = np.flatnonzero((loads != 0.0) | (delta_inj != 0.0)).tolist()
-    mw = (loads - delta_inj).tolist()
-    new_loads = tuple(Load(bus=net.buses[k], mw=mw[k]) for k in shown)
-    return DispatchCase(network=net, generators=case.generators, loads=new_loads)
+    return DispatchCase(net, case.generators, case.demand - delta_inj)
 
 
 def arbitrage_profit(

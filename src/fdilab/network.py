@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .errors import (
 )
 
 BusId = int
+_BOOLS = frozenset((bool, np.bool_))  # True == 1, but a boolean is no id or index
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +82,7 @@ class NetworkModel:
         object.__setattr__(self, "branches", tuple(self.branches))
         node: dict[BusId, int] = {}  # each bus's node in the graph walk
         for b in self.buses:
-            if not isinstance(b, int) or b <= 0:
+            if type(b) is not int or b <= 0:  # bool is not int here
                 raise ValidationError(f"bus id {b!r} must be a positive integer")
             if b >= 2**63:  # reports keep bus ids in int64 arrays
                 raise ValidationError(f"bus id {b} must be below 2**63")
@@ -117,32 +117,6 @@ class NetworkModel:
         """Non-slack buses in input order; defines the state/column ordering."""
         return tuple(b for b in self.buses if b != self.slack)
 
-    def branch_resolver(self) -> Callable[[BusId, BusId], tuple[int, int]]:
-        """A lookup ``(from_bus, to_bus) -> (index, orientation)`` of branches.
-
-        orientation is +1 when (from_bus, to_bus) matches the stored branch
-        direction and -1 when reversed. Of parallel branches, the first in
-        input order wins, whichever way it is stored. The lookup's dict, keyed
-        (lower id, higher id), lives as long as the returned function, not as
-        long as the network.
-        """
-        first: dict[tuple[BusId, BusId], int] = {}
-        for i, br in enumerate(self.branches):
-            first.setdefault(_pair(br.from_bus, br.to_bus), i)
-        branches = self.branches
-
-        def resolve(from_bus: BusId, to_bus: BusId) -> tuple[int, int]:
-            index = first.get(_pair(from_bus, to_bus))
-            if index is None:
-                raise UnknownBranch(f"no branch joins buses {from_bus} and {to_bus}")
-            return index, +1 if branches[index].from_bus == from_bus else -1
-
-        return resolve
-
-
-def _pair(a: BusId, b: BusId) -> tuple[BusId, BusId]:
-    return (a, b) if a <= b else (b, a)
-
 
 def _components(size: int, edges) -> list[int]:
     """Label each node 0..size-1 of the graph of ``edges``, (i, j) node pairs,
@@ -176,7 +150,7 @@ class Meter:
     sigma: float = 0.01
 
     def __post_init__(self):
-        if self.orientation not in (+1, -1):
+        if type(self.orientation) in _BOOLS or self.orientation not in (+1, -1):
             raise ValidationError(f"meter orientation {self.orientation} must be +1 or -1")
         if not self.sigma > 0:
             raise ValidationError(f"meter sigma {self.sigma} must be > 0")
@@ -243,10 +217,9 @@ class MeasurementMatrix:
         return _dot(self.edges, self.weights, x)
 
     def state_index(self, bus: BusId) -> int:
-        try:
-            return self.state_buses.index(bus)
-        except ValueError:
-            raise ValidationError(f"bus {bus} has no state column (slack or unknown)") from None
+        if type(bus) in _BOOLS or bus not in self.state_buses:
+            raise ValidationError(f"bus {bus} has no state column (slack or unknown)")
+        return self.state_buses.index(bus)
 
 
 def _dot(edges: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -288,10 +261,12 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
 
 def _meter_branches(net: NetworkModel, meters: MeterConfig) -> tuple[np.ndarray, np.ndarray]:
     """The branch index and the orientation of each meter, as arrays; an index that names no
-    branch of ``net``, such as 1.5 or an int of any size, is an UnknownBranch naming the first
-    such meter."""
+    branch of ``net``, such as 1.5, True or an int of any size, is an UnknownBranch naming the
+    first such meter."""
     valid = range(len(net.branches))
-    branch = np.array([m.branch if m.branch in valid else -1 for m in meters.meters], dtype=np.intp)
+    branch = np.array(
+        [m.branch if m.branch in valid and type(m.branch) not in _BOOLS else -1 for m in meters.meters], dtype=np.intp
+    )
     row = int(branch.argmin())  # the first -1, if any
     if branch[row] < 0:
         raise UnknownBranch(f"meter {row} references branch index {meters.meters[row].branch}")

@@ -190,7 +190,7 @@ def test_criterion_7_post_attack_market():
 @criterion(8, "duals: +0.1 MW re-solve moves cost by 0.1 * LMP; congested flows at limit")
 def test_criterion_8_dual_consistency(net5_limited, meters5, h5, z5, w5):
     from fdilab.caseio import parse_market
-    from fdilab.market import DispatchCase, Load
+    from fdilab.market import DispatchCase
     from fdilab.attack import targeted_attack
 
     base_case = parse_market(CASES_5BUS / "market.json", net5_limited)
@@ -200,15 +200,10 @@ def test_criterion_8_dual_consistency(net5_limited, meters5, h5, z5, w5):
 
     for case in (base_case, perceived):
         solution = solve_dc_opf(case)
-        loads = case.load_by_bus()
-        for bus in case.network.buses:
-            bumped_loads = dict(loads)
-            bumped_loads[bus] += 0.1
-            bumped = DispatchCase(
-                network=case.network,
-                generators=case.generators,
-                loads=tuple(Load(bus=b, mw=mw) for b, mw in bumped_loads.items()),
-            )
+        for k, bus in enumerate(case.network.buses):
+            demand = case.demand.copy()
+            demand[k] += 0.1
+            bumped = DispatchCase(case.network, case.generators, demand)
             delta = solve_dc_opf(bumped).objective - solution.objective
             assert delta == pytest.approx(0.1 * solution.lmp[bus], abs=1e-3), (
                 f"bus {bus}: finite difference {delta} vs dual {0.1 * solution.lmp[bus]}"

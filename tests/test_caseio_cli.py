@@ -20,6 +20,7 @@ from conftest import CASES_5BUS, dense
 from fdilab import caseio
 from fdilab.cli import build_parser, main
 from fdilab.errors import ParseError, ValidationError
+from fdilab.network import Branch, NetworkModel
 
 
 # -- shipped file parsing ----------------------------------------------------------
@@ -40,13 +41,16 @@ def test_shipped_files_match_published_tables(net5, meters5, z5, market5):
         (3, 15.0, 300.0),
         (5, 30.0, 500.0),
     ]
-    assert [(l.bus, l.mw) for l in market5.loads] == [
+    loads = json.loads((CASES_5BUS / "market.json").read_text())["loads"]
+    assert [(rec["bus"], rec["mw"]) for rec in loads] == [
         (1, 100.0),
         (2, 100.0),
         (3, 200.0),
         (4, 40.0),
         (5, 60.0),
     ]
+    sums = {bus: sum(rec["mw"] for rec in loads if rec["bus"] == bus) for bus in net5.buses}
+    assert market5.demand.tolist() == [sums[bus] for bus in net5.buses]
 
 
 def test_empty_file_is_parse_error(tmp_path):
@@ -1035,6 +1039,27 @@ def test_readers_pass_domain_errors_through(tmp_path, net5):
     with pytest.raises(ValidationError, match="demand -1.0 < 0") as info:
         caseio.parse_market(_write(tmp_path / "market.json", doc), net5)
     assert not isinstance(info.value, ParseError)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_market_demand_sums_each_bus_records_in_file_order(seed):
+    # several loads per bus in shuffled order, some buses with none: each bus's demand is the
+    # sequential sum of its records in file order, bit for bit, the sums that round included
+    rng = np.random.default_rng(seed)
+    buses = [int(b) for b in rng.permutation(np.arange(1, 13))]
+    net = NetworkModel(tuple(buses), tuple(Branch(f, t, 0.1) for f, t in zip(buses, buses[1:])), buses[0])
+    at = rng.choice(buses[: rng.integers(1, 13)], rng.integers(0, 40))
+    mw = rng.uniform(0.0, 100.0, len(at)) * 10.0 ** rng.integers(-8, 8, len(at))
+    loads = [{"bus": int(b), "mw": float(d)} for b, d in zip(at, mw)]
+    doc = {"generators": [{"bus": buses[0], "price": 1.0, "pmax": 1e12}], "loads": loads}
+    with tempfile.TemporaryDirectory() as tmp:
+        demand = caseio.parse_market(_write(Path(tmp) / "market.json", doc), net).demand
+    expected = dict.fromkeys(buses, 0.0)
+    for rec in loads:
+        expected[rec["bus"]] += rec["mw"]
+    assert [float(d).hex() for d in demand] == [expected[b].hex() for b in buses]
+    assert not demand.flags.writeable
 
 
 # -- the keys of every record ---------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES_5BUS
@@ -17,12 +17,11 @@ from fdilab.estimation import WeightModel, wls_estimate
 from fdilab.market import (
     DispatchCase,
     Generator,
-    Load,
     arbitrage_profit,
     perceived_case_from_attack,
     solve_dc_opf,
 )
-from fdilab.network import Branch, MeterConfig, NetworkModel, build_h_matrix
+from fdilab.network import Branch, Meter, MeterConfig, NetworkModel, build_h_matrix
 from test_observability import networks
 
 MARKET_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -33,7 +32,7 @@ def single_bus_case(price=10.0, pmax=100.0, demand=50.0):
     return DispatchCase(
         network=net,
         generators=(Generator(bus=1, price=price, p_max=pmax),),
-        loads=(Load(bus=1, mw=demand),),
+        demand=(demand,),
     )
 
 
@@ -47,7 +46,7 @@ def two_bus_case(limit=10.0, cheap=10.0, dear=50.0, demand=40.0):
             Generator(bus=1, price=cheap, p_max=1000.0),
             Generator(bus=2, price=dear, p_max=1000.0),
         ),
-        loads=(Load(bus=2, mw=demand),),
+        demand=(0.0, demand),
     )
 
 
@@ -87,8 +86,7 @@ def test_pre_attack_market_uniform_price(market5):
 def test_nodal_balance_and_cost_identity(market5):
     result = solve_dc_opf(market5)
     net = market5.network
-    loads = market5.load_by_bus()
-    for bus in net.buses:
+    for bus, demand in zip(net.buses, market5.demand):
         gen = sum(
             out for g, out in zip(market5.generators, result.gen_output) if g.bus == bus
         )
@@ -97,7 +95,7 @@ def test_nodal_balance_and_cost_identity(market5):
             for i, br in enumerate(net.branches)
             if bus in (br.from_bus, br.to_bus)
         )
-        assert gen - loads[bus] - outflow == pytest.approx(0.0, abs=1e-6)
+        assert gen - demand - outflow == pytest.approx(0.0, abs=1e-6)
     cost = sum(g.price * out for g, out in zip(market5.generators, result.gen_output))
     assert cost == pytest.approx(result.objective, abs=1e-6)
 
@@ -112,7 +110,7 @@ def test_infeasible_by_line_limit():
     case = DispatchCase(
         network=net,
         generators=(Generator(bus=1, price=10.0, p_max=1000.0),),
-        loads=(Load(bus=2, mw=100.0),),
+        demand=(0.0, 100.0),
     )
     with pytest.raises(InfeasibleDispatch):
         solve_dc_opf(case)
@@ -133,31 +131,40 @@ def test_generator_and_load_validation():
         Generator(bus=1, price=10.0, p_max=5.0, p_min=6.0)
     with pytest.raises(ValidationError):
         Generator(bus=1, price=-1.0, p_max=5.0)
-    with pytest.raises(ValidationError):
-        Load(bus=1, mw=-2.0)
     with pytest.raises(ValidationError, match="^generator at bus 1: price -inf < 0$"):
         Generator(bus=1, price=-np.inf, p_max=5.0)
-    with pytest.raises(ValidationError, match="^load at bus 2: demand -inf < 0$"):
-        Load(bus=2, mw=-np.inf)
     for value in (np.nan, np.inf):
         with pytest.raises(ValidationError, match=f"^generator at bus 1: price {value} must be finite$"):
             Generator(bus=1, price=value, p_max=5.0)
-        with pytest.raises(ValidationError, match=f"^load at bus 2: demand {value} must be finite$"):
-            Load(bus=2, mw=value)
     net = NetworkModel(buses=(1,), branches=(), slack=1)
     with pytest.raises(UnknownBus):
-        DispatchCase(network=net, generators=(Generator(bus=7, price=1.0, p_max=1.0),), loads=())
+        DispatchCase(network=net, generators=(Generator(bus=7, price=1.0, p_max=1.0),), demand=(0.0,))
+    # a demand is one finite value >= 0 per bus
+    net = NetworkModel(buses=(4, 2, 9), branches=(Branch(4, 2, 0.1), Branch(2, 9, 0.1)), slack=4)
+    gens = (Generator(bus=4, price=1.0, p_max=1e3),)
+    for demand in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), np.ones((3, 1)), 5.0):
+        with pytest.raises(DimensionMismatch, match=r"^demand has shape \(.*\), not \(3,\): one value per bus$"):
+            DispatchCase(net, gens, demand)
+    for value, fault in ((-2.0, "< 0"), (-np.inf, "< 0"), (np.nan, "must be finite"), (np.inf, "must be finite")):
+        # the first bad bus in network order is named, here bus 2 before bus 9
+        with pytest.raises(ValidationError, match=f"^load at bus 2: demand {value} {fault}$"):
+            DispatchCase(net, gens, (1.0, value, -1.0))
+    given = np.array([1.0, 0.0, 3.5])
+    case = DispatchCase(net, gens, given)
+    given[0] = 7.0  # the case keeps a read-only copy
+    assert case.demand.tolist() == [1.0, 0.0, 3.5] and not case.demand.flags.writeable
+    assert case != DispatchCase(net, gens, given) and case == case  # compared by identity
 
 
 def test_a_case_without_a_generator_is_refused():
     # with no generator every LMP is an arbitrary dual; a positive demand is infeasible first
     net = NetworkModel(buses=(1,), branches=(), slack=1)
     with pytest.raises(ValidationError, match="^dispatch case has no generator$"):
-        DispatchCase(network=net, generators=(), loads=())
+        DispatchCase(network=net, generators=(), demand=(0.0,))
     with pytest.raises(InfeasibleDispatch, match="total capacity 0 MW < total demand 5.0 MW"):
-        DispatchCase(network=net, generators=(), loads=(Load(bus=1, mw=5.0),))
+        DispatchCase(network=net, generators=(), demand=(5.0,))
     with pytest.raises(ValidationError, match="^dispatch case has no generator$"):
-        DispatchCase(network=two_bus_case().network, generators=(), loads=(Load(bus=2, mw=0.0),))
+        DispatchCase(network=two_bus_case().network, generators=(), demand=(0.0, 0.0))
 
 
 # -- perceived case from an attack -------------------------------------------------
@@ -165,7 +172,7 @@ def test_a_case_without_a_generator_is_refused():
 def test_zero_flow_delta_keeps_case(market5, meters5):
     flows = np.array([0.91, -0.16, 0.19, 0.21, 0.89, 0.09])
     perceived = perceived_case_from_attack(market5, meters5, flows, flows)
-    assert perceived.load_by_bus() == market5.load_by_bus()
+    assert perceived.demand.tolist() == market5.demand.tolist()
 
 
 def test_perceived_case_needs_a_flow_per_meter(market5, meters5):
@@ -180,8 +187,8 @@ def test_single_branch_delta_moves_injections(market5, meters5):
     bumped = flows.copy()
     bumped[4] += 0.6  # +60 MW on the branch from bus 3 to bus 4
     perceived = perceived_case_from_attack(market5, meters5, flows, bumped)
-    loads0 = market5.load_by_bus()
-    loads1 = perceived.load_by_bus()
+    loads0 = dict(zip(market5.network.buses, market5.demand.tolist()))
+    loads1 = dict(zip(perceived.network.buses, perceived.demand.tolist()))
     assert loads1[3] == pytest.approx(loads0[3] - 60.0, abs=1e-9)
     assert loads1[4] == pytest.approx(loads0[4] + 60.0, abs=1e-9)
     for bus in (1, 2, 5):
@@ -200,15 +207,16 @@ def test_reversed_duplicate_meter_leaves_perceived_loads_unchanged(net5_limited,
         H, w = build_h_matrix(net5_limited, config), WeightModel(config.sigmas)
         atk = targeted_attack(H, {H.state_index(3): 0.03})
         clean, attacked = wls_estimate(H, z, w), wls_estimate(H, z + atk.a, w)
-        perceived.append(perceived_case_from_attack(market, config, clean.fitted, attacked.fitted).load_by_bus())
+        case = perceived_case_from_attack(market, config, clean.fitted, attacked.fitted)
+        perceived.append(dict(zip(net5_limited.buses, case.demand.tolist())))
     single, duplicated = perceived
     assert (single[3], single[4]) == pytest.approx((80.0, 100.0), abs=1e-9)
     assert duplicated == pytest.approx(single, abs=1e-9)
 
 
 def reference_perceived_loads(case, meters, before, after):
-    """The perceived loads by a loop over the meters, each branch through its first meter only,
-    as (bus, MW) pairs in bus order, or the message of the first negative demand."""
+    """The perceived demand by a loop over the meters, each branch through its first meter only,
+    as each bus's MW in hex, or the message of the first negative demand."""
     net = case.network
     delta_inj = dict.fromkeys(net.buses, 0.0)
     counted = set()
@@ -220,10 +228,9 @@ def reference_perceived_loads(case, meters, before, after):
         d_mw = meter.orientation * d_pu * net.base_mva
         delta_inj[br.from_bus] += d_mw
         delta_inj[br.to_bus] -= d_mw
-    loads = case.load_by_bus()
-    pairs = [(b, loads[b] - delta_inj[b]) for b in net.buses if loads[b] != 0.0 or delta_inj[b] != 0.0]
-    negative = [f"load at bus {b}: demand {mw} < 0" for b, mw in pairs if mw < 0]
-    return negative[0] if negative else [(b, float(mw).hex()) for b, mw in pairs]
+    demand = [mw - delta_inj[b] for b, mw in zip(net.buses, case.demand.tolist())]
+    negative = [f"load at bus {b}: demand {mw} < 0" for b, mw in zip(net.buses, demand) if mw < 0]
+    return negative[0] if negative else [mw.hex() for mw in demand]
 
 
 @settings(MARKET_SETTINGS, max_examples=400)  # cheap examples; a bus needs 3 shifts for order to show
@@ -231,16 +238,12 @@ def reference_perceived_loads(case, meters, before, after):
 def test_perceived_loads_equal_the_per_meter_loop_bit_for_bit(case, seed):
     # networks() puts reversed duplicates on some metered branches and its slack anywhere, so
     # some metered branches end at the slack; about half the buses carry no load, and some
-    # meters see no change, so buses with neither are left out
+    # meters see no change
     net, meters = case
     rng = np.random.default_rng(seed)
     net = NetworkModel(net.buses, net.branches, net.slack, base_mva=float(rng.choice([100.0, 37.5, 1e3])))
     demand = np.where(rng.random(len(net.buses)) < 0.5, rng.uniform(0.0, 300.0, len(net.buses)), 0.0)
-    market = DispatchCase(
-        network=net,
-        generators=(Generator(bus=net.slack, price=10.0, p_max=1e9),),
-        loads=tuple(Load(bus=b, mw=float(d)) for b, d in zip(net.buses, demand) if d > 0 or rng.random() < 0.2),
-    )
+    market = DispatchCase(net, (Generator(bus=net.slack, price=10.0, p_max=1e9),), demand)
     before = rng.normal(size=len(meters))
     shift = rng.normal(size=len(meters)) * 10.0 ** rng.uniform(-4, 4, len(meters))  # sums that round
     after = before + np.where(rng.random(len(meters)) < 0.7, shift, 0.0)
@@ -249,8 +252,32 @@ def test_perceived_loads_equal_the_per_meter_loop_bit_for_bit(case, seed):
     except ValidationError as exc:
         got = str(exc)
     else:
-        got = [(load.bus, float(load.mw).hex()) for load in perceived.loads]
+        got = [mw.hex() for mw in perceived.demand.tolist()]
     assert got == reference_perceived_loads(market, meters, before, after)
+
+
+@MARKET_SETTINGS
+@given(st.data())
+def test_an_attack_moves_flows_not_total_demand(data):
+    # the case's exact flows H x and H (x + c), c a shift at one loaded bus small enough to
+    # keep its demand >= 0, on every branch read once either way and some read twice
+    case = data.draw(markets())
+    net = case.network
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    loaded = [k for k, b in enumerate(net.state_buses) if case.demand[net.buses.index(b)] > 0]
+    assume(loaded)
+    reads = [(i, int(o)) for i in range(len(net.branches)) for o in rng.choice([1, -1], rng.integers(1, 3))]
+    meters = MeterConfig(tuple(Meter(branch=i, orientation=o) for i, o in reads))
+    H = build_h_matrix(net, meters)
+    k = loaded[rng.integers(len(loaded))]
+    bus = net.state_buses[k]
+    reach = sum(net.base_mva / br.x_pu for br in net.branches if bus in (br.from_bus, br.to_bus))
+    c = np.zeros(H.n)
+    c[k] = rng.uniform(0.05, 0.5) * case.demand[net.buses.index(bus)] / reach
+    x = rng.normal(size=H.n)
+    perceived = perceived_case_from_attack(case, meters, H.dot(x), H.dot(x + c))
+    assert not np.array_equal(perceived.demand, case.demand)
+    assert sum(perceived.demand.tolist()) == pytest.approx(sum(case.demand.tolist()), rel=1e-9)
 
 
 def test_profit_scenario_congestion(net5_limited, meters5, h5, z5, w5):
@@ -261,9 +288,7 @@ def test_profit_scenario_congestion(net5_limited, meters5, h5, z5, w5):
             Generator(bus=3, price=15.0, p_max=300.0),
             Generator(bus=5, price=30.0, p_max=500.0),
         ),
-        loads=tuple(
-            Load(bus=b, mw=mw) for b, mw in ((1, 100.0), (2, 100.0), (3, 200.0), (4, 40.0), (5, 60.0))
-        ),
+        demand=(100.0, 100.0, 200.0, 40.0, 60.0),
     )
     before = solve_dc_opf(market)
     assert before.binding_lines == ()
@@ -340,11 +365,10 @@ def reference_lp(case):
     cost = np.zeros(nv)
     cost[:ng] = [g.price for g in gens]
 
-    loads = case.load_by_bus()
     A_eq = np.zeros((len(net.buses), nv))
     b_eq = np.zeros(len(net.buses))
     for row, bus in enumerate(net.buses):
-        b_eq[row] = loads[bus]
+        b_eq[row] = case.demand[row]
         for gi, g in enumerate(gens):
             if g.bus == bus:
                 A_eq[row, gi] += 1.0
@@ -470,7 +494,7 @@ def markets(draw):
             Generator(bus=net.buses[k], price=float(p), p_max=float(c))
             for k, p, c in zip(at, rng.uniform(5.0, 50.0, len(at)), capacity)
         ),
-        loads=tuple(Load(bus=bus, mw=float(d)) for bus, d in zip(net.buses, demand) if d > 0),
+        demand=demand,
     )
 
 
@@ -555,7 +579,7 @@ def test_lp_of_1000_buses_is_built_without_a_dense_matrix():
     case = DispatchCase(
         network=NetworkModel(tuple(buses), branches, buses[0]),
         generators=tuple(Generator(bus=int(b), price=float(p), p_max=500.0) for b, p in zip(at, rng.uniform(5, 50, 100))),
-        loads=tuple(Load(bus=b, mw=float(d)) for b, d in zip(buses, rng.uniform(0.0, 40.0, 1000))),
+        demand=rng.uniform(0.0, 40.0, 1000),
     )
     solve_dc_opf(two_bus_case())  # scipy's lazy imports happen outside the trace
     tracemalloc.start()
@@ -577,18 +601,13 @@ def test_lmps_are_subgradients_of_the_optimal_cost():
     eps, tol = 0.1, 1e-3
     sides = Counter()
 
-    def cost_with(case, bus, delta):
-        loads = case.load_by_bus()
-        loads[bus] += delta
-        if loads[bus] < 0:
+    def cost_with(case, k, delta):
+        demand = case.demand.copy()
+        demand[k] += delta
+        if demand[k] < 0:
             return None
         try:
-            shifted = DispatchCase(
-                network=case.network,
-                generators=case.generators,
-                loads=tuple(Load(bus=b, mw=mw) for b, mw in loads.items()),
-            )
-            return solve_dc_opf(shifted).objective
+            return solve_dc_opf(DispatchCase(case.network, case.generators, demand)).objective
         except InfeasibleDispatch:
             return None
 
@@ -597,8 +616,8 @@ def test_lmps_are_subgradients_of_the_optimal_cost():
     def check(case):
         base = solve_dc_opf(case)
         both = False
-        for bus, lmp in base.lmp.items():
-            up, down = cost_with(case, bus, eps), cost_with(case, bus, -eps)
+        for k, lmp in enumerate(base.lmp.values()):  # in network bus order, as the demand
+            up, down = cost_with(case, k, eps), cost_with(case, k, -eps)
             if up is not None:
                 assert up - base.objective >= eps * lmp - tol
             if down is not None:

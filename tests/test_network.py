@@ -1,17 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import dense
+from fdilab.attack import random_constrained_attack, targeted_attack
 from fdilab.errors import (
     DisconnectedGraph,
     DuplicateBus,
     NonPositiveReactance,
     NumericalError,
     UnknownBranch,
+    UnknownBus,
     UnobservableConfiguration,
     ValidationError,
 )
 from fdilab.estimation import WeightModel, wls_estimate
+from fdilab.market import DispatchCase, Generator
 from fdilab.network import (
     Branch,
     MeasurementMatrix,
@@ -246,24 +251,28 @@ def test_meter_orientation_flips_sign():
         Meter(branch=0, orientation=0)
 
 
-def test_branch_index_lookup(net5):
-    resolve = net5.branch_resolver()
-    assert resolve(3, 4) == (4, +1)
-    assert resolve(4, 3) == (4, -1)
-    with pytest.raises(UnknownBranch):
-        resolve(1, 5)
+def _chain():
+    """Buses 1-2-3 with the slack at 3, so bus 1 has state column 0 and branch 1 exists."""
+    net = NetworkModel(buses=(1, 2, 3), branches=(Branch(1, 2, 0.1), Branch(2, 3, 0.1)), slack=3)
+    return net, build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=1))))
 
 
-def test_branch_index_takes_the_first_parallel_branch_either_way():
-    net = NetworkModel(
-        buses=(1, 2, 3),
-        branches=(Branch(2, 1, 0.1), Branch(1, 2, 0.2), Branch(2, 3, 0.1), Branch(2, 3, 0.3)),
-        slack=1,
-    )
-    resolve = net.branch_resolver()
-    assert resolve(1, 2) == (0, -1)
-    assert resolve(2, 1) == (0, +1)
-    assert resolve(2, 3) == (2, +1)
-    assert resolve(3, 2) == (2, -1)
-    with pytest.raises(UnknownBranch, match="no branch joins buses 1 and 3"):
-        resolve(1, 3)
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy bool"])
+@pytest.mark.parametrize("site, error, message", [
+    (lambda b: NetworkModel(buses=(b, 2), branches=(Branch(1, 2, 0.1),), slack=2),
+     ValidationError, "bus id {flag!r} must be a positive integer"),
+    (lambda b: _chain()[1].state_index(b), ValidationError, "bus {flag} has no state column (slack or unknown)"),
+    (lambda b: build_h_matrix(_chain()[0], MeterConfig((Meter(branch=0), Meter(branch=b)))),
+     UnknownBranch, "meter 1 references branch index {flag}"),
+    (lambda b: Meter(branch=0, orientation=b), ValidationError, "meter orientation {flag} must be +1 or -1"),
+    (lambda b: random_constrained_attack(_chain()[1], [b, 3, 5]),
+     ValidationError, "controlled meter index {flag} is not an integer"),
+    (lambda b: targeted_attack(_chain()[1], {b: 0.1}), ValidationError, "pinned state index {flag} is not an integer"),
+    (lambda b: DispatchCase(_chain()[0], (Generator(bus=b, price=1.0, p_max=1.0),), (0.0, 0.0, 0.0)),
+     UnknownBus, "generator references unknown bus {flag}"),
+], ids=["bus id", "state index", "meter branch", "meter orientation", "controlled meter", "pinned state",
+        "generator bus"])
+def test_a_boolean_is_not_an_id_or_an_index(site, error, message, flag):
+    # True == 1, so each site would read it as bus, branch, meter or state 1, or orientation +1
+    with pytest.raises(error, match=f"^{re.escape(message.format(flag=flag))}$"):
+        site(flag)

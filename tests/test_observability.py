@@ -13,6 +13,8 @@ direction and some read twice, once each way. Attacker footholds are
 random meter subsets.
 """
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,7 +35,7 @@ from fdilab.detection import (
     chi_square_test,
     residual_covariance,
 )
-from fdilab.errors import DegenerateFreedom, UnknownBranch, UnobservableConfiguration
+from fdilab.errors import DegenerateFreedom, UnknownBranch, UnobservableConfiguration, ValidationError
 from fdilab.estimation import WeightModel, WlsModel, simulate_measurements, wls_estimate
 from fdilab.network import Branch, MeasurementMatrix, Meter, MeterConfig, NetworkModel, _components, build_h_matrix
 from test_golden import write_grid_scenarios
@@ -64,21 +66,21 @@ def networks(draw):
     net = NetworkModel(buses=tuple(buses), branches=branches, slack=int(rng.choice(buses)))
 
     keep = rng.random() * 0.8 + 0.2
-    resolve = net.branch_resolver()
     meters = []
     for br in branches:
         if rng.random() < keep:
             ends = (br.from_bus, br.to_bus) if rng.random() < 0.5 else (br.to_bus, br.from_bus)
             reads = [ends, ends[::-1]] if rng.random() < 0.3 else [ends]
             for f, t in reads:
-                index, orientation = resolve(f, t)
+                index, orientation = scan_branch_index(net, f, t)
                 meters.append(Meter(branch=index, orientation=orientation))
     meters = [meters[i] for i in rng.permutation(len(meters))] or [Meter(branch=0)]
     return net, MeterConfig(tuple(meters))
 
 
 def scan_branch_index(net, from_bus, to_bus):
-    """The linear scan the lookup replaced: first branch in input order, either direction."""
+    """The branch a meter on (from_bus, to_bus) reads, by a linear scan: the first in input
+    order, either direction, with its orientation."""
     for i, br in enumerate(net.branches):
         if (br.from_bus, br.to_bus) == (from_bus, to_bus):
             return i, +1
@@ -130,22 +132,30 @@ def test_graph_walk_verdict_equals_full_rank(case):
 
 
 @PROPERTY_SETTINGS
-@given(networks())
-def test_branch_index_matches_the_linear_scan(case):
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_meter_files_parse_to_the_linear_scan(tmp_path_factory, case, seed):
+    # every ordered pair of distinct buses, joined or not, in random order: parallel branches
+    # stored either way name their first, and the first unjoined pair is refused by its position
     net, _ = case
-    resolve = net.branch_resolver()
-    for f in net.buses:
-        for t in net.buses:
-            if f == t:
-                continue
-            try:
-                expected = scan_branch_index(net, f, t)
-            except UnknownBranch as exc:
-                with pytest.raises(UnknownBranch) as info:
-                    resolve(f, t)
-                assert str(info.value) == str(exc)
-            else:
-                assert resolve(f, t) == expected
+    rng = np.random.default_rng(seed)
+    pairs = [(f, t) for f in net.buses for t in net.buses if f != t]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    expected = []
+    for i, (f, t) in enumerate(pairs):
+        try:
+            expected.append(scan_branch_index(net, f, t))
+        except UnknownBranch as exc:
+            expected.append(f"meters[{i}]: {exc}")
+    path = tmp_path_factory.mktemp("meters") / "meters.json"
+    path.write_text(json.dumps({"meters": [{"branch": list(pair)} for pair in pairs]}))
+    unjoined = [e for e in expected if isinstance(e, str)]
+    if unjoined:
+        with pytest.raises(ValidationError, match=f"^{re.escape(unjoined[0])}$"):
+            caseio.parse_meters(path, net)
+    joined = [{"branch": list(pair)} for pair, e in zip(pairs, expected) if not isinstance(e, str)]
+    path.write_text(json.dumps({"meters": joined}))
+    meters = caseio.parse_meters(path, net).meters
+    assert [(m.branch, m.orientation) for m in meters] == [e for e in expected if not isinstance(e, str)]
 
 
 @PROPERTY_SETTINGS
@@ -386,8 +396,8 @@ def seeded_300_bus_h() -> MeasurementMatrix:
     pairs += [tuple(int(b) for b in rng.choice(buses, 2, replace=False)) for _ in range(120)]
     reactances = rng.uniform(0.01, 0.5, len(pairs))
     net = NetworkModel(tuple(buses), tuple(Branch(f, t, float(x)) for (f, t), x in zip(pairs, reactances)), buses[0])
-    resolve = net.branch_resolver()
-    reads = [resolve(*pair) for f, t in pairs for pair in ([(f, t), (t, f)] if rng.random() < 0.3 else [(f, t)])]
+    both_ways = [[(f, t), (t, f)] if rng.random() < 0.3 else [(f, t)] for f, t in pairs]
+    reads = [scan_branch_index(net, *pair) for ways in both_ways for pair in ways]
     return build_h_matrix(net, MeterConfig(tuple(Meter(branch=i, orientation=o) for i, o in reads)))
 
 
