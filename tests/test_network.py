@@ -1,9 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from conftest import dense
+from fdilab import caseio
 from fdilab.attack import random_constrained_attack, targeted_attack
 from fdilab.errors import (
     DisconnectedGraph,
@@ -249,6 +251,31 @@ def test_meter_orientation_flips_sign():
     np.testing.assert_allclose(dense(forward), [[-2.0]])
     with pytest.raises(ValidationError, match=r"^meter orientation 0 must be \+1 or -1$"):
         Meter(branch=0, orientation=0)
+
+
+def _read_pairs(tmp_path, net, pairs):
+    """(branch, orientation) of each meter in a meter file listing the bus pairs."""
+    path = tmp_path / "meters.json"
+    path.write_text(json.dumps({"meters": [{"branch": list(pair)} for pair in pairs]}))
+    return [(m.branch, m.orientation) for m in caseio.parse_meters(path, net).meters]
+
+
+def test_branch_index_lookup(net5, tmp_path):
+    assert _read_pairs(tmp_path, net5, [(3, 4), (4, 3)]) == [(4, +1), (4, -1)]
+    with pytest.raises(ValidationError, match=r"^meters\[1\]: no branch joins buses 1 and 5$"):
+        _read_pairs(tmp_path, net5, [(3, 4), (1, 5)])
+
+
+def test_branch_index_takes_the_first_parallel_branch_either_way(tmp_path):
+    net = NetworkModel(
+        buses=(1, 2, 3),
+        branches=(Branch(2, 1, 0.1), Branch(1, 2, 0.2), Branch(2, 3, 0.1), Branch(2, 3, 0.3)),
+        slack=1,
+    )
+    pairs = [(1, 2), (2, 1), (2, 3), (3, 2)]
+    assert _read_pairs(tmp_path, net, pairs) == [(0, -1), (0, +1), (2, +1), (2, -1)]
+    with pytest.raises(ValidationError, match=r"^meters\[0\]: no branch joins buses 1 and 3$"):
+        _read_pairs(tmp_path, net, [(1, 3)])
 
 
 def _chain():

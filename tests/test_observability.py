@@ -133,7 +133,7 @@ def test_graph_walk_verdict_equals_full_rank(case):
 
 @PROPERTY_SETTINGS
 @given(networks(), st.integers(0, 2**32 - 1))
-def test_meter_files_parse_to_the_linear_scan(tmp_path_factory, case, seed):
+def test_branch_index_matches_the_linear_scan(tmp_path_factory, case, seed):
     # every ordered pair of distinct buses, joined or not, in random order: parallel branches
     # stored either way name their first, and the first unjoined pair is refused by its position
     net, _ = case
