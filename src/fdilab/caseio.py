@@ -250,13 +250,12 @@ def parse_market(path, net: NetworkModel) -> DispatchCase:
     negative demand is refused, though the bus's sum may be >= 0."""
     generators, loads = fields(load_json(path), _MARKET, path)
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
-    row = {bus: k for k, bus in enumerate(net.buses)}
-    demand = [0.0] * len(row)
+    demand = [0.0] * len(net.buses)
     for i, rec in enumerate(loads):
         bus, mw = fields(rec, _LOAD, path, "loads", i)
         if mw < 0:  # finite: _number refuses the rest
             raise ValidationError(f"load at bus {bus}: demand {mw} < 0")
-        if bus not in row:
+        if bus not in net.position:
             raise UnknownBus(f"load references unknown bus {bus}")
-        demand[row[bus]] += mw
+        demand[net.position[bus]] += mw
     return DispatchCase(net, generators, demand)

@@ -70,9 +70,8 @@ class DispatchCase:
                 raise ValidationError(f"load at bus {bus}: demand {value} {_fault(value)}")
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "demand", demand)
-        known = set(buses)
         for g in self.generators:
-            if type(g.bus) in _BOOLS or g.bus not in known:
+            if type(g.bus) in _BOOLS or g.bus not in self.network.position:
                 raise UnknownBus(f"generator references unknown bus {g.bus}")
         total_cap = sum(g.p_max for g in self.generators)
         total_min = sum(g.p_min for g in self.generators)
@@ -138,8 +137,7 @@ def solve_dc_opf(case: DispatchCase) -> DispatchResult:
     # from-bus balance row and into the to-bus row, so a cell sums its terms as a dense matrix
     # would. The k-th branch with a flow limit has +flow <= limit and -flow <= limit as A_ub
     # rows 2k and 2k + 1.
-    order = np.argsort(net.buses)
-    gen_rows = order[np.searchsorted(net.buses, [g.bus for g in gens], sorter=order)]
+    gen_rows = [net.position[g.bus] for g in gens]
     coef = net.base_mva / net.reactances
     cols = net.columns[:, [0, 0, 1, 1]]  # each term's angle column, once per balance row
     rows = np.concatenate((gen_rows, net.ends[:, [0, 1, 0, 1]].ravel()))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 
 BusId = int
 _BOOLS = frozenset((bool, np.bool_))  # True == 1, but a boolean is no id or index
+_INTP_MAX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,15 +65,18 @@ class Branch:
 class NetworkModel:
     """Validated, immutable bus/branch graph with a designated slack bus.
 
-    The numeric layers read the branches as read-only arrays, one row per branch in
-    input order: ``ends``, the positions in ``buses`` of its (from, to) buses;
-    ``columns``, their state columns, the slack being column n; ``reactances``; and
-    ``limits_mw``, NaN for an unlimited line."""
+    ``position`` maps each bus id to its row in ``buses``, read-only, and ``state_buses``
+    lists the non-slack buses in input order, the state's column order. The numeric layers
+    read the branches as read-only arrays, one row per branch in input order: ``ends``, the
+    positions in ``buses`` of its (from, to) buses; ``columns``, their state columns, the
+    slack being column n; ``reactances``; and ``limits_mw``, NaN for an unlimited line."""
 
     buses: tuple[BusId, ...]
     branches: tuple[Branch, ...]
     slack: BusId
     base_mva: float = 100.0
+    position: MappingProxyType = field(init=False, repr=False, compare=False)
+    state_buses: tuple[BusId, ...] = field(init=False, repr=False, compare=False)
     ends: np.ndarray = field(init=False, repr=False, compare=False)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
     reactances: np.ndarray = field(init=False, repr=False, compare=False)
@@ -104,6 +109,8 @@ class NetworkModel:
             missing = sorted(b for b, k in zip(node, label) if k != label[node[self.slack]])
             raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {self.slack}")
         ends, slack = np.array(nodes, dtype=np.intp).reshape(-1, 2), node[self.slack]
+        object.__setattr__(self, "position", MappingProxyType(node))
+        object.__setattr__(self, "state_buses", self.buses[:slack] + self.buses[slack + 1:])
         columns = ends - (ends > slack)
         columns[ends == slack] = len(node) - 1  # the slack's column, n
         reactances = np.array([br.x_pu for br in self.branches], dtype=float)
@@ -111,11 +118,6 @@ class NetworkModel:
         for name, values in ("ends", ends), ("columns", columns), ("reactances", reactances), ("limits_mw", limits):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-
-    @property
-    def state_buses(self) -> tuple[BusId, ...]:
-        """Non-slack buses in input order; defines the state/column ordering."""
-        return tuple(b for b in self.buses if b != self.slack)
 
 
 def _components(size: int, edges) -> list[int]:
@@ -158,16 +160,23 @@ class Meter:
 
 @dataclass(frozen=True)
 class MeterConfig:
+    """Meters, with their ``branch``, ``orientation`` and ``sigmas`` as read-only columns, one
+    row per meter. ``branch`` is -1 where a record's index is no intp integer >= 0, such as
+    True, 1.0 or 2**64; ``build_h_matrix`` refuses it by name."""
+
     meters: tuple[Meter, ...]
+    branch: np.ndarray = field(init=False, repr=False, compare=False)
+    orientation: np.ndarray = field(init=False, repr=False, compare=False)
+    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "meters", tuple(self.meters))
         if not self.meters:
             raise ValidationError("meter configuration is empty")
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([m.sigma for m in self.meters], dtype=float)
+        rows = [(m.branch if isinstance(m.branch, (int, np.integer)) and type(m.branch) is not bool
+                 and 0 <= m.branch <= _INTP_MAX else -1, m.orientation, m.sigma) for m in self.meters]
+        for name, dtype, values in zip(("branch", "orientation", "sigmas"), (np.intp, float, float), zip(*rows)):
+            object.__setattr__(self, name, _read_only(values, dtype))
 
     def __len__(self) -> int:
         return len(self.meters)
@@ -260,14 +269,9 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
 
 
 def _meter_branches(net: NetworkModel, meters: MeterConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The branch index and the orientation of each meter, as arrays; an index that names no
-    branch of ``net``, such as 1.5, True or an int of any size, is an UnknownBranch naming the
-    first such meter."""
-    valid = range(len(net.branches))
-    branch = np.array(
-        [m.branch if m.branch in valid and type(m.branch) not in _BOOLS else -1 for m in meters.meters], dtype=np.intp
-    )
-    row = int(branch.argmin())  # the first -1, if any
-    if branch[row] < 0:
-        raise UnknownBranch(f"meter {row} references branch index {meters.meters[row].branch}")
-    return branch, np.array([m.orientation for m in meters.meters], dtype=float)
+    """The meters' ``branch`` and ``orientation`` columns; an index that names no branch of
+    ``net``, such as 1.5, True or an int of any size, is an UnknownBranch naming the first such meter."""
+    bad = np.flatnonzero((meters.branch < 0) | (meters.branch >= len(net.branches)))
+    if bad.size:
+        raise UnknownBranch(f"meter {bad[0]} references branch index {meters.meters[bad[0]].branch}")
+    return meters.branch, meters.orientation
