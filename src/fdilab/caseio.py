@@ -37,8 +37,9 @@ from .network import Branch, Meter, MeterConfig, NetworkModel
 
 
 def load_json(path) -> dict:
-    """Read a JSON document; a key repeated in one object is a ParseError. Its numbers are
-    judged by the readers of their keys, which know where each one stands."""
+    """Read a JSON document; a key repeated in one object, or lists and objects nested about
+    1,000 deep, is a ParseError. Its numbers are judged by the readers of their keys, which
+    know where each one stands."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -61,6 +62,8 @@ def load_json(path) -> dict:
         raise ParseError(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
     except ValueError as exc:  # an integer of more digits than int() reads, 4,300 by default
         raise ParseError(path, "-", str(exc)) from exc
+    except RecursionError:  # lists or objects nested past the interpreter's recursion limit; json gives no position
+        raise ParseError(path, "-", "lists or objects nest too deep to read") from None
 
 
 def _locate_repeated_key(text: str) -> None:

@@ -94,16 +94,17 @@ class NetworkModel:
             if b in node:
                 raise DuplicateBus(f"bus id {b} appears more than once")
             node[b] = len(node)
-        if self.slack not in node:
+        if type(self.slack) in _BOOLS or self.slack not in node:
             raise ValidationError(f"slack bus {self.slack} is not in the bus list")
         if not (self.base_mva > 0 and all(math.isfinite(self.base_mva / br.x_pu) for br in self.branches)):
             raise ValidationError(f"base_mva {self.base_mva} must be > 0, and finite over every reactance")
-        try:  # each branch's (from, to) nodes, flat: numpy reads a flat list far faster than pairs
-            nodes = [node[b] for br in self.branches for b in (br.from_bus, br.to_bus)]
-        except KeyError as exc:
-            bus = exc.args[0]  # the first branch with this bus is the one that raised
-            br = next(br for br in self.branches if bus in (br.from_bus, br.to_bus))
-            raise ValidationError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {bus}") from None
+        # each branch's (from, to) nodes, flat: numpy reads a flat list far faster than pairs; -1 for no bus here
+        nodes = [-1 if type(b) in _BOOLS else node.get(b, -1) for br in self.branches for b in (br.from_bus, br.to_bus)]
+        if -1 in nodes:
+            k = nodes.index(-1)  # the first end that names no bus of the list
+            br = self.branches[k // 2]
+            bus = (br.from_bus, br.to_bus)[k % 2]
+            raise ValidationError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {bus}")
         label = _components(len(node), zip(nodes[::2], nodes[1::2]))
         if any(label):  # not every node is in node 0's component
             missing = sorted(b for b, k in zip(node, label) if k != label[node[self.slack]])

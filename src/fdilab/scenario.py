@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import caseio
-from .attack import AttackVector, random_constrained_attack, targeted_attack
+from .attack import AttackVector, _index, random_constrained_attack, targeted_attack
 from .caseio import REQUIRED, _choice, _decimal, _integer, _items, _list, _number, _object, _optional, _text, fields
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import FdiLabError, ParseError, ValidationError
@@ -255,10 +255,11 @@ def _build_attack_vector(spec, H: MeasurementMatrix) -> tuple[np.ndarray | None,
         atk = targeted_attack(H, pinned)
         return atk.a, atk
     if isinstance(spec, GrossErrorSpec):
-        if not 0 <= spec.meter < H.m:
-            raise ValidationError(f"gross error meter {spec.meter} out of range 0..{H.m - 1}")
+        meter = _index(spec.meter, "gross error meter")
+        if not 0 <= meter < H.m:
+            raise ValidationError(f"gross error meter {meter} out of range 0..{H.m - 1}")
         a = np.zeros(H.m)
-        a[spec.meter] = spec.magnitude_pu
+        a[meter] = spec.magnitude_pu
         return a, None
     raise ValidationError(f"unsupported attack spec {spec!r}")
 

@@ -474,6 +474,20 @@ def test_cli_integer_longer_than_int_reads_exits_2(capsys, tmp_path):
     assert err.startswith(f"error: stage=measurements ParseError: {path}: -: Exceeds the limit") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name, text", [
+    (("detect", "--case", CASES_5BUS / "network.json", "--meters", CASES_5BUS / "meters.json", "--measurements"),
+     "measurements.json", '{"values_pu": ' + "[" * 1500 + "]" * 1500 + "}"),
+    (("scenario", "run"), "scenario.json", '{"a": ' * 1200 + "1" + "}" * 1200),
+], ids=["list nest", "object nest"])
+def test_cli_json_nested_past_the_recursion_limit_exits_2(capsys, tmp_path, command, name, text):
+    # json's C scanner raises RecursionError, with no position, about 1,000 levels down
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *command, path)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"ParseError: {path}: -: lists or objects nest too deep to read\n") and err.count("\n") == 1
+
+
 def test_load_json_keeps_a_long_integer_that_a_float_holds(tmp_path):
     p = tmp_path / "doc.json"
     p.write_text(f'{{"values_pu": [{10**308}, -{10**307}]}}')  # 309 and 308 digits

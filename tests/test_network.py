@@ -27,6 +27,7 @@ from fdilab.network import (
     NetworkModel,
     build_h_matrix,
 )
+from fdilab.scenario import GrossErrorSpec, _build_attack_vector
 
 
 def two_bus(x=1.0):
@@ -215,6 +216,21 @@ def test_unknown_branch_in_meter_config(net5):
             build_h_matrix(net5, meters)
 
 
+@pytest.mark.parametrize("index", [1.0, np.float64(1.0)], ids=["float", "numpy float"])
+def test_a_whole_float_is_not_a_branch_index(net5, index):
+    # 1.0 == 1, but a meter's branch column holds only integers
+    meters = MeterConfig((Meter(branch=0), Meter(branch=index)))
+    with pytest.raises(UnknownBranch, match=r"^meter 1 references branch index 1\.0$"):
+        build_h_matrix(net5, meters)
+
+
+def test_numpy_integer_branch_indices_build_the_same_h(net5, meters5, h5):
+    as_numpy = MeterConfig(tuple(Meter(np.int64(m.branch), m.orientation, m.sigma) for m in meters5.meters))
+    H = build_h_matrix(net5, as_numpy)
+    assert H.edges.tobytes() == h5.edges.tobytes() and H.weights.tobytes() == h5.weights.tobytes()
+    assert H.state_buses == h5.state_buses
+
+
 def test_unobservable_meter_placement(net5):
     # four copies of one meter cannot observe four states
     meters = MeterConfig(tuple(Meter(branch=0) for _ in range(4)))
@@ -297,9 +313,22 @@ def _chain():
     (lambda b: targeted_attack(_chain()[1], {b: 0.1}), ValidationError, "pinned state index {flag} is not an integer"),
     (lambda b: DispatchCase(_chain()[0], (Generator(bus=b, price=1.0, p_max=1.0),), (0.0, 0.0, 0.0)),
      UnknownBus, "generator references unknown bus {flag}"),
+    (lambda b: NetworkModel(buses=(1, 2, 3), branches=(Branch(1, 2, 0.1), Branch(2, 3, 0.1)), slack=b),
+     ValidationError, "slack bus {flag} is not in the bus list"),
+    (lambda b: NetworkModel(buses=(1, 2, 3), branches=(Branch(b, 2, 0.1), Branch(2, 3, 0.1)), slack=1),
+     ValidationError, "branch {flag}-2 references unknown bus {flag}"),
+    (lambda b: _build_attack_vector(GrossErrorSpec(meter=b, magnitude_pu=0.5), _chain()[1]),
+     ValidationError, "gross error meter index {flag} is not an integer"),
 ], ids=["bus id", "state index", "meter branch", "meter orientation", "controlled meter", "pinned state",
-        "generator bus"])
+        "generator bus", "slack", "branch end", "gross error meter"])
 def test_a_boolean_is_not_an_id_or_an_index(site, error, message, flag):
     # True == 1, so each site would read it as bus, branch, meter or state 1, or orientation +1
     with pytest.raises(error, match=f"^{re.escape(message.format(flag=flag))}$"):
         site(flag)
+
+
+@pytest.mark.parametrize("meter", [1.0, np.float64(1.0)], ids=["float", "numpy float"])
+def test_a_float_gross_error_meter_is_not_an_index(meter):
+    # 1.0 == 1, but a float indexes no meter, and numpy's IndexError is no FdiLabError
+    with pytest.raises(ValidationError, match=r"^gross error meter index 1\.0 is not an integer$"):
+        _build_attack_vector(GrossErrorSpec(meter=meter, magnitude_pu=0.5), _chain()[1])

@@ -48,6 +48,12 @@ def test_detector_spec_still_importable_from_scenario():
     assert DetectorSpec is detection.DetectorSpec
 
 
+def test_an_unknown_attack_spec_fails_at_the_attack_stage():
+    with pytest.raises(ValidationError, match="^unsupported attack spec 'random'$") as info:
+        run_scenario(simulated_scenario(attack="random"))
+    assert info.value.stage == "attack"
+
+
 def test_case1_clean_passes_both():
     report = run_scenario(parse_scenario(CASES_5BUS / "case1.json"))
     assert len(report.detections) == 2
