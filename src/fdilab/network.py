@@ -174,10 +174,12 @@ class MeterConfig:
         object.__setattr__(self, "meters", tuple(self.meters))
         if not self.meters:
             raise ValidationError("meter configuration is empty")
-        rows = [(m.branch if isinstance(m.branch, (int, np.integer)) and type(m.branch) is not bool
-                 and 0 <= m.branch <= _INTP_MAX else -1, m.orientation, m.sigma) for m in self.meters]
-        for name, dtype, values in zip(("branch", "orientation", "sigmas"), (np.intp, float, float), zip(*rows)):
-            object.__setattr__(self, name, _read_only(values, dtype))
+        # a list per column: a tuple per meter would set off the garbage collector's passes over the heap
+        index = [m.branch if (type(m.branch) is int or isinstance(m.branch, np.integer)) and 0 <= m.branch <= _INTP_MAX
+                 else -1 for m in self.meters]  # a bool is neither
+        object.__setattr__(self, "branch", _read_only(index, np.intp))
+        object.__setattr__(self, "orientation", _read_only([m.orientation for m in self.meters]))
+        object.__setattr__(self, "sigmas", _read_only([m.sigma for m in self.meters]))
 
     def __len__(self) -> int:
         return len(self.meters)
@@ -253,20 +255,19 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     and fails where its gain is factored, as SingularGainMatrix. H is the
     walked graph: one column pair and one weight per meter, the slack being column n.
     """
-    state = net.state_buses
-    n = len(state)
+    n = len(net.state_buses)
     branch, orientation = _meter_branches(net, meters)
     edges = net.columns[branch]  # each meter's (from, to) columns, put in order below
     weights = np.where(edges[:, 0] < edges[:, 1], orientation, -orientation) / net.reactances[branch]
     edges.sort(axis=1)
     label = _components(n + 1, edges.tolist())
     if any(label):  # not every node is in column 0's component
-        unobserved = sorted(state[k] for k in range(n) if label[k] != label[n])
+        unobserved = sorted(net.state_buses[k] for k in range(n) if label[k] != label[n])
         raise UnobservableConfiguration(
             f"rank(H) < {n}: buses {unobserved} are not joined to slack bus "
             f"{net.slack} by metered branches, so the placement does not observe the full state"
         )
-    return MeasurementMatrix(state, edges, weights)
+    return MeasurementMatrix(net.state_buses, edges, weights)
 
 
 def _meter_branches(net: NetworkModel, meters: MeterConfig) -> tuple[np.ndarray, np.ndarray]:
