@@ -192,9 +192,9 @@ def perceived_case_from_attack(
         raise DimensionMismatch("flow vectors must both be dimensioned to the meter set")
 
     net = case.network
-    branch, orientation = _meter_branches(net, meters)
+    branch = _meter_branches(net, meters)
     first = np.sort(np.unique(branch, return_index=True)[1])  # each branch's first meter, in meter order
-    d_mw = orientation[first] * (after - before)[first] * net.base_mva  # delta of each from->to flow
+    d_mw = meters.orientation[first] * (after - before)[first] * net.base_mva  # delta of each from->to flow
     delta_inj = np.bincount(net.ends[branch[first]].ravel(), (d_mw[:, None] * [1.0, -1.0]).ravel(), len(net.buses))
     return DispatchCase(net, case.generators, case.demand - delta_inj)
 

@@ -256,9 +256,9 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     walked graph: one column pair and one weight per meter, the slack being column n.
     """
     n = len(net.state_buses)
-    branch, orientation = _meter_branches(net, meters)
+    branch = _meter_branches(net, meters)
     edges = net.columns[branch]  # each meter's (from, to) columns, put in order below
-    weights = np.where(edges[:, 0] < edges[:, 1], orientation, -orientation) / net.reactances[branch]
+    weights = np.where(edges[:, 0] < edges[:, 1], meters.orientation, -meters.orientation) / net.reactances[branch]
     edges.sort(axis=1)
     label = _components(n + 1, edges.tolist())
     if any(label):  # not every node is in column 0's component
@@ -270,10 +270,10 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
     return MeasurementMatrix(net.state_buses, edges, weights)
 
 
-def _meter_branches(net: NetworkModel, meters: MeterConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The meters' ``branch`` and ``orientation`` columns; an index that names no branch of
-    ``net``, such as 1.5, True or an int of any size, is an UnknownBranch naming the first such meter."""
+def _meter_branches(net: NetworkModel, meters: MeterConfig) -> np.ndarray:
+    """The meters' ``branch`` column; an index that names no branch of ``net``, such as 1.5,
+    True or an int of any size, is an UnknownBranch naming the first such meter."""
     bad = np.flatnonzero((meters.branch < 0) | (meters.branch >= len(net.branches)))
     if bad.size:
         raise UnknownBranch(f"meter {bad[0]} references branch index {meters.meters[bad[0]].branch}")
-    return meters.branch, meters.orientation
+    return meters.branch
