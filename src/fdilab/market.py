@@ -22,7 +22,7 @@ from .errors import (
     UnknownBus,
     ValidationError,
 )
-from .network import _BOOLS, BusId, MeterConfig, NetworkModel, _meter_branches, _read_only
+from .network import BusId, MeterConfig, NetworkModel, _is_int, _meter_branches, _read_only
 
 # |flow| within this many MW of the limit counts as binding.
 BINDING_TOLERANCE_MW = 1e-6
@@ -65,17 +65,18 @@ class DispatchCase:
         if demand.shape != (len(buses),):
             raise DimensionMismatch(f"demand has shape {demand.shape}, not ({len(buses)},): one value per bus")
         values = demand.tolist()
-        for bus, value in zip(buses, values):
-            if not 0 <= value < np.inf:
-                raise ValidationError(f"load at bus {bus}: demand {value} {_fault(value)}")
+        total_demand = sum(values)
+        if not (0 <= min(values, default=0.0) and total_demand < np.inf):  # a NaN or inf makes the sum NaN or inf
+            for bus, value in zip(buses, values):
+                if not 0 <= value < np.inf:
+                    raise ValidationError(f"load at bus {bus}: demand {value} {_fault(value)}")
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "demand", demand)
         for g in self.generators:
-            if type(g.bus) in _BOOLS or g.bus not in self.network.position:
+            if not _is_int(g.bus) or g.bus not in self.network.position:
                 raise UnknownBus(f"generator references unknown bus {g.bus}")
         total_cap = sum(g.p_max for g in self.generators)
         total_min = sum(g.p_min for g in self.generators)
-        total_demand = sum(values)
         if total_cap < total_demand:
             raise InfeasibleDispatch(
                 f"total capacity {total_cap} MW < total demand {total_demand} MW"

@@ -15,7 +15,9 @@ of the network, the observability of a placement and the attack null space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -30,7 +32,6 @@ from .errors import (
 )
 
 BusId = int
-_BOOLS = frozenset((bool, np.bool_))  # True == 1, but a boolean is no id or index
 _INTP_MAX = np.iinfo(np.intp).max
 
 
@@ -61,32 +62,59 @@ class Branch:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class NetworkModel:
-    """Validated, immutable bus/branch graph with a designated slack bus.
+    """Validated, immutable bus/branch graph with a designated slack bus, kept as columns.
 
     ``position`` maps each bus id to its row in ``buses``, read-only, and ``state_buses``
-    lists the non-slack buses in input order, the state's column order. The numeric layers
-    read the branches as read-only arrays, one row per branch in input order: ``ends``, the
-    positions in ``buses`` of its (from, to) buses; ``columns``, their state columns, the
-    slack being column n; ``reactances``; and ``limits_mw``, NaN for an unlimited line."""
+    lists the non-slack buses in input order, the state's column order. The branches are
+    read-only arrays, one row per branch in input order: ``ends``, the positions in ``buses``
+    of its (from, to) buses; ``columns``, their state columns, the slack being column n;
+    ``reactances``; and ``limits_mw``, NaN for an unlimited line. ``branches`` views them as
+    ``Branch`` records: the ones a model was built from, or, for a model read by
+    ``from_columns``, records formed on first access. The model compares by identity, as it
+    holds arrays."""
 
     buses: tuple[BusId, ...]
-    branches: tuple[Branch, ...]
     slack: BusId
     base_mva: float = 100.0
-    position: MappingProxyType = field(init=False, repr=False, compare=False)
-    state_buses: tuple[BusId, ...] = field(init=False, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    reactances: np.ndarray = field(init=False, repr=False, compare=False)
-    limits_mw: np.ndarray = field(init=False, repr=False, compare=False)
+    position: MappingProxyType = field(init=False, repr=False)
+    state_buses: tuple[BusId, ...] = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
+    reactances: np.ndarray = field(init=False, repr=False)
+    limits_mw: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "branches", tuple(self.branches))
+    def __init__(self, buses, branches, slack, base_mva=100.0):
+        self.__dict__["branches"] = branches = tuple(branches)
+        self._read(buses, *([getattr(br, key) for br in branches] for key in Branch.__slots__), slack, base_mva)
+
+    @classmethod
+    def from_columns(cls, buses, from_bus: list, to_bus: list, x_pu: list, limit_mw: list, slack,
+                     base_mva=100.0) -> NetworkModel:
+        """The model of branches given as one list per ``Branch`` field, one entry per branch in
+        input order, checked as a model of those records is."""
+        return cls.__new__(cls)._read(buses, from_bus, to_bus, x_pu, limit_mw, slack, base_mva)
+
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        limits = [None if math.isnan(limit) else limit for limit in self.limits_mw.tolist()]
+        return tuple(Branch(self.buses[i], self.buses[j], x, limit)
+                     for (i, j), x, limit in zip(self.ends.tolist(), self.reactances.tolist(), limits))
+
+    def _read(self, buses, from_bus, to_bus, x_pu, limit_mw, slack, base_mva) -> NetworkModel:
+        """Check the columns, each branch's own checks first, as its record is read before the
+        network, and keep them. Whole-column checks find a fault; the branches are then checked
+        one by one, so the first refused one's error is raised."""
+        buses, limits = tuple(buses), np.array(limit_mw, dtype=float)  # None: NaN
+        least = min(x_pu, default=math.inf)
+        # a NaN or infinite reactance makes the sum NaN or infinite, which min may not show
+        if any(map(operator.eq, from_bus, to_bus)) or (limits <= 0).any() or not (
+                least > 0 and math.isfinite(1.0 / float(least)) and math.isfinite(sum(x_pu))):
+            for record in zip(from_bus, to_bus, x_pu, limit_mw):
+                Branch(*record)
         node: dict[BusId, int] = {}  # each bus's node in the graph walk
-        for b in self.buses:
+        for b in buses:
             if type(b) is not int or b <= 0:  # bool is not int here
                 raise ValidationError(f"bus id {b!r} must be a positive integer")
             if b >= 2**63:  # reports keep bus ids in int64 arrays
@@ -94,31 +122,42 @@ class NetworkModel:
             if b in node:
                 raise DuplicateBus(f"bus id {b} appears more than once")
             node[b] = len(node)
-        if type(self.slack) in _BOOLS or self.slack not in node:
-            raise ValidationError(f"slack bus {self.slack} is not in the bus list")
-        if not (self.base_mva > 0 and all(math.isfinite(self.base_mva / br.x_pu) for br in self.branches)):
-            raise ValidationError(f"base_mva {self.base_mva} must be > 0, and finite over every reactance")
-        # each branch's (from, to) nodes, flat: numpy reads a flat list far faster than pairs; -1 for no bus here
-        nodes = [-1 if type(b) in _BOOLS else node.get(b, -1) for br in self.branches for b in (br.from_bus, br.to_bus)]
-        if -1 in nodes:
-            k = nodes.index(-1)  # the first end that names no bus of the list
-            br = self.branches[k // 2]
-            bus = (br.from_bus, br.to_bus)[k % 2]
-            raise ValidationError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {bus}")
-        label = _components(len(node), zip(nodes[::2], nodes[1::2]))
+        if not _is_int(slack) or slack not in node:
+            raise ValidationError(f"slack bus {slack} is not in the bus list")
+        if not (base_mva > 0 and math.isfinite(base_mva / least)):  # the largest base_mva / x_pu
+            raise ValidationError(f"base_mva {base_mva} must be > 0, and finite over every reactance")
+        head, tail = _nodes(node, from_bus), _nodes(node, to_bus)
+        if None in head or None in tail:
+            k = next(k for k, pair in enumerate(zip(head, tail)) if None in pair)  # the first branch with one
+            bus = from_bus[k] if head[k] is None else to_bus[k]
+            raise ValidationError(f"branch {from_bus[k]}-{to_bus[k]} references unknown bus {bus}")
+        label = _components(len(node), zip(head, tail))
         if any(label):  # not every node is in node 0's component
-            missing = sorted(b for b, k in zip(node, label) if k != label[node[self.slack]])
-            raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {self.slack}")
-        ends, slack = np.array(nodes, dtype=np.intp).reshape(-1, 2), node[self.slack]
-        object.__setattr__(self, "position", MappingProxyType(node))
-        object.__setattr__(self, "state_buses", self.buses[:slack] + self.buses[slack + 1:])
-        columns = ends - (ends > slack)
-        columns[ends == slack] = len(node) - 1  # the slack's column, n
-        reactances = np.array([br.x_pu for br in self.branches], dtype=float)
-        limits = np.array([math.nan if br.limit_mw is None else br.limit_mw for br in self.branches], dtype=float)
-        for name, values in ("ends", ends), ("columns", columns), ("reactances", reactances), ("limits_mw", limits):
+            missing = sorted(b for b, k in zip(node, label) if k != label[node[slack]])
+            raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {slack}")
+        row = node[slack]
+        ends, reactances = np.array((head, tail), dtype=np.intp).T.copy(), np.array(x_pu, dtype=float)
+        columns = ends - (ends > row)
+        columns[ends == row] = len(node) - 1  # the slack's column, n
+        for values in ends, columns, reactances, limits:
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        self.__dict__.update(buses=buses, slack=slack, base_mva=base_mva, position=MappingProxyType(node),
+                             state_buses=buses[:row] + buses[row + 1:], ends=ends, columns=columns,
+                             reactances=reactances, limits_mw=limits)
+        return self
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer: a bool, which equals 0 or 1, and a float,
+    which may equal an int, are neither, so neither is a bus id or an index."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _nodes(node: dict, ids: list) -> list:
+    """The node of each id in ``ids``, None where it names no bus of ``node``."""
+    if not set(map(type, ids)) <= {int}:  # most columns
+        ids = [b if _is_int(b) else None for b in ids]
+    return list(map(node.get, ids))
 
 
 def _components(size: int, edges) -> list[int]:
@@ -153,36 +192,53 @@ class Meter:
     sigma: float = 0.01
 
     def __post_init__(self):
-        if type(self.orientation) in _BOOLS or self.orientation not in (+1, -1):
+        if isinstance(self.orientation, (bool, np.bool_)) or self.orientation not in (+1, -1):  # True == 1
             raise ValidationError(f"meter orientation {self.orientation} must be +1 or -1")
         if not self.sigma > 0:
             raise ValidationError(f"meter sigma {self.sigma} must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MeterConfig:
-    """Meters, with their ``branch``, ``orientation`` and ``sigmas`` as read-only columns, one
-    row per meter. ``branch`` is -1 where a record's index is no intp integer >= 0, such as
-    True, 1.0 or 2**64; ``build_h_matrix`` refuses it by name."""
+    """Meters, kept as read-only columns, one row per meter: ``branch``, ``orientation`` and
+    ``sigmas``. ``branch`` is -1 where a record's index is no intp integer >= 0, such as True,
+    1.0 or 2**64; ``build_h_matrix`` refuses it by name. ``meters`` views them as ``Meter``
+    records: the ones a configuration was built from, or, for one read by ``from_columns``,
+    records formed on first access. The configuration compares by identity."""
 
-    meters: tuple[Meter, ...]
-    branch: np.ndarray = field(init=False, repr=False, compare=False)
-    orientation: np.ndarray = field(init=False, repr=False, compare=False)
-    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    branch: np.ndarray = field(init=False, repr=False)
+    orientation: np.ndarray = field(init=False, repr=False)
+    sigmas: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "meters", tuple(self.meters))
-        if not self.meters:
-            raise ValidationError("meter configuration is empty")
+    def __init__(self, meters):
+        self.__dict__["meters"] = meters = tuple(meters)
         # a list per column: a tuple per meter would set off the garbage collector's passes over the heap
-        index = [m.branch if (type(m.branch) is int or isinstance(m.branch, np.integer)) and 0 <= m.branch <= _INTP_MAX
-                 else -1 for m in self.meters]  # a bool is neither
-        object.__setattr__(self, "branch", _read_only(index, np.intp))
-        object.__setattr__(self, "orientation", _read_only([m.orientation for m in self.meters]))
-        object.__setattr__(self, "sigmas", _read_only([m.sigma for m in self.meters]))
+        index = [m.branch if _is_int(m.branch) and 0 <= m.branch <= _INTP_MAX else -1 for m in meters]
+        self._read(index, [m.orientation for m in meters], [m.sigma for m in meters])
+
+    @classmethod
+    def from_columns(cls, branch, orientation, sigmas: list) -> MeterConfig:
+        """The configuration of meters given as one column per ``Meter`` field, one entry per meter,
+        each branch an index >= 0, checked as a configuration of those records is."""
+        return cls.__new__(cls)._read(branch, orientation, sigmas)
+
+    @cached_property
+    def meters(self) -> tuple[Meter, ...]:
+        return tuple(Meter(b, int(o), s) for b, o, s in zip(self.branch.tolist(), self.orientation.tolist(),
+                                                            self.sigmas.tolist()))
+
+    def _read(self, branch, orientation, sigmas: list) -> MeterConfig:
+        if not sigmas:
+            raise ValidationError("meter configuration is empty")
+        if not min(sigmas) > 0 or math.isnan(sum(sigmas)):  # each meter's own checks find the first refused
+            for record in zip(branch, orientation, sigmas):
+                Meter(*record)
+        self.__dict__.update(branch=_read_only(branch, np.intp), orientation=_read_only(orientation),
+                             sigmas=_read_only(sigmas))
+        return self
 
     def __len__(self) -> int:
-        return len(self.meters)
+        return len(self.sigmas)
 
 
 def _read_only(values, dtype=float) -> np.ndarray:
@@ -229,7 +285,7 @@ class MeasurementMatrix:
         return _dot(self.edges, self.weights, x)
 
     def state_index(self, bus: BusId) -> int:
-        if type(bus) in _BOOLS or bus not in self.state_buses:
+        if not _is_int(bus) or bus not in self.state_buses:
             raise ValidationError(f"bus {bus} has no state column (slack or unknown)")
         return self.state_buses.index(bus)
 
@@ -273,7 +329,7 @@ def build_h_matrix(net: NetworkModel, meters: MeterConfig) -> MeasurementMatrix:
 def _meter_branches(net: NetworkModel, meters: MeterConfig) -> np.ndarray:
     """The meters' ``branch`` column; an index that names no branch of ``net``, such as 1.5,
     True or an int of any size, is an UnknownBranch naming the first such meter."""
-    bad = np.flatnonzero((meters.branch < 0) | (meters.branch >= len(net.branches)))
+    bad = np.flatnonzero((meters.branch < 0) | (meters.branch >= len(net.ends)))
     if bad.size:
         raise UnknownBranch(f"meter {bad[0]} references branch index {meters.meters[bad[0]].branch}")
     return meters.branch

@@ -292,31 +292,48 @@ def _chain():
     return net, build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=1))))
 
 
-@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy bool"])
-@pytest.mark.parametrize("site, error, message", [
-    (lambda b: NetworkModel(buses=(b, 2), branches=(Branch(1, 2, 0.1),), slack=2),
-     ValidationError, "bus id {flag!r} must be a positive integer"),
-    (lambda b: _chain()[1].state_index(b), ValidationError, "bus {flag} has no state column (slack or unknown)"),
-    (lambda b: build_h_matrix(_chain()[0], MeterConfig((Meter(branch=0), Meter(branch=b)))),
-     UnknownBranch, "meter 1 references branch index {flag}"),
-    (lambda b: Meter(branch=0, orientation=b), ValidationError, "meter orientation {flag} must be +1 or -1"),
-    (lambda b: random_constrained_attack(_chain()[1], [b, 3, 5]),
-     ValidationError, "controlled meter index {flag} is not an integer"),
-    (lambda b: targeted_attack(_chain()[1], {b: 0.1}), ValidationError, "pinned state index {flag} is not an integer"),
-    (lambda b: DispatchCase(_chain()[0], (Generator(bus=b, price=1.0, p_max=1.0),), (0.0, 0.0, 0.0)),
-     UnknownBus, "generator references unknown bus {flag}"),
-    (lambda b: NetworkModel(buses=(1, 2, 3), branches=(Branch(1, 2, 0.1), Branch(2, 3, 0.1)), slack=b),
-     ValidationError, "slack bus {flag} is not in the bus list"),
-    (lambda b: NetworkModel(buses=(1, 2, 3), branches=(Branch(b, 2, 0.1), Branch(2, 3, 0.1)), slack=1),
-     ValidationError, "branch {flag}-2 references unknown bus {flag}"),
-    (lambda b: _build_attack_vector(GrossErrorSpec(meter=b, magnitude_pu=0.5), _chain()[1]),
-     ValidationError, "gross error meter index {flag} is not an integer"),
-], ids=["bus id", "state index", "meter branch", "meter orientation", "controlled meter", "pinned state",
-        "generator bus", "slack", "branch end", "gross error meter"])
+# each site that reads a bus id, an index or an orientation -> (the site, its error, its message)
+ID_SITES = {
+    "bus id": (lambda b: NetworkModel(buses=(b, 2), branches=(Branch(1, 2, 0.1),), slack=2),
+               ValidationError, "bus id {flag!r} must be a positive integer"),
+    "state index": (lambda b: _chain()[1].state_index(b), ValidationError, "bus {flag} has no state column (slack or unknown)"),
+    "meter branch": (lambda b: build_h_matrix(_chain()[0], MeterConfig((Meter(branch=0), Meter(branch=b)))),
+                     UnknownBranch, "meter 1 references branch index {flag}"),
+    "meter orientation": (lambda b: Meter(branch=0, orientation=b), ValidationError, "meter orientation {flag} must be +1 or -1"),
+    "controlled meter": (lambda b: random_constrained_attack(_chain()[1], [b, 3, 5]),
+                         ValidationError, "controlled meter index {flag} is not an integer"),
+    "pinned state": (lambda b: targeted_attack(_chain()[1], {b: 0.1}), ValidationError, "pinned state index {flag} is not an integer"),
+    "generator bus": (lambda b: DispatchCase(_chain()[0], (Generator(bus=b, price=1.0, p_max=1.0),), (0.0, 0.0, 0.0)),
+                      UnknownBus, "generator references unknown bus {flag}"),
+    "slack": (lambda b: NetworkModel(buses=(1, 2, 3), branches=(Branch(1, 2, 0.1), Branch(2, 3, 0.1)), slack=b),
+              ValidationError, "slack bus {flag} is not in the bus list"),
+    "branch end": (lambda b: NetworkModel(buses=(1, 2, 3), branches=(Branch(b, 2, 0.1), Branch(2, 3, 0.1)), slack=1),
+                   ValidationError, "branch {flag}-2 references unknown bus {flag}"),
+    "gross error meter": (lambda b: _build_attack_vector(GrossErrorSpec(meter=b, magnitude_pu=0.5), _chain()[1]),
+                          ValidationError, "gross error meter index {flag} is not an integer"),
+}
+FLAGS = {"bool": True, "numpy bool": np.True_, "float": 1.0, "numpy float": np.float64(1.0)}
+FLOAT_SITES = {"state index", "generator bus", "slack", "branch end"}  # the sites that read a whole float as an int
+
+
+@pytest.mark.parametrize("site, error, message, flag", [
+    pytest.param(*ID_SITES[name], flag, id=f"{name}-{kind}")
+    for name in ID_SITES for kind, flag in FLAGS.items() if "bool" in kind or name in FLOAT_SITES
+])
 def test_a_boolean_is_not_an_id_or_an_index(site, error, message, flag):
-    # True == 1, so each site would read it as bus, branch, meter or state 1, or orientation +1
+    # True == 1 and 1.0 == 1, so each site would read them as bus, branch, meter or state 1, or orientation +1
     with pytest.raises(error, match=f"^{re.escape(message.format(flag=flag))}$"):
         site(flag)
+
+
+def test_a_numpy_integer_id_still_names_its_bus():
+    # the sites that refuse a boolean or a float as an id read a numpy integer as its int
+    net = NetworkModel(buses=(1, 2, 3), branches=(Branch(np.int64(1), 2, 0.1), Branch(2, np.int64(3), 0.1)),
+                       slack=np.int64(3))
+    assert net.ends.tolist() == [[0, 1], [1, 2]] and net.state_buses == (1, 2)
+    assert build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=1)))).state_index(np.int64(2)) == 1
+    case = DispatchCase(net, (Generator(bus=np.int64(2), price=1.0, p_max=1.0),), (0.0, 1.0, 0.0))
+    assert case.network.position[case.generators[0].bus] == 1
 
 
 @pytest.mark.parametrize("meter", [1.0, np.float64(1.0)], ids=["float", "numpy float"])
