@@ -17,10 +17,11 @@ refuses is a ParseError naming the file, the object and the key, such as
 a number written as a string ("2") or a boolean, a scenario ``name`` that is not a string and
 ``detectors`` that are not a list are such values. Semantic problems raise the domain's errors.
 
-The branches, meters and loads are read a column at a time, one list per key, each checked
-whole, and the network and meter set are built from the columns. When a check refuses, the
-records are read again one by one, each with ``fields`` and then its own checks, up to the
-first one refused, so a file's first fault is reported as a record-by-record read reports it.
+The branches and meters are read a column at a time, one list per key, each checked whole,
+and the network and meter set are built from the columns. When a check refuses, the records
+are read again one by one, each with ``fields`` and then its own checks, up to the first one
+refused, so a file's first fault is reported as a record-by-record read reports it. A market's
+generators and loads are read record by record.
 
 ``_decimal`` and ``_real`` read a number written as text, such as a CLI option's value: ASCII
 digits only, as strictly as the readers above read a JSON number.
@@ -306,22 +307,18 @@ def parse_measurements(path) -> np.ndarray:
 
 
 def parse_market(path, net: NetworkModel) -> DispatchCase:
-    """Read a market file; each bus's demand sums its load records in file order. A record's
-    negative demand is refused, though the bus's sum may be >= 0."""
+    """Read a market file record by record; each bus's demand sums its load records in file
+    order. A record's negative demand is refused, though the bus's sum may be >= 0."""
     generators, loads = fields(load_json(path), _MARKET, path)
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
-    try:
-        buses, mw = _columns(loads, _LOAD)
-        rows = [net.position.get(bus, -1) for bus in buses]
-        if -1 in rows or min(mw, default=0.0) < 0:  # finite: _number refuses the rest
-            raise ValueError("a negative load, or a load at an unknown bus")
-    except ValueError:  # some record is refused: read them one by one, up to the first refused
-        for i, rec in enumerate(loads):
-            bus, mw = fields(rec, _LOAD, path, "loads", i)
-            if mw < 0:
-                raise ValidationError(f"load at bus {bus}: demand {mw} < 0")
-            if bus not in net.position:
-                raise UnknownBus(f"load references unknown bus {bus}")
-        raise
+    rows, demand = [], []
+    for i, rec in enumerate(loads):
+        bus, mw = fields(rec, _LOAD, path, "loads", i)
+        if mw < 0:  # finite: _number refuses the rest
+            raise ValidationError(f"load at bus {bus}: demand {mw} < 0")
+        if bus not in net.position:
+            raise UnknownBus(f"load references unknown bus {bus}")
+        rows.append(net.position[bus])
+        demand.append(mw)
     # bincount adds each row's loads in file order, as a sum from 0.0 record by record would
-    return DispatchCase(net, generators, np.bincount(np.array(rows, dtype=np.intp), mw, len(net.buses)))
+    return DispatchCase(net, generators, np.bincount(np.array(rows, dtype=np.intp), demand, len(net.buses)))

@@ -65,11 +65,9 @@ class DispatchCase:
         if demand.shape != (len(buses),):
             raise DimensionMismatch(f"demand has shape {demand.shape}, not ({len(buses)},): one value per bus")
         values = demand.tolist()
-        total_demand = sum(values)
-        if not (0 <= min(values, default=0.0) and total_demand < np.inf):  # a NaN or inf makes the sum NaN or inf
-            for bus, value in zip(buses, values):
-                if not 0 <= value < np.inf:
-                    raise ValidationError(f"load at bus {bus}: demand {value} {_fault(value)}")
+        for bus, value in zip(buses, values):
+            if not 0 <= value < np.inf:
+                raise ValidationError(f"load at bus {bus}: demand {value} {_fault(value)}")
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "demand", demand)
         for g in self.generators:
@@ -77,6 +75,7 @@ class DispatchCase:
                 raise UnknownBus(f"generator references unknown bus {g.bus}")
         total_cap = sum(g.p_max for g in self.generators)
         total_min = sum(g.p_min for g in self.generators)
+        total_demand = sum(values)
         if total_cap < total_demand:
             raise InfeasibleDispatch(
                 f"total capacity {total_cap} MW < total demand {total_demand} MW"
@@ -98,10 +97,9 @@ class DispatchResult:
     binding_lines: tuple[int, ...]    # branch indices at their limit
 
     def lmp_at(self, bus: BusId) -> float:
-        try:
-            return self.lmp[bus]
-        except KeyError:
-            raise UnknownBus(f"no LMP for unknown bus {bus}") from None
+        if not _is_int(bus) or bus not in self.lmp:  # True == 1.0 == 1, but neither is a bus id
+            raise UnknownBus(f"no LMP for unknown bus {bus}")
+        return self.lmp[bus]
 
 
 def _summed(shape, rows, cols, values, keep):

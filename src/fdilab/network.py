@@ -115,13 +115,13 @@ class NetworkModel:
                 Branch(*record)
         node: dict[BusId, int] = {}  # each bus's node in the graph walk
         for b in buses:
-            if type(b) is not int or b <= 0:  # bool is not int here
+            if not _is_int(b) or b <= 0:
                 raise ValidationError(f"bus id {b!r} must be a positive integer")
             if b >= 2**63:  # reports keep bus ids in int64 arrays
                 raise ValidationError(f"bus id {b} must be below 2**63")
             if b in node:
                 raise DuplicateBus(f"bus id {b} appears more than once")
-            node[b] = len(node)
+            node[int(b)] = len(node)
         if not _is_int(slack) or slack not in node:
             raise ValidationError(f"slack bus {slack} is not in the bus list")
         if not (base_mva > 0 and math.isfinite(base_mva / least)):  # the largest base_mva / x_pu
@@ -141,7 +141,8 @@ class NetworkModel:
         columns[ends == row] = len(node) - 1  # the slack's column, n
         for values in ends, columns, reactances, limits:
             values.flags.writeable = False
-        self.__dict__.update(buses=buses, slack=slack, base_mva=base_mva, position=MappingProxyType(node),
+        buses = tuple(node)  # each id as a Python int, a numpy integer one included
+        self.__dict__.update(buses=buses, slack=int(slack), base_mva=base_mva, position=MappingProxyType(node),
                              state_buses=buses[:row] + buses[row + 1:], ends=ends, columns=columns,
                              reactances=reactances, limits_mw=limits)
         return self

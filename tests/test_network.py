@@ -18,7 +18,7 @@ from fdilab.errors import (
     ValidationError,
 )
 from fdilab.estimation import WeightModel, wls_estimate
-from fdilab.market import DispatchCase, Generator
+from fdilab.market import DispatchCase, DispatchResult, Generator
 from fdilab.network import (
     Branch,
     MeasurementMatrix,
@@ -311,9 +311,11 @@ ID_SITES = {
                    ValidationError, "branch {flag}-2 references unknown bus {flag}"),
     "gross error meter": (lambda b: _build_attack_vector(GrossErrorSpec(meter=b, magnitude_pu=0.5), _chain()[1]),
                           ValidationError, "gross error meter index {flag} is not an integer"),
+    "lmp bus": (lambda b: DispatchResult(np.zeros(1), np.zeros(2), {1: 10.0, 2: 20.0, 3: 30.0}, 0.0, ()).lmp_at(b),
+                UnknownBus, "no LMP for unknown bus {flag}"),
 }
 FLAGS = {"bool": True, "numpy bool": np.True_, "float": 1.0, "numpy float": np.float64(1.0)}
-FLOAT_SITES = {"state index", "generator bus", "slack", "branch end"}  # the sites that read a whole float as an int
+FLOAT_SITES = {"state index", "generator bus", "slack", "branch end", "lmp bus"}  # the sites that read a whole float as an int
 
 
 @pytest.mark.parametrize("site, error, message, flag", [
@@ -334,6 +336,11 @@ def test_a_numpy_integer_id_still_names_its_bus():
     assert build_h_matrix(net, MeterConfig((Meter(branch=0), Meter(branch=1)))).state_index(np.int64(2)) == 1
     case = DispatchCase(net, (Generator(bus=np.int64(2), price=1.0, p_max=1.0),), (0.0, 1.0, 0.0))
     assert case.network.position[case.generators[0].bus] == 1
+    # a numpy bus list is read, and its ids and the slack are kept as Python ints
+    for buses in (np.int64(1), 2, np.int64(3)), np.arange(1, 4):
+        net = NetworkModel(buses=buses, branches=(Branch(1, 2, 0.1), Branch(2, 3, 0.1)), slack=np.int64(3))
+        assert net.buses == (1, 2, 3) and net.ends.tolist() == [[0, 1], [1, 2]]
+        assert {type(b) for b in (*net.buses, *net.position, *net.state_buses, net.slack)} == {int}
 
 
 @pytest.mark.parametrize("meter", [1.0, np.float64(1.0)], ids=["float", "numpy float"])
