@@ -23,6 +23,13 @@ are read again one by one, each with ``fields`` and then its own checks, up to t
 refused, so a file's first fault is reported as a record-by-record read reports it. A market's
 generators and loads are read record by record.
 
+Files are read as UTF-8, whatever the locale. ``parse_network``, ``parse_meters`` and
+``parse_market`` each keep one entry: the text of the last file they accepted, the network it was
+read against and the object they returned. A call whose file text equals the entry's, read against
+the same network object, returns that object, so the runs of one grid parse its files once; any
+other call parses, and its result takes the entry. Every object a reader returns is read-only, and
+a refused file raises on every call and is never kept.
+
 ``_decimal`` and ``_real`` read a number written as text, such as a CLI option's value: ASCII
 digits only, as strictly as the readers above read a JSON number.
 """
@@ -30,6 +37,7 @@ digits only, as strictly as the readers above read a JSON number.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import re
@@ -43,14 +51,22 @@ from .network import Branch, Meter, MeterConfig, NetworkModel
 
 
 def load_json(path) -> dict:
-    """Read a JSON document; a key repeated in one object, or lists and objects nested about
-    1,000 deep, is a ParseError. Its numbers are judged by the readers of their keys, which
+    """Read a JSON document, as UTF-8 whatever the locale; a key repeated in one object, or lists and objects
+    nested about 1,000 deep, is a ParseError. Its numbers are judged by the readers of their keys, which
     know where each one stands."""
-    path = Path(path)
+    return _decode(Path(path), _read_text(path))
+
+
+def _read_text(path) -> str:
+    """The text of a file, read as UTF-8 (RFC 8259), or a ParseError."""
     try:
-        text = path.read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: text that is not UTF-8, a NUL in the path
-        raise ParseError(path, "-", f"cannot read file: {exc}") from exc
+        raise ParseError(Path(path), "-", f"cannot read file: {exc}") from exc
+
+
+def _decode(path: Path, text: str) -> dict:
+    """The JSON document of ``text``, the text of ``path``, as ``load_json`` reads it."""
     if not text.strip():
         raise ParseError(path, "line 1", "file is empty")
 
@@ -253,9 +269,31 @@ _GENERATOR = {"bus": (_integer, REQUIRED), "price": (_number, REQUIRED), "pmax":
 _LOAD = {"bus": (_integer, REQUIRED), "mw": (_number, REQUIRED)}
 
 
-def parse_network(path) -> NetworkModel:
+# Each memoised reader's one entry, replaced in one assignment: (the text of the last file it accepted,
+# the network it was read against, what it returned).
+_last: dict = {}
+
+
+def _kept(parse):
+    """``parse(path, document, *net)`` as a reader ``(path, *net)`` that keeps one entry in ``_last``: a call
+    whose file text equals the entry's, read against the same network object, returns the entry's object;
+    any other decodes that text and parses it, and its result takes the entry. So the result is a pure
+    function of the text the document is decoded from, and a refused file is never kept."""
+
+    @functools.wraps(parse)
+    def read(path, *net):
+        text, entry = _read_text(path), _last.get(parse.__name__, ())  # one read: a thread may replace the entry
+        if entry[:2] != (text, net):  # a NetworkModel compares by identity
+            entry = _last[parse.__name__] = (text, net, parse(path, _decode(Path(path), text), *net))
+        return entry[2]
+
+    return read
+
+
+@_kept
+def parse_network(path, document) -> NetworkModel:
     """Read a network file; ``base_mva`` defaults to 100, and a missing or null ``limit_mw`` leaves a line unlimited."""
-    base_mva, slack, buses, records = fields(load_json(path), _NETWORK, path)
+    base_mva, slack, buses, records = fields(document, _NETWORK, path)
     try:
         columns = _columns(records, _BRANCH)
     except ValueError:  # some record is refused: read them one by one, up to the first refused
@@ -265,10 +303,11 @@ def parse_network(path) -> NetworkModel:
     return NetworkModel.from_columns(buses, *columns, slack, base_mva)
 
 
-def parse_meters(path, net: NetworkModel) -> MeterConfig:
+@_kept
+def parse_meters(path, document, net: NetworkModel) -> MeterConfig:
     """Read a meter file: each listed bus pair names the first branch in input order that joins
     the two buses, whichever way it is stored, read from the pair's first bus to its second."""
-    (records,) = fields(load_json(path), _METERS, path)
+    (records,) = fields(document, _METERS, path)
     try:
         ends, sigmas = _columns(records, _METER)
         branch, orientation = _first_branches(net, ends)
@@ -306,10 +345,11 @@ def parse_measurements(path) -> np.ndarray:
     return np.array(values, dtype=float)  # finite: _number refuses the rest
 
 
-def parse_market(path, net: NetworkModel) -> DispatchCase:
+@_kept
+def parse_market(path, document, net: NetworkModel) -> DispatchCase:
     """Read a market file record by record; each bus's demand sums its load records in file
     order. A record's negative demand is refused, though the bus's sum may be >= 0."""
-    generators, loads = fields(load_json(path), _MARKET, path)
+    generators, loads = fields(document, _MARKET, path)
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
     rows, demand = [], []
     for i, rec in enumerate(loads):

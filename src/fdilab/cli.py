@@ -43,12 +43,15 @@ def _pipeline_report(args, methods=()):
 
 
 def _cmd_report(args) -> int:
-    """Print the text that ``args.report`` returns; write the file its renderer makes to ``--out`` if given."""
+    """Print the text that ``args.report`` returns; write the file its renderer makes to ``--out`` if given.
+    Both are UTF-8, whatever the locale."""
     text, render = args.report(args)
+    if sys.stdout.encoding not in (None, "utf-8"):  # None: a StringIO; a case file's names are UTF-8
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     sys.stdout.write(text)
     if args.out:
         try:
-            Path(args.out).write_text(render())
+            Path(args.out).write_text(render(), encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return 0

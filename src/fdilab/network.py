@@ -97,6 +97,11 @@ class NetworkModel:
         return cls.__new__(cls)._read(buses, from_bus, to_bus, x_pu, limit_mw, slack, base_mva)
 
     @cached_property
+    def state_bus_ids(self) -> np.ndarray:
+        """``state_buses`` as a read-only int array, formed once and shared by every report of the model."""
+        return _read_only(self.state_buses, int)
+
+    @cached_property
     def branches(self) -> tuple[Branch, ...]:
         limits = [None if math.isnan(limit) else limit for limit in self.limits_mw.tolist()]
         return tuple(Branch(self.buses[i], self.buses[j], x, limit)

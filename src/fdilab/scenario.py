@@ -223,15 +223,25 @@ def parse_scenario(path) -> Scenario:
 
 # -- pipeline ------------------------------------------------------------------
 
+# (meter set, its WeightModel) of the last meter set _load_model served, compared by identity and held
+# strongly, so that identity is never reused: the reports of one meter set share one read-only sigmas array.
+_last_weights: tuple = (None, None)
+
+
 def _load_model(
     network_path, meters_path
 ) -> tuple[NetworkModel, MeterConfig, MeasurementMatrix, WeightModel]:
-    """Parse a network and its meters, then build H and the weights: the front of every pipeline."""
+    """Parse a network and its meters, then build H and the weights: the front of every pipeline.
+    H, and so its model and gain factor, is built per call."""
+    global _last_weights
     with _stage("parse"):
         net = caseio.parse_network(network_path)
         meters = caseio.parse_meters(meters_path, net)
     with _stage("model"):
-        return net, meters, build_h_matrix(net, meters), WeightModel(meters.sigmas)
+        H, entry = build_h_matrix(net, meters), _last_weights  # one read: another thread may replace the entry
+        if entry[0] is not meters:
+            entry = _last_weights = (meters, WeightModel(meters.sigmas))
+        return net, meters, H, entry[1]
 
 
 @_stage("attack")
@@ -434,7 +444,7 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
 
     return ScenarioReport(
         name=scn.name,
-        state_buses=_read_only(net.state_buses, int),
+        state_buses=net.state_bus_ids,
         branch_ends=_branch_ends(net, None if scn.market is not None else 0),
         measured=z_observed,
         observed=observed,

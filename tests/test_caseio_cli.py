@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -344,6 +345,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "lmp(bus 4) = 15.000000" in proc.stdout
+
+
+def test_cli_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259): under the C locale, with no locale coercion or UTF-8 mode, a name
+    # read from a case file is printed, and --out written, with the bytes of a UTF-8 run
+    name = "Übung — bus 3"
+    scenario = dict(json.loads((CASES_5BUS / "case1.json").read_text()), name=name,
+                    network=str(CASES_5BUS / "network.json"), meters=str(CASES_5BUS / "meters.json"),
+                    measurements={"file": str(CASES_5BUS / "measurements.json")})
+    (tmp_path / "case.json").write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "LANG", "PYTHONIO"))}
+    runs = []
+    for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+        out = tmp_path / f"out-{len(runs)}.csv"
+        proc = subprocess.run([sys.executable, "-m", "fdilab", "scenario", "run", "case.json", "--out", str(out)],
+                              cwd=tmp_path, capture_output=True, env=dict(env, PYTHONPATH=src, **locale))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        runs.append((proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].startswith(f"scenario: {name}\n".encode())
 
 
 # -- non-finite input ---------------------------------------------------------------
