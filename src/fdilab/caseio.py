@@ -14,14 +14,13 @@ Every reader reads each JSON object against its format's table of each key's rea
 default. A missing required key, a key the format does not list or a value its key's reader
 refuses is a ParseError naming the file, the object and the key, such as
 ``meters.json: meters[0].sigma: '0.01' is not a number``; ``fields`` forms it. A bus id "x",
-a number written as a string ("2") or a boolean, a scenario ``name`` that is not a string and
-``detectors`` that are not a list are such values. Semantic problems raise the domain's errors.
+a number written as a string ("2") or a boolean, a string that UTF-8 cannot encode, a scenario
+``name`` that is not a string and ``detectors`` that are not a list are such values. Semantic
+problems raise the domain's errors.
 
-The branches and meters are read a column at a time, one list per key, each checked whole,
-and the network and meter set are built from the columns. When a check refuses, the records
-are read again one by one, each with ``fields`` and then its own checks, up to the first one
-refused, so a file's first fault is reported as a record-by-record read reports it. A market's
-generators and loads are read record by record.
+Each record is read once, with ``fields`` and then its own checks (``Branch``, ``Meter``,
+``Generator`` and a load's), so a file's first faulty record is the one reported, and the
+network, meter set and market are built from the records read.
 
 Files are read as UTF-8, whatever the locale. ``parse_network``, ``parse_meters`` and
 ``parse_market`` each keep one entry: the text of the last file they accepted, the network it was
@@ -160,20 +159,27 @@ def _of_type(kind: type, name: str):
     return read
 
 
-_text, _list, _object = _of_type(str, "a string"), _of_type(list, "a list"), _of_type(dict, "an object")
+_string, _list, _object = _of_type(str, "a string"), _of_type(list, "a list"), _of_type(dict, "an object")
+
+
+def _text(value) -> str:
+    """A JSON string that UTF-8 encodes. json reads an escaped lone surrogate, such as ``"\\ud800"``,
+    into a string that UTF-8 cannot encode, so no report or ``--out`` file could hold it."""
+    try:
+        _string(value).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{value!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+    return value
 
 
 def _items(read):
     """A reader of a JSON list whose items ``read`` reads, as a tuple."""
-    return lambda value: tuple(_column(_list(value), read))
+    return lambda value: tuple([read(item) for item in _list(value)])
 
 
 def _optional(read):
     """``read``, with null read as None."""
     return lambda value: None if value is None else read(value)
-
-
-_optional_number = _optional(_number)
 
 
 def _choice(options: dict, what: str):
@@ -190,33 +196,6 @@ def _pair(value) -> tuple[int, int]:
     if type(value) is not list or len(value) != 2:
         raise ValueError("expected a [from, to] bus pair")
     return _integer(value[0]), _integer(value[1])
-
-
-# the types of the values each reader returns as they are, a float only when finite
-_AS_READ = {_integer: {int}, _number: {float}, _optional_number: {float, type(None)}}
-
-
-def _column(values: list, read) -> list:
-    """``values``, each read by ``read``; the values of a bus pair reader flat, each pair's from and
-    to bus in turn. A column of values that ``read`` returns as they are is checked in one pass over
-    their types and one sum, which is finite only when every float is; the reader reads any other,
-    and raises a ValueError at the first value it refuses."""
-    kinds = set(map(type, values))
-    if read is _pair:
-        if not kinds <= {list} or not set(map(len, values)) <= {2}:
-            raise ValueError("expected a [from, to] bus pair")
-        return _column([bus for pair in values for bus in pair], _integer)
-    if kinds <= _AS_READ.get(read, set()) and (int in kinds or math.isfinite(sum(filter(None, values)))):
-        return values
-    return list(map(read, values))
-
-
-def _columns(records: list, table: dict) -> list[list]:
-    """The values of ``records``' keys in ``table`` order, one ``_column`` per key, with a key's default
-    where a record lacks it; a ValueError where ``fields`` refuses some record."""
-    if not set(map(type, records)) <= {dict} or not set().union(*records) <= table.keys():
-        raise ValueError("a record that is not an object, or a key its format does not list")
-    return [_column([record.get(key, default) for record in records], read) for key, (read, default) in table.items()]
 
 
 REQUIRED = object()  # the default of a key that a record must have
@@ -259,7 +238,7 @@ def _location(where: str, index: int | None) -> str:
 _NETWORK = {"base_mva": (_number, 100.0), "slack": (_integer, REQUIRED), "buses": (_items(_integer), REQUIRED),
             "branches": (_list, REQUIRED)}
 _BRANCH = {"from": (_integer, REQUIRED), "to": (_integer, REQUIRED), "x_pu": (_number, REQUIRED),
-           "limit_mw": (_optional_number, None)}
+           "limit_mw": (_optional(_number), None)}
 _METERS = {"meters": (_list, REQUIRED)}
 _METER = {"branch": (_pair, REQUIRED), "sigma": (_number, 0.01)}
 _MEASUREMENTS = {"values_pu": (_items(_number), REQUIRED)}
@@ -294,13 +273,8 @@ def _kept(parse):
 def parse_network(path, document) -> NetworkModel:
     """Read a network file; ``base_mva`` defaults to 100, and a missing or null ``limit_mw`` leaves a line unlimited."""
     base_mva, slack, buses, records = fields(document, _NETWORK, path)
-    try:
-        columns = _columns(records, _BRANCH)
-    except ValueError:  # some record is refused: read them one by one, up to the first refused
-        for i, record in enumerate(records):
-            Branch(*fields(record, _BRANCH, path, "branches", i))
-        raise
-    return NetworkModel.from_columns(buses, *columns, slack, base_mva)
+    branches = [Branch(*fields(record, _BRANCH, path, "branches", i)) for i, record in enumerate(records)]
+    return NetworkModel(buses, branches, slack, base_mva)
 
 
 @_kept
@@ -308,36 +282,18 @@ def parse_meters(path, document, net: NetworkModel) -> MeterConfig:
     """Read a meter file: each listed bus pair names the first branch in input order that joins
     the two buses, whichever way it is stored, read from the pair's first bus to its second."""
     (records,) = fields(document, _METERS, path)
-    try:
-        ends, sigmas = _columns(records, _METER)
-        branch, orientation = _first_branches(net, ends)
-        if -1 in branch:
-            raise ValueError("a bus pair that no branch joins")
-    except ValueError:  # some record is refused: read them one by one, up to the first refused
-        for i, record in enumerate(records):
-            (f, t), sigma = fields(record, _METER, path, "meters", i)
-            (index,), (orientation,) = _first_branches(net, [f, t])
-            if index < 0:
-                raise ValidationError(f"meters[{i}]: no branch joins buses {f} and {t}")
-            Meter(index, orientation, sigma)
-        raise
-    return MeterConfig.from_columns(branch, orientation, sigmas)
-
-
-def _first_branches(net: NetworkModel, ends: list) -> tuple[list, list]:
-    """For each bus pair of ``ends``, flat, each pair's buses in turn: the first branch in input order
-    that joins the two buses, whichever way it is stored, -1 where none does, and +1.0 where that branch
-    is stored from the pair's first bus, -1.0 where it is stored the other way. A branch and a pair are
-    keyed lower * n + higher of their bus positions, < 0 where a bus is unknown; the keys are formed
-    in three numpy calls, and a dict over them, filled from the last branch to the first, keeps each
-    key's first branch."""
-    n, position = len(net.buses), net.position
-    keys = (np.sort(net.ends, axis=1) @ (n, 1)).tolist()
-    first = dict(zip(keys[::-1], range(len(keys) - 1, -1, -1)))
-    f, t = [position.get(bus, -1) for bus in ends[::2]], [position.get(bus, -1) for bus in ends[1::2]]
-    branch = [first.get(a * n + b if a < b else b * n + a, -1) for a, b in zip(f, t)]
-    head = net.ends[:, 0].tolist() + [n]  # a pair's k = -1, no branch, reads the last entry
-    return branch, [1.0 if head[k] == a else -1.0 for k, a in zip(branch, f)]
+    first: dict[tuple[int, int], int] = {}  # each bus pair's first branch, keyed (lower id, higher id)
+    for i, br in enumerate(net.branches):
+        f, t = br.from_bus, br.to_bus
+        first.setdefault((f, t) if f < t else (t, f), i)
+    meters = []
+    for i, record in enumerate(records):
+        (f, t), sigma = fields(record, _METER, path, "meters", i)
+        index = first.get((f, t) if f < t else (t, f))
+        if index is None:
+            raise ValidationError(f"meters[{i}]: no branch joins buses {f} and {t}")
+        meters.append(Meter(index, 1 if net.branches[index].from_bus == f else -1, sigma))
+    return MeterConfig(meters)
 
 
 def parse_measurements(path) -> np.ndarray:

@@ -15,7 +15,6 @@ of the network, the observability of a placement and the attack null space.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -64,18 +63,18 @@ class Branch:
 
 @dataclass(frozen=True, init=False, eq=False)
 class NetworkModel:
-    """Validated, immutable bus/branch graph with a designated slack bus, kept as columns.
+    """Validated, immutable bus/branch graph with a designated slack bus.
 
+    ``branches`` holds the ``Branch`` records in input order, each checked as it was made.
     ``position`` maps each bus id to its row in ``buses``, read-only, and ``state_buses``
-    lists the non-slack buses in input order, the state's column order. The branches are
-    read-only arrays, one row per branch in input order: ``ends``, the positions in ``buses``
-    of its (from, to) buses; ``columns``, their state columns, the slack being column n;
-    ``reactances``; and ``limits_mw``, NaN for an unlimited line. ``branches`` views them as
-    ``Branch`` records: the ones a model was built from, or, for a model read by
-    ``from_columns``, records formed on first access. The model compares by identity, as it
-    holds arrays."""
+    lists the non-slack buses in input order, the state's column order. The numeric layers
+    read the branches as read-only arrays, one row per branch in input order: ``ends``, the
+    positions in ``buses`` of its (from, to) buses; ``columns``, their state columns, the
+    slack being column n; ``reactances``; and ``limits_mw``, NaN for an unlimited line. The
+    model compares by identity, as it holds arrays."""
 
     buses: tuple[BusId, ...]
+    branches: tuple[Branch, ...] = field(repr=False)
     slack: BusId
     base_mva: float = 100.0
     position: MappingProxyType = field(init=False, repr=False)
@@ -86,38 +85,9 @@ class NetworkModel:
     limits_mw: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, buses, branches, slack, base_mva=100.0):
-        self.__dict__["branches"] = branches = tuple(branches)
-        self._read(buses, *([getattr(br, key) for br in branches] for key in Branch.__slots__), slack, base_mva)
-
-    @classmethod
-    def from_columns(cls, buses, from_bus: list, to_bus: list, x_pu: list, limit_mw: list, slack,
-                     base_mva=100.0) -> NetworkModel:
-        """The model of branches given as one list per ``Branch`` field, one entry per branch in
-        input order, checked as a model of those records is."""
-        return cls.__new__(cls)._read(buses, from_bus, to_bus, x_pu, limit_mw, slack, base_mva)
-
-    @cached_property
-    def state_bus_ids(self) -> np.ndarray:
-        """``state_buses`` as a read-only int array, formed once and shared by every report of the model."""
-        return _read_only(self.state_buses, int)
-
-    @cached_property
-    def branches(self) -> tuple[Branch, ...]:
-        limits = [None if math.isnan(limit) else limit for limit in self.limits_mw.tolist()]
-        return tuple(Branch(self.buses[i], self.buses[j], x, limit)
-                     for (i, j), x, limit in zip(self.ends.tolist(), self.reactances.tolist(), limits))
-
-    def _read(self, buses, from_bus, to_bus, x_pu, limit_mw, slack, base_mva) -> NetworkModel:
-        """Check the columns, each branch's own checks first, as its record is read before the
-        network, and keep them. Whole-column checks find a fault; the branches are then checked
-        one by one, so the first refused one's error is raised."""
-        buses, limits = tuple(buses), np.array(limit_mw, dtype=float)  # None: NaN
-        least = min(x_pu, default=math.inf)
-        # a NaN or infinite reactance makes the sum NaN or infinite, which min may not show
-        if any(map(operator.eq, from_bus, to_bus)) or (limits <= 0).any() or not (
-                least > 0 and math.isfinite(1.0 / float(least)) and math.isfinite(sum(x_pu))):
-            for record in zip(from_bus, to_bus, x_pu, limit_mw):
-                Branch(*record)
+        branches = tuple(branches)
+        from_bus, to_bus = [br.from_bus for br in branches], [br.to_bus for br in branches]
+        x_pu = [br.x_pu for br in branches]
         node: dict[BusId, int] = {}  # each bus's node in the graph walk
         for b in buses:
             if not _is_int(b) or b <= 0:
@@ -129,7 +99,7 @@ class NetworkModel:
             node[int(b)] = len(node)
         if not _is_int(slack) or slack not in node:
             raise ValidationError(f"slack bus {slack} is not in the bus list")
-        if not (base_mva > 0 and math.isfinite(base_mva / least)):  # the largest base_mva / x_pu
+        if not (base_mva > 0 and math.isfinite(base_mva / min(x_pu, default=math.inf))):  # the largest base_mva / x_pu
             raise ValidationError(f"base_mva {base_mva} must be > 0, and finite over every reactance")
         head, tail = _nodes(node, from_bus), _nodes(node, to_bus)
         if None in head or None in tail:
@@ -142,15 +112,20 @@ class NetworkModel:
             raise DisconnectedGraph(f"buses {missing} are not connected to slack bus {slack}")
         row = node[slack]
         ends, reactances = np.array((head, tail), dtype=np.intp).T.copy(), np.array(x_pu, dtype=float)
+        limits = np.array([br.limit_mw for br in branches], dtype=float)  # None: NaN
         columns = ends - (ends > row)
         columns[ends == row] = len(node) - 1  # the slack's column, n
         for values in ends, columns, reactances, limits:
             values.flags.writeable = False
         buses = tuple(node)  # each id as a Python int, a numpy integer one included
-        self.__dict__.update(buses=buses, slack=int(slack), base_mva=base_mva, position=MappingProxyType(node),
-                             state_buses=buses[:row] + buses[row + 1:], ends=ends, columns=columns,
-                             reactances=reactances, limits_mw=limits)
-        return self
+        self.__dict__.update(buses=buses, slack=int(slack), base_mva=base_mva, branches=branches,
+                             position=MappingProxyType(node), state_buses=buses[:row] + buses[row + 1:], ends=ends,
+                             columns=columns, reactances=reactances, limits_mw=limits)
+
+    @cached_property
+    def state_bus_ids(self) -> np.ndarray:
+        """``state_buses`` as a read-only int array, formed once and shared by every report of the model."""
+        return _read_only(self.state_buses, int)
 
 
 def _is_int(value) -> bool:
@@ -206,42 +181,25 @@ class Meter:
 
 @dataclass(frozen=True, init=False, eq=False)
 class MeterConfig:
-    """Meters, kept as read-only columns, one row per meter: ``branch``, ``orientation`` and
-    ``sigmas``. ``branch`` is -1 where a record's index is no intp integer >= 0, such as True,
-    1.0 or 2**64; ``build_h_matrix`` refuses it by name. ``meters`` views them as ``Meter``
-    records: the ones a configuration was built from, or, for one read by ``from_columns``,
-    records formed on first access. The configuration compares by identity."""
+    """Meters: ``meters`` holds the ``Meter`` records, each checked as it was made, and
+    ``branch``, ``orientation`` and ``sigmas`` their read-only columns, one row per meter.
+    ``branch`` is -1 where a record's index is no intp integer >= 0, such as True, 1.0 or
+    2**64; ``build_h_matrix`` refuses it by name. The configuration compares by identity."""
 
+    meters: tuple[Meter, ...] = field(repr=False)
     branch: np.ndarray = field(init=False, repr=False)
     orientation: np.ndarray = field(init=False, repr=False)
     sigmas: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, meters):
-        self.__dict__["meters"] = meters = tuple(meters)
+        meters = tuple(meters)
+        if not meters:
+            raise ValidationError("meter configuration is empty")
         # a list per column: a tuple per meter would set off the garbage collector's passes over the heap
         index = [m.branch if _is_int(m.branch) and 0 <= m.branch <= _INTP_MAX else -1 for m in meters]
-        self._read(index, [m.orientation for m in meters], [m.sigma for m in meters])
-
-    @classmethod
-    def from_columns(cls, branch, orientation, sigmas: list) -> MeterConfig:
-        """The configuration of meters given as one column per ``Meter`` field, one entry per meter,
-        each branch an index >= 0, checked as a configuration of those records is."""
-        return cls.__new__(cls)._read(branch, orientation, sigmas)
-
-    @cached_property
-    def meters(self) -> tuple[Meter, ...]:
-        return tuple(Meter(b, int(o), s) for b, o, s in zip(self.branch.tolist(), self.orientation.tolist(),
-                                                            self.sigmas.tolist()))
-
-    def _read(self, branch, orientation, sigmas: list) -> MeterConfig:
-        if not sigmas:
-            raise ValidationError("meter configuration is empty")
-        if not min(sigmas) > 0 or math.isnan(sum(sigmas)):  # each meter's own checks find the first refused
-            for record in zip(branch, orientation, sigmas):
-                Meter(*record)
-        self.__dict__.update(branch=_read_only(branch, np.intp), orientation=_read_only(orientation),
-                             sigmas=_read_only(sigmas))
-        return self
+        self.__dict__.update(meters=meters, branch=_read_only(index, np.intp),
+                             orientation=_read_only([m.orientation for m in meters]),
+                             sigmas=_read_only([m.sigma for m in meters]))
 
     def __len__(self) -> int:
         return len(self.sigmas)

@@ -22,6 +22,7 @@ from fdilab import caseio
 from fdilab.cli import build_parser, main
 from fdilab.errors import ParseError, ValidationError
 from fdilab.network import Branch, NetworkModel
+from fdilab.scenario import parse_scenario
 
 
 # -- shipped file parsing ----------------------------------------------------------
@@ -366,6 +367,18 @@ def test_cli_reads_and_writes_utf8_whatever_the_locale(tmp_path):
         runs.append((proc.stdout, out.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0].startswith(f"scenario: {name}\n".encode())
+
+
+def test_a_lone_surrogate_in_a_scenario_string_is_a_parse_error_at_its_key(capsys, tmp_path):
+    # json reads the escape "\ud800" into a lone surrogate, which UTF-8 cannot encode
+    path = _scenario_copy(tmp_path, "case1", lambda doc: doc.update(name="bad \ud800 name"))
+    message = f"{path}: name: 'bad \\ud800 name' holds a lone surrogate, which UTF-8 cannot encode"
+    with pytest.raises(ParseError) as caught:
+        parse_scenario(path)
+    assert str(caught.value) == message
+    for out in ([], ["--out", tmp_path / "out.csv"]):
+        assert run_cli(capsys, "scenario", "run", path, *out) == (2, "", f"error: ParseError: {message}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 # -- non-finite input ---------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""The case readers read each record list a column at a time. Here they are checked against the
-record-by-record readers they replaced, kept verbatim below as the reference: on valid grids every
-column, H and LP must be byte-equal, and on corrupted files every error, message and exit code
-must be the same. The precedence of faults and the duplicate-key hook are pinned too."""
+"""The case readers read each record once, with ``fields`` and then the record's own checks. Here
+they are judged against the record-by-record reference readers kept verbatim below: on valid grids
+every column, H and LP must be byte-equal, and on corrupted files every error, message and exit
+code must be the same. The precedence of faults, the duplicate-key hook and the time to refuse a
+3,000-bus meter file's last record are pinned too."""
 
 import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gridgen  # noqa: E402
 
 
-# -- the reference: the record-by-record readers the column read replaced, kept verbatim
+# -- the reference: record-by-record readers, kept verbatim
 
 def reference_items(read):
     return lambda value: tuple([read(item) for item in caseio._list(value)])
@@ -84,7 +86,7 @@ def reference_market(path, net: NetworkModel) -> DispatchCase:
 # -- valid grids: the same bytes
 
 def column_bits(net: NetworkModel, meters: MeterConfig) -> dict:
-    """Every column of a network and a meter set, arrays as their dtype and bytes, with their record views."""
+    """Every column of a network and a meter set, arrays as their dtype and bytes, with their records."""
     arrays = {name: getattr(net, name) for name in ("ends", "columns", "reactances", "limits_mw")}
     arrays.update({f"meters.{name}": getattr(meters, name) for name in ("branch", "orientation", "sigmas")})
     bits = {name: (a.dtype.str, a.shape, a.tobytes(), a.flags.writeable) for name, a in arrays.items()}
@@ -162,16 +164,6 @@ def test_the_column_read_equals_the_record_read_on_the_5_bus_case(name):
     assert column_bits(net, meters) == column_bits(reference, reference_meters(CASES_5BUS / "meters.json", reference))
     market = CASES_5BUS / "market.json"
     assert recorded_lp(caseio.parse_market(market, net)) == recorded_lp(reference_market(market, reference))
-
-
-def test_the_numeric_layers_form_no_record_view():
-    # H and the OPF read the columns; Branch and Meter views are formed only where a caller asks
-    net = caseio.parse_network(CASES_5BUS / "network.json")
-    meters = caseio.parse_meters(CASES_5BUS / "meters.json", net)
-    build_h_matrix(net, meters)
-    solve_dc_opf(caseio.parse_market(CASES_5BUS / "market.json", net))
-    assert "branches" not in vars(net) and "meters" not in vars(meters)
-    assert net.branches == reference_network(CASES_5BUS / "network.json").branches
 
 
 @pytest.mark.parametrize("meters", [[{"branch": [1, 2]}], []], ids=["a pair", "no meter"])
@@ -358,6 +350,20 @@ def test_the_first_faulty_meter_is_reported(tmp_path, net5, edit, error, message
     path.write_text(json.dumps(doc))
     _raises(lambda: caseio.parse_meters(path, net5), error, message.format(path=path))
     _raises(lambda: reference_meters(path, net5), error, message.format(path=path))
+
+
+def test_a_fault_in_the_last_of_a_3000_bus_grids_meters_is_refused_in_under_a_second(tmp_path):
+    # each record is read once, so the fault is found in one pass over the file
+    paths = write_gridgen(tmp_path, 3000, seed=7)
+    net = caseio.parse_network(paths["network"])
+    doc = json.loads(paths["meters"].read_text())
+    last = len(doc["meters"]) - 1
+    doc["meters"][last]["sigma"] = "x"
+    paths["meters"].write_text(json.dumps(doc))
+    start = time.perf_counter()
+    _raises(lambda: caseio.parse_meters(paths["meters"], net), ParseError,
+            f"{paths['meters']}: meters[{last}].sigma: 'x' is not a number")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("edit, error, message", [
