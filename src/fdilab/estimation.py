@@ -26,25 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError, SingularGainMatrix, ValidationError
-from .network import MeasurementMatrix, _dot, _read_only
-
-
-@dataclass(frozen=True)
-class WeightModel:
-    """Per-meter standard deviations (per-unit). All strictly positive, with finite squares; read-only."""
-
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        sig = np.atleast_1d(_read_only(self.sigmas))
-        if sig.ndim != 1:
-            raise ValidationError("sigmas must be a 1-D vector")
-        if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):
-            raise ValidationError("all sigmas must be finite and > 0")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(sig**2)):
-                raise ValidationError("all variances sigma**2 must be finite")
-        object.__setattr__(self, "sigmas", sig)
+from .network import MeasurementMatrix, WeightModel, _dot
 
 
 @dataclass(frozen=True)

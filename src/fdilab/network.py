@@ -127,6 +127,12 @@ class NetworkModel:
         """``state_buses`` as a read-only int array, formed once and shared by every report of the model."""
         return _read_only(self.state_buses, int)
 
+    @cached_property
+    def branch_bus_ends(self) -> np.ndarray:
+        """The (from, to) bus ids of each branch as a read-only (branches, 2) int array, formed once and
+        shared by every report of the model and by ``dispatch_report``."""
+        return _read_only(np.array(self.buses)[self.ends], int)
+
 
 def _is_int(value) -> bool:
     """Whether ``value`` is a Python or numpy integer: a bool, which equals 0 or 1, and a float,
@@ -203,6 +209,30 @@ class MeterConfig:
 
     def __len__(self) -> int:
         return len(self.sigmas)
+
+    @cached_property
+    def weight_model(self) -> WeightModel:
+        """The meter set's one WeightModel, so every estimate of one meter set shares one read-only
+        sigmas array; a sigma whose square is not finite is a ValidationError on each read."""
+        return WeightModel(self.sigmas)
+
+
+@dataclass(frozen=True)
+class WeightModel:
+    """Per-meter standard deviations (per-unit). All strictly positive, with finite squares; read-only."""
+
+    sigmas: np.ndarray
+
+    def __post_init__(self):
+        sig = np.atleast_1d(_read_only(self.sigmas))
+        if sig.ndim != 1:
+            raise ValidationError("sigmas must be a 1-D vector")
+        if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):
+            raise ValidationError("all sigmas must be finite and > 0")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(sig**2)):
+                raise ValidationError("all variances sigma**2 must be finite")
+        object.__setattr__(self, "sigmas", sig)
 
 
 def _read_only(values, dtype=float) -> np.ndarray:

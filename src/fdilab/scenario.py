@@ -16,7 +16,10 @@ Every report is rendered here, as text and as the file the CLI writes to
 ``--out``: the attack vector as JSON, ``{"c": [...], "a": [...], "support":
 [...]}``, or else a CSV with one row per (stage, quantity, index, value).
 Each number has six decimals, so the renderings are byte-for-byte
-deterministic given identical inputs and seeds.
+deterministic given identical inputs and seeds. A report formats each vector
+it prints once, a column at a time (``_column``), and forms each text or CSV
+line of it with one f-string over those columns; a scalar goes through
+``_fmt``. Text and CSV stay two walks, since they print different fields.
 """
 
 from __future__ import annotations
@@ -33,16 +36,9 @@ from .attack import AttackVector, _index, random_constrained_attack, targeted_at
 from .caseio import REQUIRED, _choice, _decimal, _integer, _items, _list, _number, _object, _optional, _text, fields
 from .detection import DetectionMethod, DetectionReport, Detector, DetectorSpec
 from .errors import FdiLabError, ParseError, ValidationError
-from .estimation import (
-    EstimationResult,
-    WeightModel,
-    WlsModel,
-    _true_flows,
-    simulate_measurements,
-    wls_estimate,
-)
+from .estimation import EstimationResult, WlsModel, _true_flows, simulate_measurements, wls_estimate
 from .market import DispatchResult, arbitrage_profit, perceived_case_from_attack, solve_dc_opf
-from .network import MeasurementMatrix, MeterConfig, NetworkModel, _read_only, build_h_matrix
+from .network import MeasurementMatrix, MeterConfig, NetworkModel, WeightModel, build_h_matrix
 
 
 # A Monte Carlo block holds about this many measurement values (trials x meters),
@@ -56,42 +52,53 @@ def _fmt(value) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
+def _column(values) -> list[str]:
+    """``_fmt`` of each value of a vector, in one pass over its Python floats; a second pass
+    drops the sign of a zero, and runs only when one prints."""
+    texts = [f"{v:.6f}" for v in np.asarray(values, dtype=float).tolist()]
+    if "-0.000000" in texts:
+        texts = ["0.000000" if text == "-0.000000" else text for text in texts]
+    return texts
+
+
 # -- CSV rendering ---------------------------------------------------------------
 
-def _row(stage: str, quantity: str, index, value) -> tuple[str, str, str, str]:
-    return (stage, quantity, str(index), _fmt(value))
+def _line(stage: str, quantity: str, index, value) -> str:
+    """The CSV line of one scalar."""
+    return f"{stage},{quantity},{index},{_fmt(value)}"
 
 
-def _csv(rows) -> str:
+def _lines(stage: str, quantity: str, indices, values) -> list[str]:
+    """The CSV lines of a vector, one per (index, value) pair."""
+    return [f"{stage},{quantity},{i},{v}" for i, v in zip(indices, _column(values))]
+
+
+def _csv(lines) -> str:
     """The CSV report: the fixed header, then one line per (stage, quantity, index, value) row."""
-    return "\n".join(["stage,quantity,index,value", *(",".join(row) for row in rows)]) + "\n"
-
-
-def _branch_ends(net: NetworkModel, count: int | None = None) -> np.ndarray:
-    """The (from, to) buses of the first ``count`` branches, or of all, as a read-only (branches, 2) int array."""
-    return _read_only(np.array(net.buses)[net.ends[:count]], int)
+    return "\n".join(["stage,quantity,index,value", *lines]) + "\n"
 
 
 def _branch_names(ends: np.ndarray) -> tuple[str, ...]:
-    """The "from-to" name of each branch of ``_branch_ends``, as reports print it."""
+    """The "from-to" name of each branch of ``NetworkModel.branch_bus_ends``, as reports print it."""
     return tuple(f"{a}-{b}" for a, b in ends.tolist())
 
 
-def _dispatch_rows(stage: str, result: DispatchResult, names: tuple[str, ...]) -> list:
-    """CSV rows of one dispatch: generation, branch flows, LMPs and cost."""
+def _dispatch_rows(stage: str, result: DispatchResult, names: tuple[str, ...]) -> list[str]:
+    """CSV lines of one dispatch: generation, branch flows, LMPs and cost."""
     return [
-        *(_row(stage, "gen_mw", g, mw) for g, mw in enumerate(result.gen_output)),
-        *(_row(stage, "flow_mw", names[b], flow) for b, flow in enumerate(result.flows)),
-        *(_row(stage, "lmp", bus, price) for bus, price in result.lmp.items()),
-        _row(stage, "objective_per_h", "", result.objective),
+        *_lines(stage, "gen_mw", range(len(result.gen_output)), result.gen_output),
+        *_lines(stage, "flow_mw", names, result.flows),
+        *_lines(stage, "lmp", result.lmp, list(result.lmp.values())),
+        _line(stage, "objective_per_h", "", result.objective),
     ]
 
 
-def _dispatch_lines(result: DispatchResult, names: tuple[str, ...]) -> list[str]:
-    """Text lines of one dispatch after its generation: LMPs, binding lines and cost."""
-    out = [f"  lmp(bus {bus}) = {_fmt(price)} $/MWh" for bus, price in result.lmp.items()]
+def _dispatch_lines(result: DispatchResult, ends: np.ndarray) -> list[str]:
+    """Text lines of one dispatch after its generation: LMPs, binding lines, named from the
+    branch ends ``ends``, and cost."""
+    out = [f"  lmp(bus {bus}) = {v} $/MWh" for bus, v in zip(result.lmp, _column(list(result.lmp.values())))]
     if result.binding_lines:
-        out.append(f"  binding lines: {', '.join(names[b] for b in result.binding_lines)}")
+        out.append(f"  binding lines: {', '.join(_branch_names(ends[list(result.binding_lines)]))}")
     out.append(f"  cost = {_fmt(result.objective)} $/h")
     return out
 
@@ -223,25 +230,16 @@ def parse_scenario(path) -> Scenario:
 
 # -- pipeline ------------------------------------------------------------------
 
-# (meter set, its WeightModel) of the last meter set _load_model served, compared by identity and held
-# strongly, so that identity is never reused: the reports of one meter set share one read-only sigmas array.
-_last_weights: tuple = (None, None)
-
-
 def _load_model(
     network_path, meters_path
 ) -> tuple[NetworkModel, MeterConfig, MeasurementMatrix, WeightModel]:
-    """Parse a network and its meters, then build H and the weights: the front of every pipeline.
-    H, and so its model and gain factor, is built per call."""
-    global _last_weights
+    """Parse a network and its meters, then build H and read the meter set's weights: the front of every
+    pipeline. H, and so its model and gain factor, is built per call."""
     with _stage("parse"):
         net = caseio.parse_network(network_path)
         meters = caseio.parse_meters(meters_path, net)
     with _stage("model"):
-        H, entry = build_h_matrix(net, meters), _last_weights  # one read: another thread may replace the entry
-        if entry[0] is not meters:
-            entry = _last_weights = (meters, WeightModel(meters.sigmas))
-        return net, meters, H, entry[1]
+        return net, meters, build_h_matrix(net, meters), meters.weight_model
 
 
 @_stage("attack")
@@ -288,17 +286,18 @@ def _attacked(z: np.ndarray, perturbation: np.ndarray | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Full record of one pipeline run; renders to text or CSV rows.
+    """Full record of one pipeline run; renders to text or CSV.
 
     Of the network it keeps only what the renderers print, as read-only int
-    arrays: the state buses, and the branch ends when a market ran, since only
-    the market sections name branches. A kept report holds no Branch objects
-    and no branch names; ``branch_names`` forms them when a report renders.
+    arrays that every report of the network shares: the state buses and the
+    branch ends. A kept report holds no Branch objects and no branch names;
+    ``branch_names`` forms them when a market section of the CSV renders, and
+    the text names only the binding lines.
     """
 
     name: str
     state_buses: np.ndarray                 # bus of each state entry, in column order
-    branch_ends: np.ndarray                 # (from, to) bus of each branch; (0, 2) without a market
+    branch_ends: np.ndarray                 # (from, to) bus of each branch
     measured: np.ndarray                    # what the operator received (post-attack)
     observed: EstimationResult              # estimate on `measured`
     clean: EstimationResult | None          # pre-attack estimate when an attack ran
@@ -312,72 +311,66 @@ class ScenarioReport:
 
     @property
     def branch_names(self) -> tuple[str, ...]:
-        """The "from-to" name of each branch; () without a market."""
+        """The "from-to" name of each branch."""
         return _branch_names(self.branch_ends)
 
-    def csv_rows(self) -> list[tuple[str, str, str, str]]:
-        rows: list[tuple[str, str, str, str]] = []
-        buses, names = self.state_buses.tolist(), self.branch_names
-        for k, bus in enumerate(buses):
-            rows.append(_row("estimation", "state_rad", bus, self.observed.state[k]))
-        for i in range(len(self.measured)):
-            rows.append(_row("estimation", "measured_pu", i, self.measured[i]))
-            rows.append(_row("estimation", "fitted_pu", i, self.observed.fitted[i]))
-            rows.append(_row("estimation", "residual_pu", i, self.observed.residual[i]))
-        rows.append(_row("estimation", "objective", "", self.observed.objective))
-        rows.append(_row("estimation", "weighted_residual_norm", "", np.sqrt(self.observed.objective)))
-        if self.clean is not None:
-            for k, bus in enumerate(buses):
-                rows.append(_row("estimation_clean", "state_rad", bus, self.clean.state[k]))
-            rows.append(_row("estimation_clean", "objective", "", self.clean.objective))
-        if self.attack_vector is not None:
-            for k, bus in enumerate(buses):
-                rows.append(_row("attack", "c_rad", bus, self.attack_vector.c[k]))
-            for i in range(len(self.attack_vector.a)):
-                rows.append(_row("attack", "a_pu", i, self.attack_vector.a[i]))
-            for i in self.attack_vector.support:
-                rows.append(_row("attack", "support", i, 1.0))
-        if self.gross_error is not None:
-            rows.append(_row("attack", "gross_error_pu", self.gross_error.meter, self.gross_error.magnitude_pu))
-        for rep in self.detections:
-            stage = f"detection.{rep.method.value}"
-            rows.append(_row(stage, "statistic", "", rep.statistic))
-            rows.append(_row(stage, "threshold", "", rep.threshold))
-            rows.append(_row(stage, "confidence", "", rep.confidence))
-            rows.append(_row(stage, "detected", "", 1.0 if rep.bad_data_detected else 0.0))
-            if rep.suspect_meter is not None:
-                rows.append(_row(stage, "suspect_meter", rep.suspect_meter, 1.0))
-        for label, result in (("market.before", self.market_before), ("market.after", self.market_after)):
-            if result is None:
-                continue
-            rows.extend(_dispatch_rows(label, result, names))
-            for b in result.binding_lines:
-                rows.append(_row(label, "binding", names[b], 1.0))
-        if self.profit_per_h is not None:
-            rows.append(_row("market", "profit_per_h", "", self.profit_per_h))
-        return rows
+    def _dispatches(self) -> tuple[tuple[str, DispatchResult], ...]:
+        """The (label, result) of each dispatch that ran, before then after."""
+        return tuple((label, result) for label, result in (("before", self.market_before),
+                                                           ("after", self.market_after)) if result is not None)
+
+    def csv_rows(self) -> list[tuple[str, ...]]:
+        """The (stage, quantity, index, value) rows of ``to_csv``, read back off its lines."""
+        return [tuple(line.split(",")) for line in self.to_csv().splitlines()[1:]]
 
     def to_csv(self) -> str:
-        return _csv(self.csv_rows())
+        obs, buses = self.observed, self.state_buses.tolist()
+        lines = _lines("estimation", "state_rad", buses, obs.state)
+        lines += [f"estimation,measured_pu,{i},{z}\nestimation,fitted_pu,{i},{f}\nestimation,residual_pu,{i},{r}"
+                  for i, z, f, r in zip(range(len(self.measured)), _column(self.measured), _column(obs.fitted),
+                                        _column(obs.residual))]
+        lines.append(_line("estimation", "objective", "", obs.objective))
+        lines.append(_line("estimation", "weighted_residual_norm", "", np.sqrt(obs.objective)))
+        if self.clean is not None:
+            lines += _lines("estimation_clean", "state_rad", buses, self.clean.state)
+            lines.append(_line("estimation_clean", "objective", "", self.clean.objective))
+        if (atk := self.attack_vector) is not None:
+            lines += _lines("attack", "c_rad", buses, atk.c)
+            lines += _lines("attack", "a_pu", range(len(atk.a)), atk.a)
+            lines += [f"attack,support,{i},1.000000" for i in atk.support]
+        if self.gross_error is not None:
+            lines.append(_line("attack", "gross_error_pu", self.gross_error.meter, self.gross_error.magnitude_pu))
+        for rep in self.detections:
+            stage = f"detection.{rep.method.value}"
+            lines.append(_line(stage, "statistic", "", rep.statistic))
+            lines.append(_line(stage, "threshold", "", rep.threshold))
+            lines.append(_line(stage, "confidence", "", rep.confidence))
+            lines.append(_line(stage, "detected", "", 1.0 if rep.bad_data_detected else 0.0))
+            if rep.suspect_meter is not None:
+                lines.append(f"{stage},suspect_meter,{rep.suspect_meter},1.000000")
+        dispatches = self._dispatches()
+        names = self.branch_names if dispatches else ()
+        for label, result in dispatches:
+            lines += _dispatch_rows(f"market.{label}", result, names)
+            lines += [f"market.{label},binding,{names[b]},1.000000" for b in result.binding_lines]
+        if self.profit_per_h is not None:
+            lines.append(_line("market", "profit_per_h", "", self.profit_per_h))
+        return _csv(lines)
 
     def to_text(self) -> str:
-        out = [f"scenario: {self.name}"]
-        out.append("[estimation]")
         buses = self.state_buses.tolist()
-        for k, bus in enumerate(buses):
-            out.append(f"  angle(bus {bus}) = {_fmt(self.observed.state[k])} rad")
+        out = [f"scenario: {self.name}", "[estimation]"]
+        out += [f"  angle(bus {bus}) = {v} rad" for bus, v in zip(buses, _column(self.observed.state))]
         out.append(f"  objective J = {_fmt(self.observed.objective)}")
         out.append(f"  weighted residual norm = {_fmt(np.sqrt(self.observed.objective))}")
         if self.clean is not None:
-            shift = self.observed.state - self.clean.state
             out.append("[attack effect]")
-            for k, bus in enumerate(buses):
-                out.append(f"  estimate shift(bus {bus}) = {_fmt(shift[k])} rad")
+            shift = _column(self.observed.state - self.clean.state)
+            out += [f"  estimate shift(bus {bus}) = {v} rad" for bus, v in zip(buses, shift)]
         if self.attack_vector is not None:
-            out.append("[attack]")
-            out.append(f"  support = {list(self.attack_vector.support)}")
-            for i in self.attack_vector.support:
-                out.append(f"  a[{i}] = {_fmt(self.attack_vector.a[i])} pu")
+            support = list(self.attack_vector.support)
+            out += ["[attack]", f"  support = {support}"]
+            out += [f"  a[{i}] = {v} pu" for i, v in zip(support, _column(self.attack_vector.a[support]))]
         if self.gross_error is not None:
             out.append("[attack]")
             out.append(
@@ -394,13 +387,10 @@ class ScenarioReport:
             if rep.suspect_meter is not None:
                 line += f" (suspect meter {rep.suspect_meter})"
             out.append(line)
-        names = self.branch_names
-        for label, result in (("market before", self.market_before), ("market after", self.market_after)):
-            if result is None:
-                continue
-            out.append(f"[{label}]")
-            out.append(f"  generation MW = {' '.join(_fmt(v) for v in result.gen_output)}")
-            out += _dispatch_lines(result, names)
+        for label, result in self._dispatches():
+            out.append(f"[market {label}]")
+            out.append(f"  generation MW = {' '.join(_column(result.gen_output))}")
+            out += _dispatch_lines(result, self.branch_ends)
         if self.profit_per_h is not None:
             out.append(
                 f"[profit] buy bus {self.market.buy_bus} before, sell bus {self.market.sell_bus} after, "
@@ -445,7 +435,7 @@ def run_scenario(scn: Scenario) -> ScenarioReport:
     return ScenarioReport(
         name=scn.name,
         state_buses=net.state_bus_ids,
-        branch_ends=_branch_ends(net, None if scn.market is not None else 0),
+        branch_ends=net.branch_bus_ends,
         measured=z_observed,
         observed=observed,
         clean=clean,
@@ -465,8 +455,8 @@ def attack_report(network_path, meters_path, spec: RandomAttackSpec | TargetedAt
     _, atk = _build_attack_vector(spec, H)
     echo = {"c": atk.c.tolist(), "a": atk.a.tolist(), "support": list(atk.support)}
     out = ["[attack vector]", f"  support = {echo['support']}"]
-    out += [f"  c(bus {bus}) = {_fmt(c)} rad" for bus, c in zip(H.state_buses, atk.c)]
-    out += [f"  a[{i}] = {_fmt(a)} pu" for i, a in enumerate(atk.a)]
+    out += [f"  c(bus {bus}) = {c} rad" for bus, c in zip(H.state_buses, _column(atk.c))]
+    out += [f"  a[{i}] = {a} pu" for i, a in enumerate(_column(atk.a))]
     return "\n".join(out) + "\n", lambda: json.dumps(echo, indent=2) + "\n"
 
 
@@ -477,13 +467,12 @@ def dispatch_report(network_path, market_path):
         case = caseio.parse_market(market_path, net)
     with _stage("market"):
         result = solve_dc_opf(case)
-    names = _branch_names(_branch_ends(net))
+    names = _branch_names(net.branch_bus_ends)
     out = ["[dispatch]"]
-    for g, gen in enumerate(case.generators):
-        out.append(f"  gen {g} (bus {gen.bus}) = {_fmt(result.gen_output[g])} MW")
-    for b, flow in enumerate(result.flows):
-        out.append(f"  flow {names[b]} = {_fmt(flow)} MW")
-    out += _dispatch_lines(result, names)
+    out += [f"  gen {g} (bus {gen.bus}) = {mw} MW"
+            for g, (gen, mw) in enumerate(zip(case.generators, _column(result.gen_output)))]
+    out += [f"  flow {name} = {flow} MW" for name, flow in zip(names, _column(result.flows))]
+    out += _dispatch_lines(result, net.branch_bus_ends)
     return "\n".join(out) + "\n", lambda: _csv(_dispatch_rows("dispatch", result, names))
 
 
@@ -529,18 +518,16 @@ class MonteCarloSummary:
         return "\n".join(out) + "\n"
 
     def to_csv(self) -> str:
-        rows = []
+        lines = []
         for rate in self.rates:
             stage = f"montecarlo.{rate.method.value}"
-            rows.append(_row(stage, "detection_rate", "", rate.detection_rate))
-            rows.append(_row(stage, "detections", "", rate.detections))
-            rows.append(_row(stage, "mean_statistic", "", rate.mean_statistic))
-        rows.append(_row("montecarlo", "trials", "", self.trials))
+            lines.append(_line(stage, "detection_rate", "", rate.detection_rate))
+            lines.append(_line(stage, "detections", "", rate.detections))
+            lines.append(_line(stage, "mean_statistic", "", rate.mean_statistic))
+        lines.append(_line("montecarlo", "trials", "", self.trials))
         if self.identified is not None:
-            rows.append(
-                _row("montecarlo", "identification_accuracy", "", self.identification_accuracy)
-            )
-        return _csv(rows)
+            lines.append(_line("montecarlo", "identification_accuracy", "", self.identification_accuracy))
+        return _csv(lines)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which NEP 19

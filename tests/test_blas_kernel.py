@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-BYTE_FOR_BYTE = ["test_golden.py", "test_demos.py", "test_acceptance.py", "test_scenario.py"]
+BYTE_FOR_BYTE = ["test_golden.py", "test_demos.py", "test_acceptance.py", "test_scenario.py", "test_render.py"]
 
 
 @pytest.mark.skipif(

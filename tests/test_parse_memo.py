@@ -1,11 +1,10 @@
-"""The case readers' one-entry memo, and the weights that ``scenario._load_model`` shares.
+"""The case readers' one-entry memo, and the arrays that the reports of one case share.
 
 ``parse_network``, ``parse_meters`` and ``parse_market`` each keep the text of the last file they
 accepted, the network it was read against and what they returned, in ``caseio._last``; a call whose
-text and network match returns that object. ``_load_model`` keeps the WeightModel of the last meter
-set it served, and a network forms its state bus array once. These tests pin when the memo answers,
-when it parses again, that reports of one case share those arrays and that no report byte depends
-on it.
+text and network match returns that object. A meter set forms its WeightModel once, and a network
+its state bus and branch end arrays. These tests pin when the memo answers, when it parses again,
+that reports of one case share those arrays and that no report byte depends on it.
 """
 
 import json
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import CASES_5BUS, empty_omega_memo
-from fdilab import caseio, scenario
+from fdilab import caseio
 from fdilab.errors import ParseError, ValidationError
 from fdilab.scenario import parse_scenario, run_monte_carlo, run_scenario
 from test_golden import write_grid_scenarios
@@ -24,9 +23,8 @@ FILES = ("network.json", "meters.json", "market.json")
 
 
 def empty_memos():
-    """Forget every parsed case, the shared weights and diag(Omega), so the next run is cold."""
+    """Forget every parsed case, and so the arrays each shares, and diag(Omega), so the next run is cold."""
     caseio._last.clear()
-    scenario._last_weights = (None, None)
     empty_omega_memo()
 
 
@@ -125,4 +123,9 @@ def test_warm_reports_keep_the_bytes_of_cold_ones(tmp_path):
 def test_reports_of_one_meter_set_share_one_sigmas_array_and_one_state_bus_array():
     one, other = (run_scenario(parse_scenario(CASES_5BUS / name)) for name in ("case1.json", "case2.json"))
     assert one.observed.sigmas is other.observed.sigmas and one.state_buses is other.state_buses
-    assert not one.observed.sigmas.flags.writeable and not one.state_buses.flags.writeable
+    assert one.branch_ends is other.branch_ends  # neither ran a market
+    for shared in one.observed.sigmas, one.state_buses, one.branch_ends:
+        assert not shared.flags.writeable
+    net = caseio.parse_network(CASES_5BUS / "network.json")
+    assert one.branch_ends is net.branch_bus_ends and one.branch_ends.tolist() == [
+        [br.from_bus, br.to_bus] for br in net.branches]
