@@ -41,12 +41,15 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParseError, UnknownBus, ValidationError
-from .market import DispatchCase, Generator
 from .network import Branch, Meter, MeterConfig, NetworkModel
+
+if TYPE_CHECKING:  # parse_market imports market on its first call, so parsing a network loads none of it
+    from .market import DispatchCase
 
 
 def load_json(path) -> dict:
@@ -305,6 +308,8 @@ def parse_measurements(path) -> np.ndarray:
 def parse_market(path, document, net: NetworkModel) -> DispatchCase:
     """Read a market file record by record; each bus's demand sums its load records in file
     order. A record's negative demand is refused, though the bus's sum may be >= 0."""
+    from .market import DispatchCase, Generator
+
     generators, loads = fields(document, _MARKET, path)
     generators = tuple(Generator(*fields(rec, _GENERATOR, path, "generators", i)) for i, rec in enumerate(generators))
     rows, demand = [], []

@@ -224,7 +224,11 @@ class WeightModel:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        sig = np.atleast_1d(_read_only(self.sigmas))
+        sig = self.sigmas
+        # a read-only 1-D float array that owns its data, such as MeterConfig.sigmas, is kept as it is
+        if not (type(sig) is np.ndarray and sig.dtype == float and sig.ndim == 1
+                and sig.flags.owndata and not sig.flags.writeable):
+            sig = np.atleast_1d(_read_only(sig))
         if sig.ndim != 1:
             raise ValidationError("sigmas must be a 1-D vector")
         if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):

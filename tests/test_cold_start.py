@@ -1,15 +1,21 @@
-"""Which scipy and numpy.random modules a fresh interpreter loads for each kind of work.
+"""Which of fdilab's own modules, and which scipy and numpy.random modules, a fresh
+interpreter loads for each kind of work.
 
-Parsing a case, building H and weights and synthesizing a stealth attack
-need numpy alone, so neither they nor ``fdilab attack`` load scipy. The
-first factorisation loads ``scipy.linalg`` and the first detection
-threshold ``scipy.special``. Parsing and building H and weights load no
-``numpy.random`` either, which numpy loads on first use; the Monte Carlo
-does. Each check runs a new interpreter with a
-``sitecustomize`` that writes the names in ``sys.modules`` to a file at exit.
-(``-X importtime`` cannot stand in for it: it does not list ``scipy.special``.)
+``import fdilab`` runs none of fdilab's modules: each public name and module loads on
+first access. Parsing a case and building H and weights, the bench's set-up probe,
+load ``errors``, ``network``, ``caseio`` and ``estimation`` alone; synthesizing an
+attack adds ``attack`` and ``detection``; only a scenario, a market file or a dispatch
+loads ``scenario`` or ``market``. Parsing a case, building H and weights and synthesizing a
+stealth attack need numpy alone, so neither they nor ``fdilab attack`` load scipy.
+The first factorisation loads ``scipy.linalg`` and the first detection threshold
+``scipy.special``. Parsing and building H and weights load no ``numpy.random``
+either, which numpy loads on first use; the Monte Carlo does. Each check runs a new
+interpreter with a ``sitecustomize`` that writes the names in ``sys.modules`` to a
+file at exit. (``-X importtime`` cannot stand in for it: it does not list
+``scipy.special``.)
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -17,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
+import fdilab
 from conftest import CASES_5BUS
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 CASE = ["--case", str(CASES_5BUS / "network.json"), "--meters", str(CASES_5BUS / "meters.json")]
 
 MODEL_SCRIPT = f"""
@@ -61,10 +69,25 @@ def scipy_modules(names):
     return sorted(name for name in names if name == "scipy" or name.startswith("scipy."))
 
 
+def fdilab_modules(names):
+    return {name for name in names if name == "fdilab" or name.startswith("fdilab.")}
+
+
+# the modules that parsing a case and building H and weights do not need
+SCENARIO_MODULES = {"fdilab.scenario", "fdilab.attack", "fdilab.detection", "fdilab.market"}
+
+
+def test_setup_probe_loads_four_fdilab_modules(tmp_path):
+    probe = ROOT / "bench" / "setup_probe.py"
+    proc, names = run_fresh(tmp_path, str(probe), str(CASES_5BUS / "network.json"), str(CASES_5BUS / "meters.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert fdilab_modules(names) == {"fdilab", "fdilab.errors", "fdilab.network", "fdilab.caseio", "fdilab.estimation"}
+
+
 def test_parse_model_and_attack_synthesis_load_no_scipy(tmp_path):
     proc, names = run_fresh(tmp_path, "-c", API_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert "fdilab.attack" in names
+    assert fdilab_modules(names) & SCENARIO_MODULES == {"fdilab.attack", "fdilab.detection"}
     assert scipy_modules(names) == []
 
 
@@ -96,7 +119,8 @@ def test_estimate_loads_scipy_linalg_but_not_special(tmp_path):
 def test_parse_and_model_load_no_numpy_random(tmp_path):
     proc, names = run_fresh(tmp_path, "-c", MODEL_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert "fdilab.caseio" in names
+    assert "fdilab.caseio" in names and "fdilab.estimation" in names
+    assert fdilab_modules(names) & SCENARIO_MODULES == set()
     assert "numpy" in names and "numpy.random" not in names
 
 
@@ -104,3 +128,46 @@ def test_montecarlo_loads_numpy_random(tmp_path):
     proc, names = run_fresh(tmp_path, "-m", "fdilab", "montecarlo", str(CASES_5BUS / "mc_clean.json"), "--trials", "10")
     assert proc.returncode == 0, proc.stderr
     assert "numpy.random" in names
+
+
+# fdilab's public names before its modules loaded on first access, listed as they were
+PUBLIC_NAMES = [
+    "AttackVector", "Branch", "DetectionMethod", "DetectionReport", "DispatchCase", "DispatchResult",
+    "EstimationResult", "Generator", "MeasurementMatrix", "Meter", "MeterConfig", "MonteCarloSummary",
+    "NetworkModel", "Scenario", "ScenarioReport", "WeightModel", "arbitrage_profit", "attack_from_c",
+    "build_h_matrix", "chi_square_quantile", "chi_square_test", "gaussian_quantile", "lnr_test",
+    "parse_scenario", "perceived_case_from_attack", "random_constrained_attack", "residual_covariance",
+    "run_monte_carlo", "run_scenario", "simulate_measurements", "solve_dc_opf", "targeted_attack",
+    "verify_stealth", "wls_estimate",
+]
+SUBMODULES = ["attack", "caseio", "detection", "errors", "estimation", "market", "network", "scenario"]
+
+
+def test_package_surface():
+    assert fdilab.__all__ == PUBLIC_NAMES
+    assert sorted(dir(fdilab)) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        home = importlib.import_module(getattr(fdilab, name).__module__)
+        assert getattr(fdilab, name) is getattr(home, name), name
+    star: dict = {}
+    exec("from fdilab import *", star)
+    assert {name: star[name] for name in PUBLIC_NAMES} == {name: getattr(fdilab, name) for name in PUBLIC_NAMES}
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fdilab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fdilab import no_such_name", {})
+
+
+def test_submodules_resolve_after_a_bare_import(tmp_path):
+    script = f"""
+import sys
+import fdilab
+assert {{n for n in sys.modules if n.startswith("fdilab.")}} == set(), sorted(sys.modules)
+for name in {SUBMODULES!r}:
+    assert getattr(fdilab, name) is sys.modules["fdilab." + name], name
+assert fdilab.scenario.run_scenario is fdilab.run_scenario
+"""
+    proc, names = run_fresh(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert fdilab_modules(names) == {"fdilab", *(f"fdilab.{name}" for name in SUBMODULES)}

@@ -188,7 +188,17 @@ def test_read_only_arrays_are_copies_of_a_callers_array(h5):
         assert not array.flags.writeable
     frozen = np.full(6, 0.01)
     frozen.flags.writeable = False
-    assert WeightModel(frozen).sigmas is not frozen  # a copy even of a read-only array
+    assert WeightModel(frozen).sigmas is frozen  # a read-only array that owns its data is kept
+    single = frozen.astype(np.float32)
+    single.flags.writeable = False
+    for copied in (frozen[1:], single):  # a read-only view, or another dtype, is copied
+        assert WeightModel(copied).sigmas is not copied
+
+
+def test_meter_set_weights_share_its_sigmas(meters5):
+    # each meter set holds its sigmas once, not a second copy in its WeightModel
+    assert meters5.weight_model.sigmas is meters5.sigmas
+    assert WeightModel(meters5.sigmas).sigmas is meters5.sigmas
 
 
 def test_shared_model_is_one_per_matrix_and_weights(net5, meters5, z5):
